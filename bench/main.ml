@@ -12,11 +12,9 @@ open Toolkit
 
 (* Run one complete small simulation: n processes, rotating star, given
    horizon; returns the message count so the work cannot be optimized out.
-   [sched]/[flight_pool] select the scheduler backend and flight pooling,
-   so the n-scaling rows can A/B the wheel+pools stack against the
-   heap/no-pool reference in the same build. *)
-let sim_run ?(digest = false) ?(sched = `Wheel) ?(flight_pool = true)
-    ?(algo = `Gossip) ?(topology = Net.Topology.Complete) ?(intra = 1) ~variant
+   [sched] selects the scheduler backend, so the n-scaling rows can A/B
+   the timing wheel against the binary-heap reference in the same build. *)
+let sim_run ?(digest = false) ?(sched = `Wheel) ?(algo = `Gossip) ?(topology = Net.Topology.Complete) ?(intra = 1) ~variant
     ~n ~horizon_ms () =
   let t = (n - 1) / 2 in
   let config = Omega.Config.default ~n ~t variant in
@@ -27,7 +25,7 @@ let sim_run ?(digest = false) ?(sched = `Wheel) ?(flight_pool = true)
   let spec =
     Harness.Run.Spec.(
       default |> with_check false |> with_digest digest
-      |> with_sched sched |> with_flight_pool flight_pool |> with_algo algo
+      |> with_sched sched |> with_algo algo
       |> with_topology topology
       |> with_intra_domains intra
       |> with_horizon (Sim.Time.of_ms horizon_ms))
@@ -117,9 +115,8 @@ let micro_tests =
              (sim_run ~digest:true ~variant:Omega.Config.Fig1 ~n:8
                 ~horizon_ms:1000 ())));
     (* The n-scaling tier (DESIGN.md §13): identical runs under the default
-       wheel+pools stack and the heap/no-pool reference. The -heap-nopool
-       rows are the A/B baseline the ISSUE's ≥25% clock / ≥50% alloc
-       improvement is measured against — same build, same seed, same event
+       timing wheel and the binary-heap reference. The -heap row is the
+       scheduler A/B baseline — same build, same seed, same event
        stream. *)
     Test.make ~name:"micro:sim-1s-n32-fig1"
       (Staged.stage (fun () ->
@@ -136,11 +133,11 @@ let micro_tests =
            ignore
              (sim_run ~intra:1 ~variant:Omega.Config.Fig1 ~n:64
                 ~horizon_ms:1000 ())));
-    Test.make ~name:"micro:sim-1s-n64-fig1-heap-nopool"
+    Test.make ~name:"micro:sim-1s-n64-fig1-heap"
       (Staged.stage (fun () ->
            ignore
-             (sim_run ~sched:`Heap ~flight_pool:false ~variant:Omega.Config.Fig1
-                ~n:64 ~horizon_ms:1000 ())));
+             (sim_run ~sched:`Heap ~variant:Omega.Config.Fig1 ~n:64
+                ~horizon_ms:1000 ())));
     Test.make ~name:"micro:sim-1s-n128-fig1"
       (Staged.stage (fun () ->
            ignore

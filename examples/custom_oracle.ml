@@ -21,8 +21,11 @@ let () =
   let n = 8 and t = 3 in
   let engine = Sim.Engine.create ~seed:3L () in
   let rng = Dstruct.Rng.split (Sim.Engine.rng engine) in
-  let us = Sim.Time.of_us in
-  let oracle ~now ~seq:_ ~src ~dst _msg =
+  (* The oracle returns the delay in microseconds (a negative value would
+     drop the message). One stream shared by every sender keeps the example
+     short; oracles meant for intra-run parallel execution key a stream on
+     the executor [at] instead. *)
+  let oracle ~now ~seq:_ ~at:_ ~src ~dst _msg =
     let base =
       if src = dst then 50
       else if src = 1 then 300 (* premium path: always sub-millisecond *)
@@ -41,10 +44,10 @@ let () =
       then 2_000_000 + Dstruct.Rng.int rng 1_000_000
       else 0
     in
-    Net.Network.Deliver_after (us (base + hiccup))
+    base + hiccup
   in
   let net =
-    Net.Spec.(default |> with_oracle oracle) |> fun spec ->
+    Net.Spec.(default |> with_oracle_us oracle) |> fun spec ->
     Net.Network.of_spec spec engine ~n
   in
   let config = Omega.Config.default ~n ~t Omega.Config.Fig3 in

@@ -3,11 +3,11 @@
    flights exist for (DESIGN.md 13).
 
    The star's center is only guaranteed timely *intermittently* (at star
-   rounds at most D apart), 10% of all messages are dropped in bursts, and
-   the adversary victimizes a rotating process the whole time; Figure 2
-   still elects the center. One simulated minute at n=64 is several
-   million messages, which is why this example prints the throughput
-   numbers next to the leader timeline.
+   rounds at most D apart), every link is a fair-lossy channel that drops
+   10% of the messages, and the adversary victimizes a rotating process
+   the whole time; Figure 2 still elects the center. One simulated minute
+   at n=64 is several million messages, which is why this example prints
+   the throughput numbers next to the leader timeline.
 
      dune exec examples/large_cluster.exe *)
 
@@ -39,9 +39,7 @@ let () =
     }
   in
   let env =
-    Scenarios.Env.make ~params
-      ~lossy:(0.1, 8) (* 10% loss, bursts of up to 8 per link *)
-      config
+    Scenarios.Env.make ~params config
       (Scenarios.Scenario.Intermittent_star { center; d = 4 })
   in
 
@@ -53,6 +51,7 @@ let () =
     Harness.Run.Spec.(
       default |> with_horizon horizon
       |> with_min_stable (Sim.Time.of_sec 1)
+      |> with_link_channel (Net.Topology.Fair_lossy 0.1)
       |> with_check false)
   in
   Format.printf "n=%d t=%d, intermittent star on p%d (D=4), 10%% loss@." n t

@@ -7,9 +7,7 @@
    probability 0.6, decided by a coin the network draws from its own
    engine-seeded stream (DESIGN.md §17) — through the Retransmit layer
    that implements exactly that construction, and shows the election
-   still working, including detection of a crash. (The older burst-lossy
-   variant of this example lives on as {!Net.Lossy.wrap}, which composes
-   with any oracle.)
+   still working, including detection of a crash.
 
      dune exec examples/lossy_network.exe *)
 
@@ -19,9 +17,7 @@ let () =
   let rng = Dstruct.Rng.split (Sim.Engine.rng engine) in
 
   (* Delays of 0.5-2ms; the 40% loss is the channel class's business. *)
-  let base ~now:_ ~seq:_ ~src:_ ~dst:_ _ =
-    Net.Network.Deliver_after (Sim.Time.of_us (500 + Dstruct.Rng.int rng 1500))
-  in
+  let base ~now:_ ~seq:_ ~at:_ ~src:_ ~dst:_ _ = 500 + Dstruct.Rng.int rng 1500 in
   let channels ~src:_ ~dst:_ = Net.Topology.Fair_lossy 0.4 in
   let layer =
     Net.Retransmit.create ~channels engine ~n ~oracle:base

@@ -36,17 +36,18 @@ let () =
 
   (* Omega runs on its own channel; the replication traffic on another. *)
   let net_for oracle =
-    Net.Spec.(default |> with_oracle oracle) |> fun spec ->
+    Net.Spec.(default |> with_oracle_us oracle) |> fun spec ->
     Net.Network.of_spec spec engine ~n
   in
   let omega_net =
     net_for
-      (Scenarios.Scenario.oracle scenario
-         ~round_of:Scenarios.Scenario.round_of_omega)
+      (Scenarios.Scenario.oracle_us scenario
+         ~round_of:Scenarios.Scenario.round_rn_of_omega)
   in
   let omega = Omega.Cluster.create config omega_net in
+  (* Replication messages carry no round: [-1] leaves them unconstrained. *)
   let log_net =
-    net_for (Scenarios.Scenario.oracle scenario ~round_of:(fun _ -> None))
+    net_for (Scenarios.Scenario.oracle_us scenario ~round_of:(fun _ -> -1))
   in
   let replicas =
     Array.init n (fun me ->

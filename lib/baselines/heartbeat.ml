@@ -2,7 +2,7 @@ type pid = int
 
 type msg = Heartbeat of { epoch : int }
 
-let round_of (Heartbeat { epoch }) = Some epoch
+let round_of (Heartbeat { epoch }) = epoch
 
 type t = {
   net : msg Net.Network.t;

@@ -13,8 +13,9 @@ type pid = int
 type msg = Heartbeat of { epoch : int }
 
 (** [round_of] for the scenario oracle: heartbeats are the assumption-
-    constrained, round-tagged messages. *)
-val round_of : msg -> int option
+    constrained, round-tagged messages, so every message's round is its
+    epoch. *)
+val round_of : msg -> int
 
 type t
 

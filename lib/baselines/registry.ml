@@ -27,11 +27,11 @@ let omega_instance ~variant ~closure engine scenario =
     }
   in
   let oracle =
-    Scenarios.Scenario.oracle scenario
-      ~round_of:Scenarios.Scenario.round_of_omega
+    Scenarios.Scenario.oracle_us scenario
+      ~round_of:Scenarios.Scenario.round_rn_of_omega
   in
   let net =
-    Net.Spec.(default |> with_oracle oracle)
+    Net.Spec.(default |> with_oracle_us oracle)
     |> fun spec -> Net.Network.of_spec spec engine ~n:p.Scenarios.Scenario.n
   in
   let cluster = Omega.Cluster.create config net in
@@ -91,10 +91,10 @@ let heartbeat =
       (fun engine scenario ->
         let p = Scenarios.Scenario.params scenario in
         let oracle =
-          Scenarios.Scenario.oracle scenario ~round_of:Heartbeat.round_of
+          Scenarios.Scenario.oracle_us scenario ~round_of:Heartbeat.round_of
         in
         let net =
-          Net.Spec.(default |> with_oracle oracle)
+          Net.Spec.(default |> with_oracle_us oracle)
           |> fun spec ->
           Net.Network.of_spec spec engine ~n:p.Scenarios.Scenario.n
         in

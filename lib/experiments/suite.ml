@@ -705,20 +705,24 @@ let e5 ~pool ~quick ~obs =
 
 (* ------------------------------------------------------------------ E6 *)
 
+(* E6 wires its two networks by hand over ONE shared scenario: the Ω
+   network and the consensus/broadcast network draw jitter from the same
+   per-executor streams. Two [Env.build] calls would give each network
+   its own scenario (and so its own streams) and change the table. *)
 let consensus_run ~n ~t ~d ~horizon ~seed =
   let engine = Sim.Engine.create ~seed () in
   let center = n - 2 in
   let cfg = config ~n ~t Omega.Config.Fig3 in
   let scen = scenario ~n ~t (Scenario.Intermittent_star { center; d }) in
   let net_for oracle =
-    Net.Spec.(default |> with_oracle oracle) |> fun spec ->
+    Net.Spec.(default |> with_oracle_us oracle) |> fun spec ->
     Net.Network.of_spec spec engine ~n
   in
   let omega_net =
-    net_for (Scenario.oracle scen ~round_of:Scenario.round_of_omega)
+    net_for (Scenario.oracle_us scen ~round_of:Scenario.round_rn_of_omega)
   in
   let omega = Omega.Cluster.create cfg omega_net in
-  let cons_net = net_for (Scenario.oracle scen ~round_of:(fun _ -> None)) in
+  let cons_net = net_for (Scenario.oracle_us scen ~round_of:(fun _ -> -1)) in
   let cluster =
     Consensus.Single.create cons_net
       ~oracle:(fun p () -> Omega.Node.leader (Omega.Cluster.node omega p))
@@ -758,14 +762,14 @@ let broadcast_run ~n ~t ~d ~commands ~horizon ~seed =
   let cfg = config ~n ~t Omega.Config.Fig3 in
   let scen = scenario ~n ~t (Scenario.Intermittent_star { center; d }) in
   let net_for oracle =
-    Net.Spec.(default |> with_oracle oracle) |> fun spec ->
+    Net.Spec.(default |> with_oracle_us oracle) |> fun spec ->
     Net.Network.of_spec spec engine ~n
   in
   let omega_net =
-    net_for (Scenario.oracle scen ~round_of:Scenario.round_of_omega)
+    net_for (Scenario.oracle_us scen ~round_of:Scenario.round_rn_of_omega)
   in
   let omega = Omega.Cluster.create cfg omega_net in
-  let bc_net = net_for (Scenario.oracle scen ~round_of:(fun _ -> None)) in
+  let bc_net = net_for (Scenario.oracle_us scen ~round_of:(fun _ -> -1)) in
   let nodes =
     Array.init n (fun me ->
         Consensus.Broadcast.create bc_net ~me

@@ -142,11 +142,39 @@ let on_event inj = function
    design, so there is nothing to keep unperturbed. *)
 let sink inj = Obs.Sink.make ~mask:Obs.Event.c_omega (on_event inj)
 
+(* [Plan.validate] sees only [n]; edge and rack moves must also name
+   something the built topology has. A cut between non-adjacent nodes
+   would silently cut nothing on a routed graph, and an out-of-range rack
+   would raise from inside a running event — reject both up front. *)
+let check_topology net plan =
+  let topo = Net.Network.topology net in
+  let edge op a b =
+    if Net.Topology.dist topo ~src:a ~dst:b <> 1 then
+      invalid_arg
+        (Printf.sprintf "Fault.Injector.attach: %s %d-%d is not an edge" op a
+           b)
+  in
+  List.iter
+    (function
+      | Plan.Cut_edge { a; b; _ } -> edge "cut_edge" a b
+      | Plan.Degrade_edge { a; b; _ } -> edge "degrade_edge" a b
+      | Plan.Cut_rack { rack; _ } ->
+          if rack >= Net.Topology.group_count topo then
+            invalid_arg
+              (Printf.sprintf
+                 "Fault.Injector.attach: cut_rack %d but the topology has %d \
+                  racks"
+                 rack
+                 (Net.Topology.group_count topo))
+      | _ -> ())
+    (Plan.actions plan)
+
 let attach plan ~iface ~scenario =
   let net = Omega.Iface.net iface in
   let engine = Omega.Iface.engine iface in
   let n = Omega.Iface.n iface in
   Plan.validate ~n plan;
+  check_topology net plan;
   let inj =
     {
       engine;

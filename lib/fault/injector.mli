@@ -18,7 +18,11 @@ type pid = int
 type t
 
 (** [attach plan ~iface ~scenario] validates [plan] against the cluster
-    size and schedules its actions on the cluster's engine. Call before
+    size and the network's topology, and schedules its actions on the
+    cluster's engine. Raises [Invalid_argument] (before any event runs)
+    if a [Cut_edge] or [Degrade_edge] names two nodes the topology does
+    not connect directly, or a [Cut_rack] names a rack at or past
+    {!Net.Topology.group_count}. Call before
     the run starts; crashes scheduled by the plan act on the cluster's
     network, recoveries and partition-heal catch-ups go through the
     algorithm's {!Omega.Iface} hooks (so faults work the same over any

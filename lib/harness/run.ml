@@ -44,7 +44,6 @@ module Spec = struct
     digest : bool;
     sink : Obs.Sink.t option;
     sched : [ `Heap | `Wheel ];
-    flight_pool : bool;
     algo : [ `Gossip | `Relay ];
     topology : Net.Topology.kind;
     link_channel : Net.Topology.channel;
@@ -64,7 +63,6 @@ module Spec = struct
       digest = false;
       sink = None;
       sched = `Wheel;
-      flight_pool = true;
       algo = `Gossip;
       topology = Net.Topology.Complete;
       link_channel = Net.Topology.Reliable;
@@ -82,7 +80,6 @@ module Spec = struct
   let with_digest digest t = { t with digest }
   let with_sink sink t = { t with sink = Some sink }
   let with_sched sched t = { t with sched }
-  let with_flight_pool flight_pool t = { t with flight_pool }
   let with_algo algo t = { t with algo }
   let with_topology topology t = { t with topology }
   let with_link_channel link_channel t = { t with link_channel }
@@ -242,7 +239,6 @@ let start ?(spec = Spec.default) ~env ~seed () =
     digest;
     sink;
     sched;
-    flight_pool;
     algo;
     topology;
     link_channel;
@@ -257,8 +253,7 @@ let start ?(spec = Spec.default) ~env ~seed () =
   let config = Scenarios.Env.config env in
   let engine = Sim.Engine.create ~queue:sched ~seed () in
   let scenario, net =
-    Scenarios.Env.build ~flight_pool ~topology ~channel:link_channel env
-      engine
+    Scenarios.Env.build ~topology ~channel:link_channel env engine
   in
   let checker =
     if check && Option.is_some (Scenarios.Scenario.center scenario) then
@@ -573,10 +568,9 @@ let eb_merge_replay bufs sink =
    adaptive-adversary plan (its sink feeds back into oracle state between
    events). Such runs silently take the sequential path — same stream,
    same result. *)
-let intra_fallback ~env spec =
+let intra_fallback spec =
   Option.is_some spec.Spec.sink
   || Fault.Injector.adaptive_in_plan spec.Spec.plan
-  || Scenarios.Env.is_lossy env
 
 (* One conservative-window parallel run (DESIGN.md §18). [k] shards own
    contiguous pid blocks; each owns a full replica of the simulation
@@ -600,7 +594,6 @@ let run_intra ~spec ~env ~seed () =
     metrics;
     digest;
     sched;
-    flight_pool;
     algo;
     topology;
     link_channel;
@@ -616,8 +609,7 @@ let run_intra ~spec ~env ~seed () =
   let mk () =
     let engine = Sim.Engine.create ~queue:sched ~seed () in
     let scenario, net =
-      Scenarios.Env.build ~flight_pool ~topology ~channel:link_channel env
-        engine
+      Scenarios.Env.build ~topology ~channel:link_channel env engine
     in
     (engine, scenario, net)
   in
@@ -876,7 +868,7 @@ let run_intra ~spec ~env ~seed () =
 let run ?spec ~env ~seed () =
   let spec = match spec with Some s -> s | None -> Spec.default in
   let n = (Scenarios.Env.config env).Omega.Config.n in
-  if min spec.Spec.intra_domains n > 1 && not (intra_fallback ~env spec) then
+  if min spec.Spec.intra_domains n > 1 && not (intra_fallback spec) then
     run_intra ~spec ~env ~seed ()
   else finish (start ~spec:{ spec with Spec.intra_domains = 1 } ~env ~seed ())
 

@@ -82,9 +82,6 @@ module Spec : sig
         (** engine scheduler backend (default [`Wheel]); both produce the
             identical event stream — [`Heap] is the reference for A/B
             benchmarking (see {!Sim.Engine.create}) *)
-    flight_pool : bool;
-        (** recycle network flight records (default [true]); [false] is
-            the A/B allocation baseline (see {!Net.Spec.with_pool}) *)
     algo : [ `Gossip | `Relay ];
         (** Ω algorithm behind the {!Omega.Iface} surface (default
             [`Gossip], the Figure-1/2/3 family selected by
@@ -121,7 +118,6 @@ module Spec : sig
   val with_digest : bool -> t -> t
   val with_sink : Obs.Sink.t -> t -> t
   val with_sched : [ `Heap | `Wheel ] -> t -> t
-  val with_flight_pool : bool -> t -> t
   val with_algo : [ `Gossip | `Relay ] -> t -> t
   val with_topology : Net.Topology.kind -> t -> t
   val with_link_channel : Net.Topology.channel -> t -> t

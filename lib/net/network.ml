@@ -1,17 +1,11 @@
 type pid = int
 
-type verdict = Deliver_after of Sim.Time.t | Drop
-
-type 'm delay_oracle =
-  now:Sim.Time.t -> seq:int -> src:pid -> dst:pid -> 'm -> verdict
-
-(* The unboxed oracle additionally names the executor [at] — the process
-   whose code performs the draw: the sender on the direct path, the
-   relaying node on routed hops. Scenario oracles key their jitter streams
-   on it (one stream per executor), which is what makes the draw sequence
-   a pure function of each process's local computation — the property the
-   intra-run parallel mode needs (DESIGN.md §18). The boxed [delay_oracle]
-   keeps its arity for compatibility; adapted boxed oracles ignore [at]. *)
+(* The oracle names the executor [at] — the process whose code performs
+   the draw: the sender on the direct path, the relaying node on routed
+   hops. Scenario oracles key their jitter streams on it (one stream per
+   executor), which is what makes the draw sequence a pure function of
+   each process's local computation — the property the intra-run parallel
+   mode needs (DESIGN.md §18). *)
 type 'm delay_oracle_us =
   now:Sim.Time.t -> seq:int -> at:pid -> src:pid -> dst:pid -> 'm -> int
 
@@ -38,10 +32,8 @@ type 'm t = {
      plan first touches them, so plan-free runs pay one length check). *)
   mutable cut_edges : Bytes.t;
   mutable degrade_us : int array;
-  (* The unboxed rendering of the oracle: delay in microseconds, negative =
-     Drop. Boxed oracles are adapted at [create]; the per-message call then
-     never allocates a [Deliver_after] box when the caller provided
-     [oracle_us] directly. *)
+  (* Delay in microseconds, negative = Drop: a plain [int] per message,
+     so the oracle call allocates nothing. *)
   oracle_us : 'm delay_oracle_us;
   classify : 'm -> Obs.Event.msg_info;
   handlers : (src:pid -> 'm -> unit) option array;
@@ -62,9 +54,7 @@ type 'm t = {
   mutable dup_until : Sim.Time.t;
   mutable dup_extra : Sim.Time.t;
   (* Flight freelist (a stack; order is irrelevant, only the values are
-     recycled). [pool_n] slots of [pool] hold released flights; [pooling]
-     false pins the pre-pool allocate-per-send behaviour for A/B runs. *)
-  pooling : bool;
+     recycled). [pool_n] slots of [pool] hold released flights. *)
   mutable pool : 'm flight array;
   mutable pool_n : int;
   (* Broadcasts batch their fan-out through the wheel's stage/commit
@@ -139,25 +129,11 @@ and 'm xmsg = {
 
 let default_classify _ = Obs.Event.no_info
 
-(* Adapter for boxed oracles: one closure per network, not per message; the
-   box itself is still paid on this compatibility path (the caller's oracle
-   allocates it), which is why hot setups pass [oracle_us] directly. *)
-let boxed_oracle_us oracle ~now ~seq ~at:_ ~src ~dst msg =
-  match oracle ~now ~seq ~src ~dst msg with
-  | Deliver_after d ->
-      let us = Sim.Time.to_us d in
-      if us < 0 then invalid_arg "Network.send: oracle returned negative delay"
-      else us
-  | Drop -> -1
-
 (* The builder record that replaced [create]'s accreted optional
-   arguments. The boxed/unboxed oracle precedence rule lives here, in
-   [of_spec], instead of prose: [oracle_us] wins whenever both are set. *)
+   arguments. *)
 module Spec = struct
   type 'm t = {
     classify : 'm -> Obs.Event.msg_info;
-    pool : bool;
-    oracle : 'm delay_oracle option;
     oracle_us : 'm delay_oracle_us option;
     topology : Topology.kind;
     channels : (src:pid -> dst:pid -> Topology.channel) option;
@@ -166,16 +142,12 @@ module Spec = struct
   let default =
     {
       classify = default_classify;
-      pool = true;
-      oracle = None;
       oracle_us = None;
       topology = Topology.Complete;
       channels = None;
     }
 
   let with_classify classify t = { t with classify }
-  let with_pool pool t = { t with pool }
-  let with_oracle oracle t = { t with oracle = Some oracle }
   let with_oracle_us oracle_us t = { t with oracle_us = Some oracle_us }
   let with_topology topology t = { t with topology }
   let with_channels channels t = { t with channels = Some channels }
@@ -184,12 +156,9 @@ end
 let of_spec (spec : 'm Spec.t) engine ~n =
   if n <= 0 then invalid_arg "Network.of_spec: n must be positive";
   let oracle_us =
-    match (spec.Spec.oracle_us, spec.Spec.oracle) with
-    | Some f, _ -> f
-    | None, Some oracle -> boxed_oracle_us oracle
-    | None, None ->
-        invalid_arg
-          "Network.of_spec: spec needs with_oracle or with_oracle_us"
+    match spec.Spec.oracle_us with
+    | Some f -> f
+    | None -> invalid_arg "Network.of_spec: spec needs with_oracle_us"
   in
   (* Routing tables are built from a stream split off the engine seed; the
      complete default splits nothing, so legacy runs see an untouched
@@ -213,7 +182,15 @@ let of_spec (spec : 'm Spec.t) engine ~n =
             if src <> dst then begin
               let c = f ~src ~dst in
               (match c with
-              | Topology.Fair_lossy _ -> lossy := true
+              | Topology.Fair_lossy p ->
+                  (* [Rng.chance] would read p >= 1 as "always drop" and
+                     p < 0 or NaN as "never": reject them instead of
+                     silently cutting the edge or losing nothing. The
+                     negated test catches NaN. *)
+                  if not (p >= 0. && p < 1.) then
+                    invalid_arg
+                      "Network.of_spec: Fair_lossy loss must be in [0, 1)";
+                  lossy := true
               | _ -> ());
               a.((src * n) + dst) <- c
             end
@@ -259,7 +236,6 @@ let of_spec (spec : 'm Spec.t) engine ~n =
     groups = None;
     dup_until = Sim.Time.zero;
     dup_extra = Sim.Time.zero;
-    pooling = spec.Spec.pool;
     pool = [||];
     pool_n = 0;
     (* Batched fan-out is a property of the direct path only; routed
@@ -415,7 +391,7 @@ let dispatch t ~batched ~now ~traced ~info ~src ~dst msg =
               fvia = dst;
               fmsg = msg;
               finfo = info;
-              frecycle = t.pooling;
+              frecycle = true;
             }
           else begin
             let k = t.pool_n - 1 in
@@ -474,7 +450,7 @@ let acquire t ~now ~seq ~src ~dst ~info msg =
       fvia = dst;
       fmsg = msg;
       finfo = info;
-      frecycle = t.pooling;
+      frecycle = true;
     }
   else begin
     let k = t.pool_n - 1 in

@@ -3,10 +3,11 @@
     Matches the paper's model (§2.1): every ordered pair of processes is
     connected by a directed link; links are reliable (no creation, alteration
     or loss) and non-FIFO, with no bound on transfer delays. Delays come from
-    a {!delay_oracle}, which is where scenario generators inject timeliness,
-    winning order, or chaos. An oracle may also return [`Drop]: the paper's
-    base model never drops, but lossy variants are exercised by tests of the
-    fair-lossy extension discussed in §1.2/§3 of the paper.
+    a {!delay_oracle_us}, which is where scenario generators inject
+    timeliness, winning order, or chaos. The fair-lossy links of the
+    paper's footnote 2 are a per-edge channel class
+    ({!Topology.Fair_lossy}), composed before the oracle; an oracle may
+    also drop a message by returning a negative delay.
 
     Crash faults: a crashed process neither sends nor receives from the crash
     time on (its handler is never invoked again), which is exactly premature
@@ -20,28 +21,16 @@
 
 type pid = int
 
-type verdict =
-  | Deliver_after of Sim.Time.t  (** transfer delay for this message *)
-  | Drop  (** lose the message (extension; not used by the base model) *)
-
-(** The oracle sees the send time, the link and the message, plus the
-    sender's per-source sequence number ([seqs.(src)]-th send of [src]) for
-    tie-breaking. *)
-type 'm delay_oracle =
-  now:Sim.Time.t -> seq:int -> src:pid -> dst:pid -> 'm -> verdict
-
-(** The unboxed oracle flavour: the transfer delay in microseconds, any
-    negative value meaning [Drop]. Semantically identical to
-    {!delay_oracle}, but the per-message call returns a plain [int] — no
-    [Deliver_after] box, which on the simulator's hot path was two words
-    for every message sent ({!Scenarios.Env} passes this flavour) — and it
-    additionally receives [at], the {e executor} performing the draw: the
-    sender on the direct path, the relaying node on a routed hop. Oracles
-    that draw randomness must key their streams on [at] (one sub-stream
-    per executor) so the draw sequence is a pure function of each
-    process's local computation — the interleaving-invariance the
-    intra-run parallel mode relies on (DESIGN.md §18). Boxed oracles
-    adapted by {!of_spec} never see [at]. *)
+(** The delay oracle: the transfer delay in microseconds, any negative
+    value meaning drop. It sees the send time, the link and the message,
+    the sender's per-source sequence number ([seqs.(src)]-th send of
+    [src]) for tie-breaking, and [at], the {e executor} performing the
+    draw: the sender on the direct path, the relaying node on a routed
+    hop. Oracles that draw randomness must key their streams on [at] (one
+    sub-stream per executor) so the draw sequence is a pure function of
+    each process's local computation — the interleaving-invariance the
+    intra-run parallel mode relies on (DESIGN.md §18). The per-message
+    call returns a plain [int], so it allocates nothing. *)
 type 'm delay_oracle_us =
   now:Sim.Time.t -> seq:int -> at:pid -> src:pid -> dst:pid -> 'm -> int
 
@@ -65,20 +54,7 @@ type 'm t
       assumption-relevant round ([-1] when none — the {!Scenarios.Checker}
       keys on it), and the wire size. Default {!Obs.Event.no_info}; only
       invoked when a sink wants [c_net] events.
-    - [with_oracle] / [with_oracle_us] set the delay oracle; at least one
-      is required. The precedence rule lives here, not in prose:
-      {e [oracle_us] wins whenever both are set} ([oracle] is then never
-      called; the two must agree if both are meaningful). A spec with only
-      the boxed [oracle] is adapted once at creation, preserving behaviour
-      (including the negative-delay rejection) at the cost of the
-      per-message verdict box.
-    - [with_pool] (default [true]) recycles in-flight message records
-      through a network-local freelist: a delivery latches its fields and
-      releases the record before invoking the handler, so steady-state
-      traffic allocates no flight records at all. Pooling changes no
-      observable value ([pool:false] exists for A/B allocation
-      measurements). The pool is network-local state like the handlers:
-      never share a network across parallel pool tasks.
+    - [with_oracle_us] sets the delay oracle; it is required.
     - [with_topology] (default {!Topology.Complete}) selects the graph.
       Non-complete kinds route every send hop by hop over precomputed
       shortest paths (see {!Topology} and DESIGN.md §17); the complete
@@ -90,14 +66,19 @@ type 'm t
       partitions cut traffic: a fair-lossy hop drops without drawing
       delay randomness, an eventually-timely hop clamps the oracle's
       delay to its bound once [now >= gst]. Giving channels — even all
-      [Reliable] — selects the routed path. *)
+      [Reliable] — selects the routed path.
+
+    In-flight message records are always recycled through a
+    network-local freelist: a delivery latches its fields and releases
+    the record before invoking the handler, so steady-state traffic
+    allocates no flight records at all. The freelist is network-local
+    state like the handlers: never share a network across parallel pool
+    tasks. *)
 module Spec : sig
   type 'm t
 
   val default : 'm t
   val with_classify : ('m -> Obs.Event.msg_info) -> 'm t -> 'm t
-  val with_pool : bool -> 'm t -> 'm t
-  val with_oracle : 'm delay_oracle -> 'm t -> 'm t
   val with_oracle_us : 'm delay_oracle_us -> 'm t -> 'm t
   val with_topology : Topology.kind -> 'm t -> 'm t
 
@@ -106,8 +87,9 @@ module Spec : sig
 end
 
 (** [of_spec spec engine ~n] is a network for processes [0 .. n-1].
-    Raises [Invalid_argument] if [spec] carries no oracle of either
-    flavour, or if the topology is not connected. A non-complete topology
+    Raises [Invalid_argument] if [spec] carries no oracle, if the
+    topology is not connected, or if some edge is [Fair_lossy p] with [p]
+    outside [[0, 1)] (NaN included). A non-complete topology
     splits its routing-table stream off the engine seed (and a second
     stream for fair-lossy coins when some edge needs one); the complete
     reliable default splits nothing, so legacy digests are unchanged. *)

@@ -28,7 +28,7 @@ let create ?(max_pending = 256) ?(topology = Topology.Complete) ?channels
     invalid_arg "Retransmit.create: max_pending must be positive";
   let spec =
     Network.Spec.default
-    |> Network.Spec.with_oracle oracle
+    |> Network.Spec.with_oracle_us oracle
     |> Network.Spec.with_topology topology
   in
   let spec =

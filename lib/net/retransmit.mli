@@ -10,9 +10,10 @@
     delivery of every payload between non-crashed processes.
 
     The layer owns an internal envelope-typed {!Network} built from the
-    (typically {!Lossy.wrap}ped) oracle, and exposes the same send/handler
-    surface as {!Network}, so transport-generic protocols (e.g.
-    {!Consensus.Node}) run over it unchanged. *)
+    given oracle (typically over per-edge {!Topology.Fair_lossy}
+    [channels]), and exposes the same send/handler surface as
+    {!Network}, so transport-generic protocols (e.g. {!Consensus.Node})
+    run over it unchanged. *)
 
 type pid = int
 
@@ -46,7 +47,7 @@ val create :
   ?channels:(src:pid -> dst:pid -> Topology.channel) ->
   Sim.Engine.t ->
   n:int ->
-  oracle:'m envelope Network.delay_oracle ->
+  oracle:'m envelope Network.delay_oracle_us ->
   resend_every:Sim.Time.t ->
   'm t
 

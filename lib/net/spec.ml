@@ -1,4 +1,4 @@
 (* Library-level alias so callers write [Net.Spec.default |> ...] next to
    [Net.Network.of_spec]; the builder itself lives in {!Network.Spec}
-   (construction and the oracle-precedence rule are Network's business). *)
+   (construction is Network's business). *)
 include Network.Spec

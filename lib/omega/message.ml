@@ -26,7 +26,7 @@ let wire_size = function
   | Accuse _ -> 1 + 4 + 4 + 4
 
 (* Observability classifier for {!Net.Spec.with_classify}. [round] is only set
-   for ALIVE, matching {!Scenarios.Scenario.round_of_omega}: SUSPICION
+   for ALIVE, matching {!Scenarios.Scenario.round_rn_of_omega}: SUSPICION
    carries a round number but no assumption constrains its delivery, and the
    checker must not mistake it for an ALIVE arrival. The lean variant's
    messages all classify with [round = -1] for the same reason — the

@@ -47,7 +47,7 @@ val wire_size : t -> int
 (** Classifier for {!Net.Spec.with_classify}: kind
     ["alive"]/["susp"]/["hb"]/["agg"]/["accuse"], [round = rn] for ALIVE
     only (the checker's convention, matching
-    {!Scenarios.Scenario.round_of_omega}), [bytes = wire_size]. *)
+    {!Scenarios.Scenario.round_rn_of_omega}), [bytes = wire_size]. *)
 val info : t -> Obs.Event.msg_info
 
 val pp : Format.formatter -> t -> unit

@@ -5,11 +5,10 @@ type t = {
   params : Scenario.params;
   regime : Scenario.regime;
   scenario_seed : int64;
-  lossy : (float * int) option;
   classify : Omega.Message.t -> Obs.Event.msg_info;
 }
 
-let make ?params ?lossy ?(classify = Omega.Message.info)
+let make ?params ?(classify = Omega.Message.info)
     ?(scenario_seed = 42L) config regime =
   Omega.Config.validate config;
   let params =
@@ -28,19 +27,12 @@ let make ?params ?lossy ?(classify = Omega.Message.info)
     invalid_arg "Env.make: config.alpha must equal n - t";
   if params.Scenario.beta <> config.Omega.Config.beta then
     invalid_arg "Env.make: params.beta differs from config.beta";
-  (match lossy with
-  | Some (loss, burst) ->
-      if loss < 0. || loss >= 1. then
-        invalid_arg "Env.make: loss must be in [0, 1)";
-      if burst < 1 then invalid_arg "Env.make: burst must be >= 1"
-  | None -> ());
   (* Surface regime errors (center range, failover switch <= rn0) eagerly
      rather than at first [build] inside a pool task. *)
   ignore (Scenario.create params regime ~seed:scenario_seed);
-  { config; params; regime; scenario_seed; lossy; classify }
+  { config; params; regime; scenario_seed; classify }
 
 let config t = t.config
-let is_lossy t = Option.is_some t.lossy
 let params t = t.params
 let regime t = t.regime
 let scenario_seed t = t.scenario_seed
@@ -49,28 +41,28 @@ let center_at t rn = Scenario.center_at_round t.regime rn
 
 (* Fresh per engine: scenarios and networks hold run-local mutable state
    (plan memoization, counters, fault surfaces), so a pool task must build
-   its own from the shared immutable [t]. The lossy RNG is split off the
-   engine only when a wrapper is requested — a lossless [build] leaves the
-   engine's stream exactly where hand-wiring left it, which keeps plan-free
+   its own from the shared immutable [t]. A [build] over the default
+   topology draws nothing from the engine, so it leaves the engine's
+   stream exactly where hand-wiring left it — which keeps plan-free
    digests byte-identical across the API migration. *)
-let build ?(flight_pool = true) ?(topology = Net.Topology.Complete)
+let build ?(topology = Net.Topology.Complete)
     ?(channel = Net.Topology.Reliable) t engine =
   let scenario =
     Scenario.create t.params t.regime ~seed:t.scenario_seed
   in
-  (* Eta-expanded on purpose: a partial application of [oracle_rn] would be
-     an arity-1 curry closure, and the network's call through it would then
-     allocate an intermediate closure per remaining argument — per message.
-     The explicit [fun] has exact arity 5, so [caml_apply5] jumps straight
-     to the body. *)
-  let oracle ~now ~seq ~src ~dst msg =
-    Scenario.oracle_rn scenario ~round_of:Scenario.round_rn_of_omega ~now ~seq
-      ~src ~dst msg
+  (* Eta-expanded on purpose: a partial application of [oracle_us] would
+     be an arity-1 curry closure, and the network's call through it would
+     then allocate an intermediate closure per remaining argument — per
+     message. The explicit [fun] has exact arity 6, so [caml_apply6]
+     jumps straight to the body. *)
+  let oracle_us ~now ~seq ~at ~src ~dst msg =
+    Scenario.oracle_us scenario ~round_of:Scenario.round_rn_of_omega ~now
+      ~seq ~at ~src ~dst msg
   in
   let spec =
     Net.Spec.default
     |> Net.Spec.with_classify t.classify
-    |> Net.Spec.with_pool flight_pool
+    |> Net.Spec.with_oracle_us oracle_us
     |> Net.Spec.with_topology topology
   in
   (* A channel selector — even a uniform one — switches the network to the
@@ -82,31 +74,7 @@ let build ?(flight_pool = true) ?(topology = Net.Topology.Complete)
     | Net.Topology.Reliable -> spec
     | c -> Net.Spec.with_channels (fun ~src:_ ~dst:_ -> c) spec
   in
-  let net =
-    match t.lossy with
-    | None ->
-        (* The lossless path also hands the network the unboxed oracle
-           flavour ([delay_oracle_us]): same draws, same delays, but no
-           [Deliver_after] box per message. *)
-        let oracle_us ~now ~seq ~at ~src ~dst msg =
-          Scenario.oracle_us scenario ~round_of:Scenario.round_rn_of_omega
-            ~now ~seq ~at ~src ~dst msg
-        in
-        Net.Network.of_spec
-          (spec |> Net.Spec.with_oracle oracle
-          |> Net.Spec.with_oracle_us oracle_us)
-          engine ~n:t.config.Omega.Config.n
-    | Some (loss, burst) ->
-        let oracle =
-          Net.Lossy.wrap ~loss ~burst
-            ~rng:(Dstruct.Rng.split (Sim.Engine.rng engine))
-            ~n:t.config.Omega.Config.n oracle
-        in
-        Net.Network.of_spec
-          (spec |> Net.Spec.with_oracle oracle)
-          engine ~n:t.config.Omega.Config.n
-  in
-  (scenario, net)
+  (scenario, Net.Network.of_spec spec engine ~n:t.config.Omega.Config.n)
 
 let describe t =
   Scenario.describe (Scenario.create t.params t.regime ~seed:t.scenario_seed)

@@ -1,12 +1,11 @@
 (** Validated run environment: everything about a simulated world except
     the engine seed and the fault plan.
 
-    [Env.make] assembles algorithm config, scenario regime and params,
-    optional fair-lossy wrapper and message classifier in one step, and
-    rejects inconsistent combinations ([params.n <> config.n],
-    [alpha <> n - t], mismatched [beta], out-of-range loss, bad regime
-    centers) up front — the checks hand-wired setups kept scattering over
-    [Network.of_spec] + [Lossy.wrap] + oracle plumbing in three different
+    [Env.make] assembles algorithm config, scenario regime and params and
+    message classifier in one step, and rejects inconsistent combinations
+    ([params.n <> config.n], [alpha <> n - t], mismatched [beta], bad
+    regime centers) up front — the checks hand-wired setups kept
+    scattering over [Network.of_spec] + oracle plumbing in different
     orders. An [Env.t] is immutable and shareable; [build] instantiates
     the run-local scenario and network for one engine (pool tasks each
     build their own, per the engine-local-state rule).
@@ -24,14 +23,12 @@ type t
 
     [params] default to
     [Scenario.default_params ~n ~t:(n - alpha) ~beta] derived from
-    [config]; [lossy] is an optional [(loss, burst)] pair for
-    {!Net.Lossy.wrap}; [classify] (default {!Omega.Message.info}) feeds
+    [config]; [classify] (default {!Omega.Message.info}) feeds
     the network's observability events; [scenario_seed] (default [42L])
     fixes the scenario plan, independently of any run seed.
     Raises [Invalid_argument] on any inconsistency. *)
 val make :
   ?params:Scenario.params ->
-  ?lossy:float * int ->
   ?classify:(Omega.Message.t -> Obs.Event.msg_info) ->
   ?scenario_seed:int64 ->
   Omega.Config.t ->
@@ -39,13 +36,6 @@ val make :
   t
 
 val config : t -> Omega.Config.t
-
-(** Whether {!build} wraps the oracle in the legacy {!Net.Lossy} layer.
-    Its drop coins come from one stream drawn in global send order —
-    interleaving-dependent, so intra-run parallel execution falls back to
-    sequential on lossy environments (DESIGN.md §18; the fair-lossy
-    {e channel} classes draw per-executor and parallelize fine). *)
-val is_lossy : t -> bool
 val params : t -> Scenario.params
 val regime : t -> Scenario.regime
 val scenario_seed : t -> int64
@@ -58,20 +48,18 @@ val center_at : t -> int -> pid option
 
 (** [build t engine] instantiates the scenario and network for one engine
     (through {!Net.Network.of_spec}). Both are run-local: call once per
-    simulation stack. When [lossy] is set, one RNG stream is split off the
-    engine for the wrapper; a lossless build over the default topology
-    draws nothing from the engine. [flight_pool] (default [true]) feeds
-    the spec's [with_pool] — set it to [false] only for A/B allocation
-    measurements.
+    simulation stack. A build over the default topology draws nothing
+    from the engine. The network consults
+    {!Scenario.oracle_us} with {!Scenario.round_rn_of_omega}.
 
     [topology] (default [Complete]) selects the network graph, and
     [channel] (default [Reliable]) applies one channel class uniformly to
-    every edge; any non-default value of either switches the network to
-    the routed multi-hop path (fresh digests). Heterogeneous per-edge
+    every edge — [Fair_lossy p] is how a run loses messages; any
+    non-default value of either switches the network to the routed
+    multi-hop path (fresh digests). Heterogeneous per-edge
     channel maps are a [Net.Spec.with_channels] affair — build the network
     by hand for those. *)
 val build :
-  ?flight_pool:bool ->
   ?topology:Net.Topology.kind ->
   ?channel:Net.Topology.channel ->
   t ->

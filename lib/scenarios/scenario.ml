@@ -550,36 +550,19 @@ let alive_delay t rng ~now ~src ~dst rn =
         victim_delay_us t rn
       else background_delay t rng ~now ~src ~center rn)
 
-(* [rn] is the message's round tag, or [-1] for unconstrained messages —
-   the unboxed rendering of [round_of]'s [int option] (ALIVE rounds start
-   at 1, so -1 is free). Factored out so both oracle flavours draw exactly
-   the same randomness for the same message. [at] selects the executor's
-   jitter stream; the boxed compatibility oracles pass [src] (they never
-   serve routed or intra-parallel runs). *)
-let delay_us_of t ~at ~now ~src ~dst rn =
+(* [rn] is the message's round tag, or [-1] for unconstrained messages
+   (ALIVE rounds start at 1, so -1 is free). [at] selects the executor's
+   jitter stream. *)
+let oracle_us t ~round_of ~now ~seq:_ ~at ~src ~dst msg =
   if src = dst then us t.p.min_delay
   else
+    let rn = round_of msg in
     let rng = t.delay_rngs.(at) in
     if rn < 0 then
       match t.regime with
       | Full_timely -> timely_delay t rng 0
       | _ -> async_delay t rng ~now
     else alive_delay t rng ~now ~src ~dst rn
-
-let oracle_rn t ~round_of ~now ~seq ~src ~dst msg =
-  ignore seq;
-  Net.Network.Deliver_after
-    (Sim.Time.of_us (delay_us_of t ~at:src ~now ~src ~dst (round_of msg)))
-
-let oracle_us t ~round_of ~now ~seq ~at ~src ~dst msg =
-  ignore seq;
-  delay_us_of t ~at ~now ~src ~dst (round_of msg)
-
-let oracle t ~round_of ~now ~seq ~src ~dst msg =
-  ignore seq;
-  let rn = match round_of msg with None -> -1 | Some rn -> rn in
-  Net.Network.Deliver_after
-    (Sim.Time.of_us (delay_us_of t ~at:src ~now ~src ~dst rn))
 
 (* Every delay path above floors at [min_delay]: [timely_delay] and
    [async_delay] take [max]/[lo] against it, the winning targets clamp
@@ -610,12 +593,6 @@ let arrival_bound ?(hops = 1) t rn =
    them. Distinct from {!Omega.Message.info}, the checker-facing classifier,
    which tags only ALIVE — the checker verifies Figure 3's arrival pattern
    and must not key on relay traffic. *)
-let round_of_omega = function
-  | Omega.Message.Alive { rn; _ }
-  | Omega.Message.Heartbeat { rn }
-  | Omega.Message.Aggregate { rn; _ } -> Some rn
-  | Omega.Message.Suspicion _ | Omega.Message.Accuse _ -> None
-
 let round_rn_of_omega = function
   | Omega.Message.Alive { rn; _ }
   | Omega.Message.Heartbeat { rn }

@@ -149,28 +149,14 @@ val g_function : t -> int -> Sim.Time.t
     per-round gap bound. *)
 val f_function : t -> int -> int
 
-(** [oracle t ~round_of] is the boxed delay oracle to plug into a
-    {!Net.Spec}. [round_of m] must return [Some rn] when [m] is a
-    round-tagged, assumption-constrained message (an ALIVE), [None]
-    otherwise. Jitter comes from per-executor streams keyed on the
-    sender; the boxed flavours serve direct-dispatch runs only. *)
-val oracle :
-  t -> round_of:('m -> int option) -> 'm Net.Network.delay_oracle
-
-(** [oracle_rn] is {!oracle} with the round tag unboxed: [round_of m] must
-    return the message's round, or [-1] when [m] is unconstrained. The two
-    flavours draw identical randomness for identical messages — [oracle]'s
-    [Some] box costs two minor words per message, which matters only on the
-    simulator's hot path. *)
-val oracle_rn : t -> round_of:('m -> int) -> 'm Net.Network.delay_oracle
-
-(** [oracle_us] is {!oracle_rn} with the verdict unboxed too (microseconds,
-    never negative — scenario oracles never drop): the
-    {!Net.Network.delay_oracle_us} fast path {!Env} installs. Its jitter
-    stream is the {e executor}'s ([at] — the sender on the direct path,
-    the relay on a routed hop), so on direct dispatch it draws identically
-    to the boxed flavours; on routed runs it is the only flavour the
-    network consults (the Spec precedence rule). *)
+(** [oracle_us t ~round_of] is the delay oracle to plug into a
+    {!Net.Spec} ({!Net.Spec.with_oracle_us}), in microseconds — scenario
+    oracles never drop. [round_of m] must return the message's round when
+    [m] is a round-tagged, assumption-constrained message (an ALIVE), or
+    [-1] when it is unconstrained. Its jitter stream is the
+    {e executor}'s ([at] — the sender on the direct path, the relay on a
+    routed hop), so the draw sequence is a function of each process's
+    local computation. *)
 val oracle_us : t -> round_of:('m -> int) -> 'm Net.Network.delay_oracle_us
 
 (** [arrival_bound t rn] is an upper bound on the arrival time of any
@@ -191,10 +177,8 @@ val arrival_bound : ?hops:int -> t -> int -> Sim.Time.t
     {!Net.Network.channel_floor_us} (DESIGN.md §18). *)
 val lookahead_us : t -> int
 
-(** [round_of] for the core algorithm's messages. *)
-val round_of_omega : Omega.Message.t -> int option
-
-(** Unboxed [round_of] for {!oracle_rn}: the ALIVE round, [-1] otherwise. *)
+(** [round_of] for the core algorithm's messages: the round of an ALIVE
+    (and of the relay tier's HEARTBEAT/AGGREGATE), [-1] otherwise. *)
 val round_rn_of_omega : Omega.Message.t -> int
 
 val describe : t -> string

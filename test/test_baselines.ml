@@ -9,14 +9,13 @@ module Scenario = Scenarios.Scenario
 module HB = Baselines.Heartbeat
 module Registry = Baselines.Registry
 
-let instant ~now:_ ~seq:_ ~src:_ ~dst:_ _ =
-  Net.Network.Deliver_after (Sim.Time.of_us 1)
+let instant ~now:_ ~seq:_ ~at:_ ~src:_ ~dst:_ _ = 1
 
 let heartbeat_cluster ?(n = 4) ?(oracle = instant) () =
   let engine = Sim.Engine.create ~seed:4L () in
   let net =
     Net.Network.of_spec
-      Net.Spec.(default |> with_oracle oracle)
+      Net.Spec.(default |> with_oracle_us oracle)
       engine ~n
   in
   let cluster =
@@ -48,9 +47,8 @@ let test_heartbeat_unsuspects_and_adapts () =
      heartbeat arrives; the timeout doubles so the same delay no longer
      triggers a suspicion. *)
   let burst = ref true in
-  let oracle ~now:_ ~seq:_ ~src ~dst:_ _ =
-    if src = 2 && !burst then Net.Network.Deliver_after (Sim.Time.of_ms 60)
-    else Net.Network.Deliver_after (Sim.Time.of_us 100)
+  let oracle ~now:_ ~seq:_ ~at:_ ~src ~dst:_ _ =
+    if src = 2 && !burst then 60_000 else 100
   in
   let engine, _, cluster = heartbeat_cluster ~oracle () in
   Sim.Engine.run_until engine (Sim.Time.of_ms 40);
@@ -62,7 +60,7 @@ let test_heartbeat_unsuspects_and_adapts () =
     (List.mem 2 (HB.suspected cluster 0))
 
 let test_heartbeat_round_of () =
-  check (Alcotest.option int_t) "epoch tag" (Some 5)
+  check int_t "epoch tag" 5
     (HB.round_of (HB.Heartbeat { epoch = 5 }))
 
 (* ------------------------------------------------------------ registry *)

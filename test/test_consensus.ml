@@ -8,7 +8,7 @@ let bool_t = Alcotest.bool
 let us = Sim.Time.of_us
 let ms = Sim.Time.of_ms
 
-let instant ~now:_ ~seq:_ ~src:_ ~dst:_ _ = Net.Network.Deliver_after (us 1)
+let instant ~now:_ ~seq:_ ~at:_ ~src:_ ~dst:_ _ = 1
 
 (* A cluster with a FIXED (possibly bad) leader oracle per process. *)
 let cluster ?(n = 5) ?(t = 2) ?(oracle = fun _p () -> 0)
@@ -16,7 +16,7 @@ let cluster ?(n = 5) ?(t = 2) ?(oracle = fun _p () -> 0)
   let engine = Sim.Engine.create ~seed () in
   let net =
     Net.Network.of_spec
-      Net.Spec.(default |> with_oracle net_oracle)
+      Net.Spec.(default |> with_oracle_us net_oracle)
       engine ~n
   in
   let c =
@@ -53,7 +53,7 @@ let test_leader_crash_failover () =
   let engine = Sim.Engine.create ~seed:9L () in
   let net =
     Net.Network.of_spec
-      Net.Spec.(default |> with_oracle instant)
+      Net.Spec.(default |> with_oracle_us instant)
       engine ~n:5
   in
   let current_leader = ref 0 in
@@ -118,12 +118,12 @@ let prop_consensus_safety =
       let n = 5 and t = 2 in
       let engine = Sim.Engine.create ~seed:(Int64.of_int (seed + 1)) () in
       let delay_rng = Dstruct.Rng.create (Int64.of_int (seed + 100)) in
-      let net_oracle ~now:_ ~seq:_ ~src:_ ~dst:_ _ =
-        Net.Network.Deliver_after (us (Dstruct.Rng.int delay_rng 50_000))
+      let net_oracle ~now:_ ~seq:_ ~at:_ ~src:_ ~dst:_ _ =
+        Dstruct.Rng.int delay_rng 50_000
       in
       let net =
         Net.Network.of_spec
-          Net.Spec.(default |> with_oracle net_oracle)
+          Net.Spec.(default |> with_oracle_us net_oracle)
           engine ~n
       in
       let oracle_rng = Dstruct.Rng.create (Int64.of_int (oracle_seed + 1)) in
@@ -164,7 +164,7 @@ let test_quorum_requires_majority () =
       let engine = Sim.Engine.create ~seed:1L () in
       let net =
         Net.Network.of_spec
-          Net.Spec.(default |> with_oracle instant)
+          Net.Spec.(default |> with_oracle_us instant)
           engine ~n:4
       in
       ignore
@@ -182,7 +182,7 @@ let broadcast_cluster ?(n = 5) ?(t = 2) ?(leader = fun () -> 0) () =
   let engine = Sim.Engine.create ~seed:13L () in
   let net =
     Net.Network.of_spec
-      Net.Spec.(default |> with_oracle instant)
+      Net.Spec.(default |> with_oracle_us instant)
       engine ~n
   in
   let nodes =
@@ -219,7 +219,7 @@ let test_broadcast_survives_leader_crash () =
   let engine = Sim.Engine.create ~seed:13L () in
   let net =
     Net.Network.of_spec
-      Net.Spec.(default |> with_oracle instant)
+      Net.Spec.(default |> with_oracle_us instant)
       engine ~n:5
   in
   let current = ref 0 in

@@ -202,8 +202,8 @@ let test_consensus_over_real_omega () =
     Net.Network.of_spec
       Net.Spec.(
         default
-        |> with_oracle
-             (Scenario.oracle scenario ~round_of:Scenario.round_of_omega))
+        |> with_oracle_us
+             (Scenario.oracle_us scenario ~round_of:Scenario.round_rn_of_omega))
       engine ~n
   in
   let omega = Omega.Cluster.create config omega_net in
@@ -211,7 +211,7 @@ let test_consensus_over_real_omega () =
     Net.Network.of_spec
       Net.Spec.(
         default
-        |> with_oracle (Scenario.oracle scenario ~round_of:(fun _ -> None)))
+        |> with_oracle_us (Scenario.oracle_us scenario ~round_of:(fun _ -> -1)))
       engine ~n
   in
   let cons =

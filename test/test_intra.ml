@@ -3,7 +3,8 @@
    digest (an FNV fold over the complete event stream) and the whole
    result record must be identical for intra_domains 1/2/4, on both
    scheduler backends, for every flavour of run the driver parallelizes —
-   plain gossip, the relay tier, a faulted plan, a routed topology — and
+   plain gossip, the relay tier, a faulted plan, a routed topology,
+   fair-lossy channels — and
    the plan-free gossip stream must still be the exact pinned digest the
    sequential engine produces. The qcheck property at the bottom is the
    window-safety certificate: no scenario oracle can return a delay below
@@ -116,6 +117,14 @@ let test_routed () =
               { gst = ms 500; bound = Sim.Time.of_sec 2 }))
     env
 
+let test_fair_lossy () =
+  (* Complete graph, every edge fair-lossy: the loss coins come from
+     per-executor streams, so the sharded run draws exactly the sequential
+     run's coins. *)
+  assert_invariant ~name:"fair-lossy"
+    Harness.Run.Spec.(base |> with_link_channel (Net.Topology.Fair_lossy 0.1))
+    env
+
 let test_seed_spread () =
   (* Different seeds must still differ under parallel execution (the
      shards really run the seed, not some collapsed schedule). *)
@@ -137,18 +146,6 @@ let test_start_refuses_intra () =
        ignore (Harness.Run.Spec.with_intra_domains 0 base);
        false
      with Invalid_argument _ -> true)
-
-let test_lossy_falls_back () =
-  (* The legacy lossy wrapper draws in global send order; the driver must
-     detect it and take the sequential path — same digest as intra=1. *)
-  let lossy_env =
-    Scenarios.Env.make ~lossy:(0.01, 2) config
-      (Scenarios.Scenario.Rotating_star { center = 2 })
-  in
-  let d intra =
-    Option.get (run ~spec:base ~env:lossy_env ~intra ~seed:7L).Harness.Run.digest
-  in
-  check bool_t "lossy env: intra=4 = sequential" true (Int64.equal (d 1) (d 4))
 
 (* ------------------------------------------------ lookahead safety *)
 
@@ -216,14 +213,13 @@ let () =
           Alcotest.test_case "faulted plan" `Quick test_faulted;
           Alcotest.test_case "scheduled crashes" `Quick test_crashes;
           Alcotest.test_case "routed topology" `Quick test_routed;
+          Alcotest.test_case "fair-lossy channels" `Quick test_fair_lossy;
           Alcotest.test_case "seeds discriminate" `Quick test_seed_spread;
         ] );
       ( "guards",
         [
           Alcotest.test_case "start refuses intra" `Quick
             test_start_refuses_intra;
-          Alcotest.test_case "lossy env falls back" `Quick
-            test_lossy_falls_back;
         ] );
       ( "lookahead",
         [ QCheck_alcotest.to_alcotest lookahead_safety ] );

@@ -5,67 +5,41 @@
 let check = Alcotest.check
 let int_t = Alcotest.int
 let bool_t = Alcotest.bool
-let us = Sim.Time.of_us
 let ms = Sim.Time.of_ms
 
-let flat d ~now:_ ~seq:_ ~src:_ ~dst:_ _ = Net.Network.Deliver_after (us d)
+let flat d ~now:_ ~seq:_ ~at:_ ~src:_ ~dst:_ _ = d
+
+(* Every directed edge a fair-lossy channel losing [loss] of the hops. *)
+let lossy loss ~src:_ ~dst:_ = Net.Topology.Fair_lossy loss
 
 (* ------------------------------------------------------------- Lossy *)
 
-let test_lossy_drops_and_delivers () =
-  let engine = Sim.Engine.create ~seed:1L () in
-  let rng = Dstruct.Rng.create 5L in
-  let oracle = Net.Lossy.wrap ~loss:0.5 ~burst:10 ~rng ~n:2 (flat 10) in
-  let net =
-    Net.Network.of_spec
-      Net.Spec.(default |> with_oracle oracle)
-      engine ~n:2
-  in
-  let received = ref 0 in
-  Net.Network.set_handler net 1 (fun ~src:_ _ -> incr received);
-  for i = 1 to 1000 do
-    Net.Network.send net ~src:0 ~dst:1 i
-  done;
-  Sim.Engine.run_until engine (Sim.Time.of_sec 1);
-  check bool_t "some dropped" true (!received < 1000);
-  check bool_t "many delivered" true (!received > 300);
-  check int_t "counters consistent" 1000
-    (Net.Network.delivered_count net + Net.Network.dropped_count net)
-
-let test_lossy_burst_bound () =
-  (* With loss = 0.95 and burst = 3, at least every 4th message on a link
-     gets through. *)
-  let engine = Sim.Engine.create ~seed:1L () in
-  let rng = Dstruct.Rng.create 5L in
-  let oracle = Net.Lossy.wrap ~loss:0.95 ~burst:3 ~rng ~n:2 (flat 10) in
-  let net =
-    Net.Network.of_spec
-      Net.Spec.(default |> with_oracle oracle)
-      engine ~n:2
-  in
-  let received = ref 0 in
-  Net.Network.set_handler net 1 (fun ~src:_ _ -> incr received);
-  for i = 1 to 400 do
-    Net.Network.send net ~src:0 ~dst:1 i
-  done;
-  Sim.Engine.run_until engine (Sim.Time.of_sec 1);
-  check bool_t "fairness floor" true (!received >= 100)
-
 let test_lossy_validation () =
-  let rng = Dstruct.Rng.create 1L in
-  let bad f = try ignore (f ()); false with Invalid_argument _ -> true in
-  check bool_t "loss = 1 rejected" true
-    (bad (fun () -> Net.Lossy.wrap ~loss:1.0 ~burst:1 ~rng ~n:2 (flat 1)));
-  check bool_t "burst = 0 rejected" true
-    (bad (fun () -> Net.Lossy.wrap ~loss:0.1 ~burst:0 ~rng ~n:2 (flat 1)))
+  (* [Rng.chance] treats p >= 1 as "always" and p < 0 or NaN as "never",
+     so an unchecked class would silently cut every edge or lose nothing. *)
+  let build loss =
+    Net.Network.of_spec
+      Net.Spec.(
+        default |> with_oracle_us (flat 1) |> with_channels (lossy loss))
+      (Sim.Engine.create ~seed:1L ())
+      ~n:2
+  in
+  let bad loss = try ignore (build loss); false with Invalid_argument _ -> true in
+  check bool_t "loss = 1 rejected" true (bad 1.0);
+  check bool_t "loss > 1 rejected" true (bad 1.5);
+  check bool_t "negative loss rejected" true (bad (-0.1));
+  check bool_t "NaN loss rejected" true (bad Float.nan);
+  check bool_t "loss = 0 accepted" false (bad 0.0);
+  check bool_t "loss = 0.9 accepted" false (bad 0.9)
 
 (* --------------------------------------------------------- Retransmit *)
 
 let make_reliable ?(n = 3) ?(loss = 0.5) ?(seed = 3L) () =
   let engine = Sim.Engine.create ~seed () in
-  let rng = Dstruct.Rng.split (Sim.Engine.rng engine) in
-  let oracle = Net.Lossy.wrap ~loss ~burst:20 ~rng ~n (flat 500) in
-  let layer = Net.Retransmit.create engine ~n ~oracle ~resend_every:(ms 5) in
+  let layer =
+    Net.Retransmit.create ~channels:(lossy loss) engine ~n ~oracle:(flat 500)
+      ~resend_every:(ms 5)
+  in
   Net.Retransmit.start layer;
   (engine, layer)
 
@@ -188,12 +162,10 @@ let test_omega_over_lossy_links () =
      crashed process must be suspected. *)
   let n = 4 and t = 1 in
   let engine = Sim.Engine.create ~seed:31L () in
-  let rng = Dstruct.Rng.split (Sim.Engine.rng engine) in
-  let base ~now:_ ~seq:_ ~src:_ ~dst:_ _ =
-    Net.Network.Deliver_after (us 400)
+  let layer =
+    Net.Retransmit.create ~channels:(lossy 0.4) engine ~n ~oracle:(flat 400)
+      ~resend_every:(ms 4)
   in
-  let oracle = Net.Lossy.wrap ~loss:0.4 ~burst:10 ~rng ~n base in
-  let layer = Net.Retransmit.create engine ~n ~oracle ~resend_every:(ms 4) in
   Net.Retransmit.start layer;
   let config = Omega.Config.default ~n ~t Omega.Config.Fig3 in
   let crashed = Array.make n false in
@@ -236,9 +208,10 @@ let test_omega_over_lossy_links () =
 let test_consensus_over_lossy_links () =
   let n = 5 and t = 2 in
   let engine = Sim.Engine.create ~seed:21L () in
-  let rng = Dstruct.Rng.split (Sim.Engine.rng engine) in
-  let oracle = Net.Lossy.wrap ~loss:0.4 ~burst:10 ~rng ~n (flat 800) in
-  let layer = Net.Retransmit.create engine ~n ~oracle ~resend_every:(ms 10) in
+  let layer =
+    Net.Retransmit.create ~channels:(lossy 0.4) engine ~n ~oracle:(flat 800)
+      ~resend_every:(ms 10)
+  in
   Net.Retransmit.start layer;
   let nodes =
     Array.init n (fun me ->
@@ -275,9 +248,6 @@ let () =
     [
       ( "lossy-links",
         [
-          Alcotest.test_case "drops and delivers" `Quick
-            test_lossy_drops_and_delivers;
-          Alcotest.test_case "burst bound" `Quick test_lossy_burst_bound;
           Alcotest.test_case "validation" `Quick test_lossy_validation;
         ] );
       ( "retransmit",

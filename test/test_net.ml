@@ -8,14 +8,13 @@ let us = Sim.Time.of_us
 
 type msg = Ping of int
 
-let constant_delay d ~now:_ ~seq:_ ~src:_ ~dst:_ _ =
-  Net.Network.Deliver_after (us d)
+let constant_delay d ~now:_ ~seq:_ ~at:_ ~src:_ ~dst:_ _ = d
 
 let make ?(n = 3) ?(oracle = constant_delay 10) () =
   let engine = Sim.Engine.create ~seed:1L () in
   let net =
     Net.Network.of_spec
-      Net.Spec.(default |> with_oracle oracle)
+      Net.Spec.(default |> with_oracle_us oracle)
       engine ~n
   in
   (engine, net)
@@ -46,9 +45,7 @@ let test_broadcast_excludes_self () =
 
 let test_non_fifo_delays () =
   (* A later message with a shorter delay overtakes: links are not FIFO. *)
-  let oracle ~now:_ ~seq ~src:_ ~dst:_ _ =
-    Net.Network.Deliver_after (if seq = 0 then us 50 else us 5)
-  in
+  let oracle ~now:_ ~seq ~at:_ ~src:_ ~dst:_ _ = if seq = 0 then 50 else 5 in
   let engine, net = make ~oracle () in
   let box = inbox net 1 in
   Net.Network.send net ~src:0 ~dst:1 (Ping 1);
@@ -74,11 +71,10 @@ let test_crash_stops_sending_and_receiving () =
     (Net.Network.correct net)
 
 let test_drop () =
-  let oracle ~now:_ ~seq:_ ~src:_ ~dst ~(msg : msg) =
-    ignore msg;
-    if dst = 1 then Net.Network.Drop else Net.Network.Deliver_after (us 1)
+  (* A negative delay is the oracle's way to drop. *)
+  let oracle ~now:_ ~seq:_ ~at:_ ~src:_ ~dst (_ : msg) =
+    if dst = 1 then -1 else 1
   in
-  let oracle ~now ~seq ~src ~dst msg = oracle ~now ~seq ~src ~dst ~msg in
   let engine, net = make ~oracle () in
   let box1 = inbox net 1 in
   let box2 = inbox net 2 in
@@ -137,23 +133,19 @@ let test_bad_args () =
       let engine = Sim.Engine.create ~seed:1L () in
       ignore
         (Net.Network.of_spec
-           Net.Spec.(default |> with_oracle (constant_delay 1))
+           Net.Spec.(default |> with_oracle_us (constant_delay 1))
            engine ~n:0);
       false
     with Invalid_argument _ -> true
   in
-  check bool_t "n=0 rejected" true raised
-
-let test_negative_delay_rejected () =
-  let oracle ~now:_ ~seq:_ ~src:_ ~dst:_ _ = Net.Network.Deliver_after (us (-1)) in
-  let _, net = make ~oracle () in
-  let raised =
-    try
-      Net.Network.send net ~src:0 ~dst:1 (Ping 0);
-      false
-    with Invalid_argument _ -> true
-  in
-  check bool_t "negative delay rejected" true raised
+  check bool_t "n=0 rejected" true raised;
+  Alcotest.check_raises "spec without oracle"
+    (Invalid_argument "Network.of_spec: spec needs with_oracle_us")
+    (fun () ->
+      ignore
+        (Net.Network.of_spec Net.Spec.default
+           (Sim.Engine.create ~seed:1L ())
+           ~n:2))
 
 let prop_reliable_no_loss =
   (* Every message sent between non-crashed processes is delivered exactly
@@ -164,16 +156,16 @@ let prop_reliable_no_loss =
     (fun delays ->
       let engine = Sim.Engine.create ~seed:3L () in
       let remaining = ref delays in
-      let oracle ~now:_ ~seq:_ ~src:_ ~dst:_ _ =
+      let oracle ~now:_ ~seq:_ ~at:_ ~src:_ ~dst:_ _ =
         match !remaining with
         | d :: rest ->
             remaining := rest;
-            Net.Network.Deliver_after (us d)
-        | [] -> Net.Network.Deliver_after (us 0)
+            d
+        | [] -> 0
       in
       let net =
         Net.Network.of_spec
-          Net.Spec.(default |> with_oracle oracle)
+          Net.Spec.(default |> with_oracle_us oracle)
           engine ~n:2
       in
       let received = ref 0 in
@@ -200,7 +192,6 @@ let () =
           Alcotest.test_case "tracer" `Quick test_tracer_events;
           Alcotest.test_case "self send" `Quick test_self_send;
           Alcotest.test_case "bad args" `Quick test_bad_args;
-          Alcotest.test_case "negative delay" `Quick test_negative_delay_rejected;
           qtest prop_reliable_no_loss;
         ] );
     ]

@@ -64,13 +64,11 @@ let test_metrics_counts () =
   (* Hand-counted network run: 5 pings sent, 1 dropped (dst 2), so 4
      delivered, each with a 10us transfer delay. *)
   let engine = Sim.Engine.create ~seed:1L () in
-  let oracle ~now:_ ~seq:_ ~src:_ ~dst _ =
-    if dst = 2 then Net.Network.Drop else Net.Network.Deliver_after (us 10)
-  in
+  let oracle ~now:_ ~seq:_ ~at:_ ~src:_ ~dst _ = if dst = 2 then -1 else 10 in
   let classify (Ping _) = { Obs.Event.kind = "ping"; round = -1; bytes = 8 } in
   let net =
     Net.Network.of_spec
-      Net.Spec.(default |> with_classify classify |> with_oracle oracle)
+      Net.Spec.(default |> with_classify classify |> with_oracle_us oracle)
       engine ~n:3
   in
   let m = Obs.Metrics.create () in

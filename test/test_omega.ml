@@ -8,7 +8,7 @@ let int_t = Alcotest.int
 let bool_t = Alcotest.bool
 let us = Sim.Time.of_us
 
-let instant ~now:_ ~seq:_ ~src:_ ~dst:_ _ = Net.Network.Deliver_after (us 1)
+let instant ~now:_ ~seq:_ ~at:_ ~src:_ ~dst:_ _ = 1
 
 (* A single node under test (pid 0) in an n-process network; messages are
    injected from the other pids. The node is NOT started: its timer never
@@ -18,7 +18,7 @@ let solo ?(n = 4) ?(t = 1) ?(closure = Omega.Config.Conjunction) variant =
   let engine = Sim.Engine.create ~seed:1L () in
   let net =
     Net.Network.of_spec
-      Net.Spec.(default |> with_oracle instant)
+      Net.Spec.(default |> with_oracle_us instant)
       engine ~n
   in
   let config = { (Omega.Config.default ~n ~t variant) with closure } in
@@ -202,7 +202,7 @@ let cluster ?(n = 4) ?(t = 1) ?(closure = Omega.Config.Conjunction)
   let engine = Sim.Engine.create ~seed:2L () in
   let net =
     Net.Network.of_spec
-      Net.Spec.(default |> with_oracle oracle)
+      Net.Spec.(default |> with_oracle_us oracle)
       engine ~n
   in
   let config = { (Omega.Config.default ~n ~t variant) with closure } in
@@ -260,8 +260,8 @@ let test_count_only_advances_without_timer () =
 
 let test_timer_only_advances_without_messages () =
   (* With absurdly slow links, timer-only still closes rounds. *)
-  let slow ~now:_ ~seq:_ ~src:_ ~dst:_ _ =
-    Net.Network.Deliver_after (Sim.Time.of_sec 3600)
+  let slow ~now:_ ~seq:_ ~at:_ ~src:_ ~dst:_ _ =
+    Sim.Time.to_us (Sim.Time.of_sec 3600)
   in
   let engine, _, c =
     cluster ~oracle:slow ~closure:Omega.Config.Timer_only Omega.Config.Fig1
@@ -273,8 +273,8 @@ let test_timer_only_advances_without_messages () =
 let test_conjunction_blocks_without_messages () =
   (* The paper's closure waits for n-t ALIVEs: with dead links the round
      never closes. *)
-  let slow ~now:_ ~seq:_ ~src:_ ~dst:_ _ =
-    Net.Network.Deliver_after (Sim.Time.of_sec 3600)
+  let slow ~now:_ ~seq:_ ~at:_ ~src:_ ~dst:_ _ =
+    Sim.Time.to_us (Sim.Time.of_sec 3600)
   in
   let engine, _, c = cluster ~oracle:slow Omega.Config.Fig1 in
   Sim.Engine.run_until engine (Sim.Time.of_sec 2);
@@ -344,7 +344,7 @@ let test_cluster_size_mismatch_rejected () =
   let engine = Sim.Engine.create ~seed:1L () in
   let net =
     Net.Network.of_spec
-      Net.Spec.(default |> with_oracle instant)
+      Net.Spec.(default |> with_oracle_us instant)
       engine ~n:4
   in
   let raised =
@@ -377,7 +377,7 @@ let test_round_memory_bounded_long_run () =
   let engine = Sim.Engine.create ~seed:2L () in
   let net =
     Net.Network.of_spec
-      Net.Spec.(default |> with_oracle instant)
+      Net.Spec.(default |> with_oracle_us instant)
       engine ~n:4
   in
   let config = Omega.Config.default ~n:4 ~t:1 Omega.Config.Fig3 in

@@ -134,12 +134,10 @@ let prop_broadcast_total_order =
     (fun (seed, submitters) ->
       let n = 5 and t = 2 in
       let engine = Sim.Engine.create ~seed:(Int64.of_int seed) () in
-      let oracle ~now:_ ~seq:_ ~src:_ ~dst:_ _ =
-        Net.Network.Deliver_after (Sim.Time.of_us 500)
-      in
+      let oracle ~now:_ ~seq:_ ~at:_ ~src:_ ~dst:_ _ = 500 in
       let net =
         Net.Network.of_spec
-          Net.Spec.(default |> with_oracle oracle)
+          Net.Spec.(default |> with_oracle_us oracle)
           engine ~n
       in
       let current = ref 1 in
@@ -188,13 +186,11 @@ let prop_retransmit_exactly_once =
     (fun (seed, loss_tenths, count) ->
       let loss = float_of_int loss_tenths /. 10. in
       let engine = Sim.Engine.create ~seed:(Int64.of_int seed) () in
-      let rng = Dstruct.Rng.split (Sim.Engine.rng engine) in
-      let base ~now:_ ~seq:_ ~src:_ ~dst:_ _ =
-        Net.Network.Deliver_after (Sim.Time.of_us 300)
-      in
-      let oracle = Net.Lossy.wrap ~loss ~burst:15 ~rng ~n:2 base in
+      let oracle ~now:_ ~seq:_ ~at:_ ~src:_ ~dst:_ _ = 300 in
       let layer =
-        Net.Retransmit.create engine ~n:2 ~oracle ~resend_every:(ms 4)
+        Net.Retransmit.create
+          ~channels:(fun ~src:_ ~dst:_ -> Net.Topology.Fair_lossy loss)
+          engine ~n:2 ~oracle ~resend_every:(ms 4)
       in
       Net.Retransmit.start layer;
       let received = ref [] in

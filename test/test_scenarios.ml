@@ -190,10 +190,12 @@ let test_g_function () =
 (* ------------------------------------------------------ delay policies *)
 
 let delay_of s ~rn ~src ~dst ~now =
-  let oracle = Scenario.oracle s ~round_of:(fun rn -> Some rn) in
-  match oracle ~now:(Sim.Time.of_us now) ~seq:0 ~src ~dst rn with
-  | Net.Network.Deliver_after d -> Sim.Time.to_us d
-  | Net.Network.Drop -> Alcotest.fail "scenario oracles never drop"
+  let d =
+    Scenario.oracle_us s ~round_of:Fun.id ~now:(Sim.Time.of_us now) ~seq:0
+      ~at:src ~src ~dst rn
+  in
+  if d < 0 then Alcotest.fail "scenario oracles never drop";
+  d
 
 let test_timely_points_within_delta () =
   let s = make (Scenario.T_source { center = 6 }) in
@@ -305,8 +307,8 @@ let test_checker_detects_violations () =
       Net.Spec.(
         default
         |> with_classify Omega.Message.info
-        |> with_oracle
-             (Scenario.oracle chaos ~round_of:Scenario.round_of_omega))
+        |> with_oracle_us
+             (Scenario.oracle_us chaos ~round_of:Scenario.round_rn_of_omega))
       engine ~n:8
   in
   let checker = Checker.create star in
@@ -338,11 +340,13 @@ let test_describe_strings () =
     (has_sub "chaos" (Scenario.describe (make Scenario.Chaos)))
 
 let test_round_of_omega () =
-  check (Alcotest.option int_t) "alive tagged" (Some 9)
-    (Scenario.round_of_omega
+  check int_t "alive tagged" 9
+    (Scenario.round_rn_of_omega
        (Omega.Message.Alive { rn = 9; susp_level = [| 0 |] }));
-  check (Alcotest.option int_t) "suspicion untagged" None
-    (Scenario.round_of_omega
+  check int_t "heartbeat tagged" 4
+    (Scenario.round_rn_of_omega (Omega.Message.Heartbeat { rn = 4 }));
+  check int_t "suspicion untagged" (-1)
+    (Scenario.round_rn_of_omega
        (Omega.Message.Suspicion { rn = 9; suspects = [] }))
 
 let qtest = QCheck_alcotest.to_alcotest

@@ -15,8 +15,7 @@ let sec = Sim.Time.of_sec
 
 type msg = Ping of int
 
-let constant_delay d ~now:_ ~seq:_ ~src:_ ~dst:_ _ =
-  Net.Network.Deliver_after (us d)
+let constant_delay d ~now:_ ~seq:_ ~at:_ ~src:_ ~dst:_ _ = d
 
 (* ---------------------------------------------------------- routing *)
 
@@ -98,7 +97,7 @@ let routed_net ?(n = 2) ?(seed = 5L) ~channels ~oracle () =
   let engine = Sim.Engine.create ~seed () in
   let net =
     Net.Spec.default
-    |> Net.Spec.with_oracle oracle
+    |> Net.Spec.with_oracle_us oracle
     |> Net.Spec.with_channels channels
     |> fun spec -> Net.Network.of_spec spec engine ~n
   in
@@ -160,7 +159,7 @@ let ring_net ~n =
   let engine = Sim.Engine.create ~seed:3L () in
   let net =
     Net.Spec.default
-    |> Net.Spec.with_oracle (constant_delay 10)
+    |> Net.Spec.with_oracle_us (constant_delay 10)
     |> Net.Spec.with_topology Net.Topology.Ring
     |> fun spec -> Net.Network.of_spec spec engine ~n
   in
@@ -202,7 +201,7 @@ let test_rack_cut () =
   let engine = Sim.Engine.create ~seed:3L () in
   let net =
     Net.Spec.default
-    |> Net.Spec.with_oracle (constant_delay 10)
+    |> Net.Spec.with_oracle_us (constant_delay 10)
     |> Net.Spec.with_topology (Net.Topology.Fat_tree { rack = 4 })
     |> fun spec -> Net.Network.of_spec spec engine ~n:8
   in
@@ -351,6 +350,42 @@ let test_edge_fault_plan () =
   check bool_t "edge cut perturbs the stream" false
     (String.equal (run (Some plan)) (run None))
 
+(* [Run.start] attaches the fault injector before any event runs, so a
+   plan the topology cannot honour must fail there. *)
+let rejected ~topology plan =
+  let spec =
+    Harness.Run.Spec.(ring_spec `Wheel |> with_topology topology |> with_plan plan)
+  in
+  match Harness.Run.start ~spec ~env:(ring_env ()) ~seed:7L () with
+  | _ -> false
+  | exception Invalid_argument _ -> true
+
+let test_plan_rejects_non_edge () =
+  (* On the 6-ring, 0 and 3 are three hops apart: a cut between them
+     would silently cut nothing. *)
+  check bool_t "cut_edge between non-adjacent nodes" true
+    (rejected ~topology:Net.Topology.Ring
+       Fault.Plan.(empty |> cut_edge ~a:0 ~b:3 ~at:(ms 200) ()));
+  check bool_t "degrade_edge between non-adjacent nodes" true
+    (rejected ~topology:Net.Topology.Ring
+       Fault.Plan.(
+         empty
+         |> degrade_edge ~a:1 ~b:4 ~extra:(ms 1) ~at:(ms 200) ~until:(ms 400)));
+  check bool_t "adjacent ring nodes accepted" false
+    (rejected ~topology:Net.Topology.Ring
+       Fault.Plan.(empty |> cut_edge ~a:5 ~b:0 ~at:(ms 200) ()))
+
+let test_plan_rejects_missing_rack () =
+  (* A 6-node fat-tree with racks of 3 has racks 0 and 1 only. *)
+  let fat = Net.Topology.Fat_tree { rack = 3 } in
+  check bool_t "rack past group_count" true
+    (rejected ~topology:fat Fault.Plan.(empty |> cut_rack 2 ~at:(ms 200) ()));
+  check bool_t "rackless topology" true
+    (rejected ~topology:Net.Topology.Ring
+       Fault.Plan.(empty |> cut_rack 0 ~at:(ms 200) ()));
+  check bool_t "existing rack accepted" false
+    (rejected ~topology:fat Fault.Plan.(empty |> cut_rack 1 ~at:(ms 200) ()))
+
 let () =
   Alcotest.run "topology"
     [
@@ -374,6 +409,10 @@ let () =
           Alcotest.test_case "edge degrade" `Quick test_edge_degrade;
           Alcotest.test_case "rack cut" `Quick test_rack_cut;
           Alcotest.test_case "edge fault plan" `Quick test_edge_fault_plan;
+          Alcotest.test_case "plan rejects a non-edge" `Quick
+            test_plan_rejects_non_edge;
+          Alcotest.test_case "plan rejects a missing rack" `Quick
+            test_plan_rejects_missing_rack;
         ] );
       ( "digests",
         [

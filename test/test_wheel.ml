@@ -305,8 +305,8 @@ let test_wheel_steady_state_alloc_free () =
     true (words < 1_000)
 
 (* The large-cluster differential (DESIGN.md §14): the same n=256 slice of
-   simulation, digested event by event, under the wheel+pools stack and the
-   heap/no-pool reference — the batched broadcast fan-out (staged wheel
+   simulation, digested event by event, under the timing wheel and the
+   binary-heap reference — the batched broadcast fan-out (staged wheel
    splices) must leave the event stream bit-identical to the heap's
    push-per-destination. The horizon is short: at n=256 even 100 simulated
    milliseconds is ~1M messages through both backends. *)
@@ -317,19 +317,18 @@ let test_n256_backend_digest_differential () =
     Scenarios.Env.make config
       (Scenarios.Scenario.Rotating_star { center = n - 2 })
   in
-  let digest_of sched flight_pool =
+  let digest_of sched =
     let spec =
       Harness.Run.Spec.(
         default |> with_check false |> with_digest true |> with_sched sched
-        |> with_flight_pool flight_pool
         |> with_horizon (Sim.Time.of_ms 100))
     in
     let result = Harness.Run.run ~spec ~env ~seed:7L () in
     Option.get result.Harness.Run.digest
   in
   check (Alcotest.of_pp (fun fmt d -> Format.fprintf fmt "%Lx" d))
-    "wheel+pools and heap/no-pool digests agree at n=256"
-    (digest_of `Heap false) (digest_of `Wheel true)
+    "wheel and heap digests agree at n=256"
+    (digest_of `Heap) (digest_of `Wheel)
 
 (* The n-scaling budget: one simulated second at n=32 under the default
    wheel+pools stack. Like test_rng's n=4 budget, the bound is ~1.4x the
