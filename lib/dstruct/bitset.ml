@@ -57,8 +57,8 @@ let clear t =
 let copy t =
   { words = Array.copy t.words; capacity = t.capacity; cardinal = t.cardinal }
 
-(* De Bruijn count-trailing-zeros over a 32-bit word (same table as
-   [Dstruct.Wheel]'s occupancy scans). *)
+(* De Bruijn count-trailing-zeros over a 32-bit word (same table as the
+   engine wheel's occupancy scans in [Sim.Engine]). *)
 let debruijn_table =
   [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
      31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]

@@ -113,14 +113,6 @@ let pop_exn q =
   | Some x -> x
   | None -> invalid_arg "Pqueue.pop_exn: empty heap"
 
-(* Snapshot support: visit every backing-array slot, live or stale. Stale
-   slots ([size ..]) alias live elements by construction (see [drop_exn]),
-   so visitors must be idempotent. *)
-let iter_slots q f =
-  for i = 0 to Array.length q.data - 1 do
-    f q.data.(i)
-  done
-
 let clear q =
   q.data <- [||];
   q.tickets <- [||];

@@ -44,13 +44,6 @@ val pop_exn : 'a t -> 'a
 
 val clear : 'a t -> unit
 
-(** [iter_slots q f] applies [f] to {e every} backing-array slot, live and
-    stale alike, in unspecified order. Stale slots alias live elements (see
-    {!pop}), so [f] may see an element several times and must be
-    idempotent. Snapshot support ([Engine.snapshot] swizzles packed event
-    functions through this walk, DESIGN.md §16) — not general iteration. *)
-val iter_slots : 'a t -> ('a -> unit) -> unit
-
 (** [to_sorted_list q] drains a copy of the heap in ascending order, leaving
     [q] unchanged. Intended for tests and debugging. *)
 val to_sorted_list : 'a t -> 'a list

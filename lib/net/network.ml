@@ -59,7 +59,7 @@ type 'm t = {
   mutable pool_n : int;
   (* Broadcasts batch their fan-out through the wheel's stage/commit
      splice only when [n] clears [batch_fanout_min]: the splice walks the
-     staged chain with an extra placement computation per cell, which is
+     staged chain with an extra placement computation per slot, which is
      pure overhead when buckets are sparse (runs of length 1) and only
      pays once fan-outs are wide enough for same-bucket runs to amortize
      it — measured crossover between n = 32 (+14% clock) and n = 64

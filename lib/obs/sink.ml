@@ -135,6 +135,9 @@ let emit_link_drop t ~now ~seq ~src ~dst ~hop_src ~hop_dst
              bytes = info.bytes;
            })
 
+(* The tee's fan-out loops are index loops over arrays bound outside the
+   per-event closures: an [Array.iter (fun s -> ...)] over captured fields
+   would allocate a closure for every event it forwards. *)
 let tee sinks =
   match List.filter (fun s -> s.mask <> 0) sinks with
   | [] -> null
@@ -144,7 +147,10 @@ let tee sinks =
       let mask = Array.fold_left (fun acc s -> acc lor s.mask) 0 arr in
       let emit ev =
         let c = Event.class_of ev in
-        Array.iter (fun s -> if s.mask land c <> 0 then s.emit ev) arr
+        for i = 0 to Array.length arr - 1 do
+          let s = arr.(i) in
+          if s.mask land c <> 0 then s.emit ev
+        done
       in
       (* The tee keeps the fast lane open iff some member can use it: scalar
          members get the fields, and one event record is built for all the
@@ -155,6 +161,11 @@ let tee sinks =
       let recs =
         Array.of_list (List.filter (fun s -> Option.is_none s.scalar) net)
       in
+      let emit_recs ev =
+        for i = 0 to Array.length recs - 1 do
+          recs.(i).emit ev
+        done
+      in
       let scalar =
         if Array.length scalars = 0 then None
         else
@@ -162,109 +173,94 @@ let tee sinks =
             {
               s_send =
                 (fun ~now ~seq ~src ~dst info ->
-                  Array.iter
-                    (fun s -> s.s_send ~now ~seq ~src ~dst info)
-                    scalars;
-                  if Array.length recs > 0 then begin
-                    let ev =
-                      Event.Send
-                        {
-                          now;
-                          seq;
-                          src;
-                          dst;
-                          kind = info.Event.kind;
-                          round = info.Event.round;
-                          bytes = info.Event.bytes;
-                        }
-                    in
-                    Array.iter (fun s -> s.emit ev) recs
-                  end);
+                  for i = 0 to Array.length scalars - 1 do
+                    scalars.(i).s_send ~now ~seq ~src ~dst info
+                  done;
+                  if Array.length recs > 0 then
+                    emit_recs
+                      (Event.Send
+                         {
+                           now;
+                           seq;
+                           src;
+                           dst;
+                           kind = info.Event.kind;
+                           round = info.Event.round;
+                           bytes = info.Event.bytes;
+                         }));
               s_deliver =
                 (fun ~now ~sent_at ~seq ~src ~dst info ->
-                  Array.iter
-                    (fun s -> s.s_deliver ~now ~sent_at ~seq ~src ~dst info)
-                    scalars;
-                  if Array.length recs > 0 then begin
-                    let ev =
-                      Event.Deliver
-                        {
-                          now;
-                          sent_at;
-                          seq;
-                          src;
-                          dst;
-                          kind = info.Event.kind;
-                          round = info.Event.round;
-                          bytes = info.Event.bytes;
-                        }
-                    in
-                    Array.iter (fun s -> s.emit ev) recs
-                  end);
+                  for i = 0 to Array.length scalars - 1 do
+                    scalars.(i).s_deliver ~now ~sent_at ~seq ~src ~dst info
+                  done;
+                  if Array.length recs > 0 then
+                    emit_recs
+                      (Event.Deliver
+                         {
+                           now;
+                           sent_at;
+                           seq;
+                           src;
+                           dst;
+                           kind = info.Event.kind;
+                           round = info.Event.round;
+                           bytes = info.Event.bytes;
+                         }));
               s_drop =
                 (fun ~now ~seq ~src ~dst info ->
-                  Array.iter
-                    (fun s -> s.s_drop ~now ~seq ~src ~dst info)
-                    scalars;
-                  if Array.length recs > 0 then begin
-                    let ev =
-                      Event.Drop
-                        {
-                          now;
-                          seq;
-                          src;
-                          dst;
-                          kind = info.Event.kind;
-                          round = info.Event.round;
-                          bytes = info.Event.bytes;
-                        }
-                    in
-                    Array.iter (fun s -> s.emit ev) recs
-                  end);
+                  for i = 0 to Array.length scalars - 1 do
+                    scalars.(i).s_drop ~now ~seq ~src ~dst info
+                  done;
+                  if Array.length recs > 0 then
+                    emit_recs
+                      (Event.Drop
+                         {
+                           now;
+                           seq;
+                           src;
+                           dst;
+                           kind = info.Event.kind;
+                           round = info.Event.round;
+                           bytes = info.Event.bytes;
+                         }));
               s_hop =
                 (fun ~now ~seq ~src ~dst ~via info ->
-                  Array.iter
-                    (fun s -> s.s_hop ~now ~seq ~src ~dst ~via info)
-                    scalars;
-                  if Array.length recs > 0 then begin
-                    let ev =
-                      Event.Hop
-                        {
-                          now;
-                          seq;
-                          src;
-                          dst;
-                          via;
-                          kind = info.Event.kind;
-                          round = info.Event.round;
-                          bytes = info.Event.bytes;
-                        }
-                    in
-                    Array.iter (fun s -> s.emit ev) recs
-                  end);
+                  for i = 0 to Array.length scalars - 1 do
+                    scalars.(i).s_hop ~now ~seq ~src ~dst ~via info
+                  done;
+                  if Array.length recs > 0 then
+                    emit_recs
+                      (Event.Hop
+                         {
+                           now;
+                           seq;
+                           src;
+                           dst;
+                           via;
+                           kind = info.Event.kind;
+                           round = info.Event.round;
+                           bytes = info.Event.bytes;
+                         }));
               s_link_drop =
                 (fun ~now ~seq ~src ~dst ~hop_src ~hop_dst info ->
-                  Array.iter
-                    (fun s ->
-                      s.s_link_drop ~now ~seq ~src ~dst ~hop_src ~hop_dst info)
-                    scalars;
-                  if Array.length recs > 0 then begin
-                    let ev =
-                      Event.Link_drop
-                        {
-                          now;
-                          seq;
-                          src;
-                          dst;
-                          hop_src;
-                          hop_dst;
-                          kind = info.Event.kind;
-                          round = info.Event.round;
-                          bytes = info.Event.bytes;
-                        }
-                    in
-                    Array.iter (fun s -> s.emit ev) recs
-                  end);
+                  for i = 0 to Array.length scalars - 1 do
+                    scalars.(i).s_link_drop ~now ~seq ~src ~dst ~hop_src
+                      ~hop_dst info
+                  done;
+                  if Array.length recs > 0 then
+                    emit_recs
+                      (Event.Link_drop
+                         {
+                           now;
+                           seq;
+                           src;
+                           dst;
+                           hop_src;
+                           hop_dst;
+                           kind = info.Event.kind;
+                           round = info.Event.round;
+                           bytes = info.Event.bytes;
+                         }));
             }
       in
       { mask; emit; scalar }

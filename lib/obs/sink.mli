@@ -14,12 +14,12 @@
     {2 Scalar fast lane}
 
     Send/Deliver/Drop are emitted once per simulated message and dominate a
-    traced run. A sink that only folds their fields (the digest) can
-    declare a {!scalar} implementation; producers that emit through
-    {!emit_send} / {!emit_deliver} / {!emit_drop} then pass the fields
-    directly and never allocate the event record. Sinks without a scalar
-    lane (JSONL, ring, metrics, the checker) observe the exact same stream
-    as before — the helpers build the event for them on demand. *)
+    traced run. A sink that only folds their fields (the digest, the
+    checker) can declare a {!scalar} implementation; producers that emit
+    through {!emit_send} / {!emit_deliver} / {!emit_drop} then pass the
+    fields directly and never allocate the event record. Sinks without a
+    scalar lane (JSONL, ring, metrics) observe the exact same stream as
+    before — the helpers build the event for them on demand. *)
 
 type t
 

@@ -21,57 +21,93 @@ let pp_report ppf r =
     r.points_crashed r.points_skipped r.rounds_masked
     (List.length r.violations)
 
-type arrival = { src : pid; sent_at : Sim.Time.t; received_at : Sim.Time.t }
-
+(* What [verify] reads of a run, per destination [q] and round [rn]: how
+   many ALIVE(rn) [q] received, the 1-based position of the center's first
+   one among them (0 = not received), and that message's transfer delay in
+   µs. Per-destination int arrays indexed by round, grown on demand, so
+   recording a delivery writes three ints and allocates nothing. Regimes
+   without a center are never verified, so nothing is recorded for them. *)
 type t = {
   scenario : Scenario.t;
-  (* (dst, rn) -> arrivals in delivery order (stored reversed). *)
-  arrivals : (pid * int, arrival list ref) Hashtbl.t;
+  has_center : bool;
+  count : int array array;
+  center_pos : int array array;
+  center_delay : int array array;
 }
 
-let create scenario = { scenario; arrivals = Hashtbl.create 1024 }
+let create scenario =
+  let n = (Scenario.params scenario).Scenario.n in
+  {
+    scenario;
+    has_center = Option.is_some (Scenario.center scenario);
+    count = Array.make n [||];
+    center_pos = Array.make n [||];
+    center_delay = Array.make n [||];
+  }
+
+let grow t q rn =
+  let len = max 64 (max (rn + 1) (2 * Array.length t.count.(q))) in
+  let extend a =
+    let b = Array.make len 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
+  t.count.(q) <- extend t.count.(q);
+  t.center_pos.(q) <- extend t.center_pos.(q);
+  t.center_delay.(q) <- extend t.center_delay.(q)
 
 (* The checker consumes [Deliver] events whose [round >= 0] — by the
    classifier contract (see {!Net.Spec.with_classify}) exactly the
-   assumption-bearing messages, i.e. what [round_of] used to tag. *)
+   assumption-bearing messages, i.e. what [round_of] used to tag. Only the
+   center's first arrival counts for position and delay; duplicates still
+   count as arrivals. *)
+let record t ~now ~sent_at ~src ~dst rn =
+  if rn >= 0 && t.has_center && dst < Array.length t.count then begin
+    if rn >= Array.length t.count.(dst) then grow t dst rn;
+    let count = t.count.(dst) in
+    let c = count.(rn) + 1 in
+    count.(rn) <- c;
+    let pos = t.center_pos.(dst) in
+    if pos.(rn) = 0 && src = Scenario.center_pid t.scenario rn then begin
+      pos.(rn) <- c;
+      t.center_delay.(dst).(rn) <- now - sent_at
+    end
+  end
+
 let on_event t = function
-  | Obs.Event.Deliver { now; sent_at; src; dst; round = rn; _ } when rn >= 0
-    ->
-      let key = (dst, rn) in
-      let cell =
-        match Hashtbl.find_opt t.arrivals key with
-        | Some cell -> cell
-        | None ->
-            let cell = ref [] in
-            Hashtbl.add t.arrivals key cell;
-            cell
-      in
-      cell :=
-        {
-          src;
-          sent_at = Sim.Time.of_us sent_at;
-          received_at = Sim.Time.of_us now;
-        }
-        :: !cell
+  | Obs.Event.Deliver { now; sent_at; src; dst; round; _ } ->
+      record t ~now ~sent_at ~src ~dst round
   | _ -> ()
 
-let sink t = Obs.Sink.make ~mask:Obs.Event.c_net (on_event t)
+let ignore_msg ~now:_ ~seq:_ ~src:_ ~dst:_ (_ : Obs.Event.msg_info) = ()
 
-(* Position (1-based) of the center's ALIVE(rn) among the messages [q]
-   received, and its transfer delay. *)
-let center_arrival t ~q ~rn ~center =
-  match Hashtbl.find_opt t.arrivals (q, rn) with
-  | None -> `No_arrivals
-  | Some cell ->
-      let in_order = List.rev !cell in
-      let rec scan pos = function
-        | [] -> `Missing (List.length in_order)
-        | a :: rest ->
-            if a.src = center then
-              `Found (pos, Sim.Time.sub a.received_at a.sent_at)
-            else scan (pos + 1) rest
-      in
-      scan 1 in_order
+(* The scalar lane: deliveries are recorded from their fields, so no event
+   record is built for the checker, and the other per-message kinds cost
+   one call to a no-op. *)
+let sink t =
+  let scalar =
+    {
+      Obs.Sink.s_send = ignore_msg;
+      s_deliver =
+        (fun ~now ~sent_at ~seq:_ ~src ~dst info ->
+          record t ~now ~sent_at ~src ~dst info.Obs.Event.round);
+      s_drop = ignore_msg;
+      s_hop = (fun ~now:_ ~seq:_ ~src:_ ~dst:_ ~via:_ _ -> ());
+      s_link_drop =
+        (fun ~now:_ ~seq:_ ~src:_ ~dst:_ ~hop_src:_ ~hop_dst:_ _ -> ());
+    }
+  in
+  Obs.Sink.make ~scalar ~mask:Obs.Event.c_net (on_event t)
+
+(* Position (1-based) of the center's first ALIVE(rn) among the messages
+   [q] received, and its transfer delay. *)
+let center_arrival t ~q ~rn =
+  let count = t.count.(q) in
+  if rn >= Array.length count || count.(rn) = 0 then `No_arrivals
+  else
+    let pos = t.center_pos.(q).(rn) in
+    if pos = 0 then `Missing count.(rn)
+    else `Found (pos, Sim.Time.of_us t.center_delay.(q).(rn))
 
 let verify ?(masked = fun _ -> false) ?(stretch = 1) t ~upto_round ~crashed =
   if stretch < 1 then invalid_arg "Checker.verify: stretch must be >= 1";
@@ -89,7 +125,6 @@ let verify ?(masked = fun _ -> false) ?(stretch = 1) t ~upto_round ~crashed =
   | None -> ()
   | Some _ ->
       for rn = p.Scenario.rn0 to upto_round do
-        let center = Option.get (Scenario.center_at t.scenario rn) in
         (* Fault plans suspend the assumption: a round whose messages could
            be in flight during a partition or crash window is excused (the
            paper's assumptions are promises about eventually-good periods,
@@ -112,7 +147,7 @@ let verify ?(masked = fun _ -> false) ?(stretch = 1) t ~upto_round ~crashed =
                         (Sim.Time.add p.Scenario.delta
                            (Scenario.g_function t.scenario rn)))
                 in
-                match center_arrival t ~q ~rn ~center with
+                match center_arrival t ~q ~rn with
                 | `Found (pos, delay) ->
                     if Sim.Time.(delay <= delta_bound) then incr timely
                     else if pos <= winning_rank then incr winning

@@ -48,7 +48,10 @@ val create : Scenario.t -> t
 (** Record one event; {!sink} packages this for {!Sim.Engine.set_sink}. *)
 val on_event : t -> Obs.Event.t -> unit
 
-(** A sink with mask {!Obs.Event.c_net} feeding {!on_event}. *)
+(** A sink with mask {!Obs.Event.c_net} feeding {!on_event}, with a
+    scalar lane that records deliveries from their fields and ignores the
+    other per-message kinds, so a checked run builds no event records for
+    the checker. *)
 val sink : t -> Obs.Sink.t
 
 (** [verify t ~upto_round ~crashed] checks every [s ∈ S] with

@@ -130,8 +130,8 @@ let center_at_round regime rn =
       Some (if rn < switch then first else second)
 
 (* [center_at_round] without the option box, for the per-message oracle
-   path; only called for regimes that have a center. *)
-let center_pid regime rn =
+   and checker paths; only called for regimes that have a center. *)
+let regime_center_pid regime rn =
   match regime with
   | T_source { center }
   | Moving_source { center }
@@ -216,6 +216,7 @@ let params t = t.p
 let regime t = t.regime
 let center t = center_of_regime t.regime
 let center_at t rn = center_at_round t.regime rn
+let center_pid t rn = regime_center_pid t.regime rn
 
 let set_victim_override t p =
   if p < -1 || p >= t.p.n then
@@ -305,7 +306,7 @@ let plan_for t rn =
               Hashtbl.find t.plans rn
           | Failover _ ->
               generate_moving t
-                ~center_of:(fun this -> center_pid t.regime this)
+                ~center_of:(fun this -> regime_center_pid t.regime this)
                 rn;
               Hashtbl.find t.plans rn
           | Intermittent_star { center; d } | Growing_star { center; d; _ } ->
@@ -516,7 +517,7 @@ let alive_delay t rng ~now ~src ~dst rn =
   | T_source _ | Moving_source _ | Message_pattern _ | Combined _
   | Rotating_star _ | Intermittent_star _ | Growing_star _ | Growing_gaps _
   | Failover _ -> (
-      let center = center_pid t.regime rn in
+      let center = regime_center_pid t.regime rn in
       let plan = plan_for t rn in
       if plan.in_s then begin
         let point = mode_of_point plan dst in

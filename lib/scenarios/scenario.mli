@@ -113,6 +113,10 @@ val center : t -> pid option
     [Failover] switch). *)
 val center_at : t -> int -> pid option
 
+(** {!center_at} without the option box, for per-message callers (the
+    checker). Raises [Invalid_argument] if the regime has no center. *)
+val center_pid : t -> int -> pid
+
 (** {!center} / {!center_at} as pure functions of the regime, for callers
     (e.g. {!Env}) that have not instantiated a scenario. *)
 val center_of_regime : regime -> pid option

@@ -1,8 +1,9 @@
-(* Static-function registry backing {!Engine.snapshot}. Packed event cells
-   store their function as a raw [Obj.t -> unit] (DESIGN.md §11); snapshots
-   replace each one with its registered id before marshalling and swap the
-   function back on restore, so a checkpoint never depends on a code
-   pointer staying at the same address across processes. Ids are
+(* Static-function registry backing {!Engine.snapshot}. The engine's slot
+   store keeps each event's function as a raw [Obj.t -> unit] (DESIGN.md
+   §11); snapshots replace each one with its registered id before
+   marshalling and swap the function back on restore, so a checkpoint
+   never depends on a code pointer staying at the same address across
+   processes. Ids are
    append-only, like event tags: an id is part of the on-disk checkpoint
    format, so it must never be reused or renumbered. Closures reachable
    through event *payloads* (timer [on_expire], delay oracles) still ride
@@ -24,7 +25,7 @@ let register : type a. id:int -> (a -> unit) -> unit =
   | None -> ());
   (* Same erasure as [Engine.enqueue]: [Obj.magic] is the identity on the
      runtime value, so the registered slot is physically equal to the
-     function the engine's cells store. *)
+     function the engine's store holds. *)
   fns.(id) <- Some (Obj.magic fn)
 
 (* Physical-equality scan. O(capacity), but it only runs at snapshot time,

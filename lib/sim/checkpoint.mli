@@ -1,8 +1,8 @@
 (** Static-function registry for snapshot/restore (DESIGN.md §16).
 
-    The engine's packed event cells hold a static [fn] applied to a
+    The engine's packed events are a static [fn] applied to a
     pre-existing [arg] (DESIGN.md §11). {!Engine.snapshot} swizzles each
-    cell's function to the integer id registered here before marshalling
+    slot's function to the integer id registered here before marshalling
     (and back afterwards), so the packed lane of a checkpoint is
     independent of code addresses; {!Engine.restore} maps ids back to
     functions. Every function passed to [Engine.call_at]/[call_after]/
@@ -13,7 +13,7 @@
     the on-disk checkpoint format. Current assignments:
 
     {v
-      0  Sim.Engine        ignore_obj (cleared / dummy cells)
+      0  Sim.Engine        ignore_obj (free slots)
       1  Sim.Engine        call_thunk (schedule_at closure trampoline)
       2  Sim.Timer         fire
       3  Net.Network       deliver

@@ -4,37 +4,32 @@
 
    Events are packed [(fn, arg)] pairs rather than closures: a closure
    capturing k variables costs k+2 words per schedule, while [call_after]
-   with a static [fn] and a pre-existing [arg] costs only the event cell
-   itself. The cell stores the pair type-erased ([Obj.t] payload applied to
-   an [Obj.t -> unit] function — safe because the two are only ever written
-   together by [enqueue], which takes them at a common type). Erasure
-   rather than an existential GADT because it makes the cell mutable and
-   monomorphic, so the wheel backend recycles cells through a freelist and
-   steady-state scheduling allocates nothing; the heap backend deliberately
-   keeps the allocate-per-event profile (fresh cell each [enqueue], never
-   recycled) as the A/B reference the pooling win is measured against.
-   Fire-and-forget events all share the engine's [anon] handle (never
-   exposed, never cancelled), so only cancellable schedules allocate a
-   handle. *)
+   with a static [fn] and a pre-existing [arg] costs nothing once the slot
+   store below is warm. A slot stores the pair type-erased (an erased
+   payload applied to an [Obj.t -> unit] function — safe because the two
+   are only ever written together by [new_slot], whose callers take them
+   at a common type). Fire-and-forget events all share the engine's
+   [anon] handle (never exposed, never cancelled), so only cancellable
+   schedules allocate a handle. *)
 
 (* [hstate]: 0 = live, 1 = fired, 2 = cancelled — one word instead of two
    bools, because a handle is allocated per cancellable schedule (every
    {!Timer} re-arm) and [hcidx] below already costs the word back. *)
 type handle = {
   mutable hstate : int;
-  (* The event's creation index, mirrored here so the cell's [cx] word can
-     hold the handle alone (see [cell]). Handles are per-schedule, so the
-     field is written once, by [enqueue]. *)
+  (* The event's creation index, mirrored here so the slot's [cx] word can
+     hold the handle alone (see the store). Handles are per-schedule, so
+     the field is written once, by [enqueue]. *)
   mutable hcidx : int;
 }
 
 (* Canonical event order (DESIGN.md §18): every event is keyed by
-   [(time_us << rank_bits) | rank], with a per-rank creation index [ccidx]
-   as the residual tie-break. The rank is the {e creator}'s identity —
-   process pid + 1 for events created while that process's code runs
+   [(time_us << rank_bits) | rank], with a per-rank creation index as the
+   residual tie-break. The rank is the {e creator}'s identity — process
+   pid + 1 for events created while that process's code runs
    ([set_rank]), 0 for setup/system chains, [harness_rank] (the top of the
    rank space, reserved — no pid maps to it) for post-start harness work
-   such as the sampler — so the total order [(ckey, ccidx)] is a pure
+   such as the sampler — so the total order [(key, cidx)] is a pure
    function of the simulated computation, never of scheduler internals or
    (in the intra-run parallel mode) of which domain executed what. Same-µs
    ties order by rank, then by per-creator creation order: setup chains at
@@ -48,40 +43,51 @@ let rank_mask = (1 lsl rank_bits) - 1
 let harness_rank = rank_mask
 let max_pid = rank_mask - 2
 
-type cell = {
-  mutable ckey : int;  (* (time_us << rank_bits) | creator rank *)
-  mutable cfn : Obj.t -> unit;
-  mutable carg : Obj.t;
-  (* The creation index and the cancellation handle share one word: an
-     immediate int — the per-creator creation index — for the
-     fire-and-forget majority (which can never be cancelled), or the
-     [handle], which then carries the index in [hcidx], for cancellable
-     schedules. Fusing them keeps the cell at its historical five words:
-     the fresh-cell cost of a run is peak-concurrency × cell size (the
-     freelist only flattens the steady state), so a sixth word here is a
-     measurable per-run allocation regression at scale. *)
-  mutable cx : Obj.t;
-}
+(* ---- The slot store (DESIGN.md §11, §13) ----
+   A pending event is one int, its slot. The slot's key, link, function,
+   argument and cx word live at the same index of five parallel columns,
+   so the wheel's bucket lists, the freelist and the staged chain are
+   int links: pushes, cascades and pops write no pointers, hence pay no
+   [caml_modify]. Only the fn, arg and cx stores keep the write barrier.
 
-(* [cx] decoding. [cell_cidx] is only on heap-compare and latch paths —
-   everything is an immediate, so the function boundary boxes nothing. *)
-let cell_cidx c =
-  let r = c.cx in
-  if Obj.is_int r then (Obj.obj r : int) else (Obj.obj r : handle).hcidx
+   Columns grow in fixed [chunk_size] chunks that are allocated once and
+   never copied (slot [s] lives at chunk [s lsr chunk_bits], index
+   [s land chunk_mask]); only the small per-column chunk directories
+   double. Growing flat columns by doubling leaves the old copies as
+   garbage at the moment a run's peak heap is read.
 
-(* Two interchangeable scheduler backends. The wheel keys on the packed
-   [ckey] (µs times rank: no two distinct (time, creator) pairs share a
-   key) and is monotone — pushes below the last popped key are clamped to
-   it (see [enqueue]). Both backends order by nondecreasing [ckey] with
-   [ccidx] (= creation order) breaking residual ties: test_wheel checks
-   them against each other, and the pinned digests check the wheel against
-   the heap-era event streams. *)
-type queue =
-  | Heap of cell Dstruct.Pqueue.t
-  | Wheel of cell Dstruct.Wheel.t
+   [cx] fuses the creation index and the cancellation handle: an
+   immediate int — the per-creator creation index — for the
+   fire-and-forget majority (which can never be cancelled), or the
+   [handle], which then carries the index in [hcidx]. A free slot holds
+   fn = [ignore_obj] (checkpoint id 0), arg = [()] and cx = 0: the store
+   never retains a popped payload, and [snapshot] can swizzle the whole fn
+   column without knowing which slots are live. *)
+let chunk_bits = 10
+let chunk_size = 1 lsl chunk_bits
+let chunk_mask = chunk_size - 1
+let nil = -1
+
+(* Element type of the argument column. [Obj.t] is abstract, so an
+   [Obj.t array] would compile to generic array accesses that test for a
+   flat float array on every load and store; a variant type is known to
+   be an address or an immediate, so the column gets plain accesses. The
+   constructor is never applied: payloads are stored through
+   [Obj.magic]. *)
+type payload = Payload of int [@@warning "-37"]
+
+(* Two interchangeable orders over the same slots. The wheel keys on the
+   packed key (µs times rank: no two distinct (time, creator) pairs share
+   a key) and is monotone — keys below the last popped one are rejected
+   (see [enqueue]). The heap orders slot ids by [(key, cidx)] through a
+   binary heap. Both pop in nondecreasing key order with the creation
+   index breaking residual ties: test_wheel checks them against each
+   other, and the pinned digests check the wheel against the heap-era
+   event streams. *)
+type queue = Heap of int Dstruct.Pqueue.t | Wheel
 
 type t = {
-  queue : queue;
+  mutable queue : queue;
   rng : Dstruct.Rng.t;
   mutable now : Time.t;
   mutable executed : int;
@@ -90,59 +96,375 @@ type t = {
   anon : handle;  (* shared by all fire-and-forget events *)
   (* Creation context: [cur_rank] is the rank stamped on events scheduled
      right now (0 = harness; pid + 1 while that process's code runs), and
-     [counters.(r)] is rank r's next creation index. [last_key] is the key
-     of the last executed event — the floor future keys are clamped to, so
-     the wheel's monotonicity holds by construction. *)
+     [counters.(r)] is rank r's next creation index. *)
   mutable cur_rank : int;
-  mutable last_key : int;
   mutable counters : int array;
-  (* Execution context, latched by [exec] from the popped cell: the
-     canonical identity of the event currently running. Intra-run shard
-     buffers tag emissions with it so a barrier merge can re-fold the
-     global stream in canonical order (DESIGN.md §18). *)
+  (* Execution context, latched by [exec] from the popped slot: the
+     canonical identity of the event currently (or last) running.
+     Intra-run shard buffers tag emissions with it so a barrier merge can
+     re-fold the global stream in canonical order (DESIGN.md §18), and
+     [exec_key] is the floor future keys are clamped to, so the wheel's
+     monotonicity holds by construction. *)
   mutable exec_key : int;
   mutable exec_cidx : int;
-  (* Cell freelist (wheel backend only): [exec] latches a popped cell's
-     fields, clears it and releases it here before running the event, so
-     the event's own schedules draw recycled cells. *)
-  mutable cpool : cell array;
-  mutable cpool_n : int;
+  (* Slot store: chunk directories of the five columns, the number of
+     chunks in use, and the freelist head (linked through [links]). *)
+  mutable keys : int array array;
+  mutable links : int array array;
+  mutable fns : (Obj.t -> unit) array array;
+  mutable args : payload array array;
+  mutable cxs : handle array array;
+  mutable chunks : int;
+  mutable free : int;
+  (* Hierarchical timing wheel (Varghese & Lauck) over slots, radix 256,
+     8 levels — the levels' digit spans cover the full 62-bit key range,
+     so there is no overflow structure and no revolution wrap. Empty
+     arrays on the heap backend. Placement invariant: a slot with key [k]
+     always lives at [level = highest digit of (k lxor cursor)] in bucket
+     [digit k level]. The invariant is canonical — a function of [k] and
+     the cursor only, not of insertion time — because the cursor's digit
+     at level [l] changes to a new value exactly when the bucket at
+     [(l, new digit)] is cascaded down (see [wheel_pop]), so no slot whose
+     digit matches the cursor's can remain at that level. Canonical
+     placement is what makes the FIFO tie-break work: all slots with
+     equal keys sit in the same bucket list at every moment, in insertion
+     order (pushes append; cascades walk in order and append), so the
+     head of the final level-0 bucket is always the oldest. *)
+  heads : int array;  (* levels * 256 bucket list heads, [nil] if empty *)
+  tails : int array;
+  occ : int array;  (* occupancy bitmap: 8 x 32-bit words per level *)
+  mutable cursor : int;  (* key of the last popped slot *)
+  mutable size : int;  (* committed slots in the wheel *)
+  (* Memo of the last [locate] scan, so the peek-then-pop loops scan once
+     per event. Any push invalidates it. *)
+  mutable cached : bool;
+  mutable cached_key : int;
+  mutable cached_level : int;
+  mutable cached_bucket : int;
+  (* Staged-insertion chain ([batch_call_after] / [batch_commit]): slots
+     linked in stage order, invisible to every query until committed. *)
+  mutable staged_head : int;
+  mutable staged_tail : int;
+  mutable staged_n : int;
 }
 
 let ignore_obj (_ : Obj.t) = ()
-let unit_obj = Obj.repr ()
+let unit_payload : payload = Obj.magic ()
+let no_cx : handle = Obj.magic 0
 
-let compare_cell a b =
-  let c = Int.compare a.ckey b.ckey in
-  if c <> 0 then c else Int.compare (cell_cidx a) (cell_cidx b)
+(* ------------------------------------------------------------ the store *)
+
+(* Column accessors. Slot ids come only from [new_slot], so every index is
+   in range by construction and the accesses skip bounds checks. *)
+let[@inline] key_of t s =
+  Array.unsafe_get
+    (Array.unsafe_get t.keys (s lsr chunk_bits))
+    (s land chunk_mask)
+
+let[@inline] link_of t s =
+  Array.unsafe_get
+    (Array.unsafe_get t.links (s lsr chunk_bits))
+    (s land chunk_mask)
+
+let[@inline] set_link t s v =
+  Array.unsafe_set
+    (Array.unsafe_get t.links (s lsr chunk_bits))
+    (s land chunk_mask) v
+
+let[@inline] cx_of t s =
+  Array.unsafe_get
+    (Array.unsafe_get t.cxs (s lsr chunk_bits))
+    (s land chunk_mask)
+
+let slot_cidx t s =
+  let cx = cx_of t s in
+  if Obj.is_int (Obj.repr cx) then (Obj.magic cx : int) else cx.hcidx
+
+(* Append one chunk, threading its slots onto the (empty) freelist in
+   index order. *)
+let add_chunk t =
+  let c = t.chunks in
+  if c = Array.length t.keys then begin
+    let cap = if c = 0 then 4 else 2 * c in
+    let grow a =
+      let b = Array.make cap [||] in
+      Array.blit a 0 b 0 c;
+      b
+    in
+    t.keys <- grow t.keys;
+    t.links <- grow t.links;
+    t.fns <- grow t.fns;
+    t.args <- grow t.args;
+    t.cxs <- grow t.cxs
+  end;
+  let base = c lsl chunk_bits in
+  t.keys.(c) <- Array.make chunk_size 0;
+  t.links.(c) <-
+    Array.init chunk_size (fun i ->
+        if i = chunk_size - 1 then t.free else base + i + 1);
+  t.fns.(c) <- Array.make chunk_size ignore_obj;
+  t.args.(c) <- Array.make chunk_size unit_payload;
+  t.cxs.(c) <- Array.make chunk_size no_cx;
+  t.chunks <- c + 1;
+  t.free <- base
+
+(* Take a slot off the freelist and write the event into it, link [nil]. *)
+let new_slot t key fn arg cx =
+  if t.free = nil then add_chunk t;
+  let s = t.free in
+  let c = s lsr chunk_bits and i = s land chunk_mask in
+  let links = Array.unsafe_get t.links c in
+  t.free <- Array.unsafe_get links i;
+  Array.unsafe_set links i nil;
+  Array.unsafe_set (Array.unsafe_get t.keys c) i key;
+  Array.unsafe_set (Array.unsafe_get t.fns c) i fn;
+  Array.unsafe_set (Array.unsafe_get t.args c) i arg;
+  Array.unsafe_set (Array.unsafe_get t.cxs c) i cx;
+  s
+
+(* ------------------------------------------------------------ the wheel *)
+
+let levels = 8
+let buckets = levels * 256
+
+(* Highest differing radix-256 digit of [x = key lxor cursor], [x <> 0]. *)
+let level_of_xor x =
+  if x >= 1 lsl 32 then
+    if x >= 1 lsl 48 then (if x >= 1 lsl 56 then 7 else 6)
+    else if x >= 1 lsl 40 then 5
+    else 4
+  else if x >= 1 lsl 16 then (if x >= 1 lsl 24 then 3 else 2)
+  else if x >= 1 lsl 8 then 1
+  else 0
+
+let digit k l = (k lsr (8 * l)) land 0xff
+
+(* ctz of a 32-bit value via de Bruijn multiplication. *)
+let debruijn_table =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
+     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+let ctz32 bits =
+  debruijn_table.(((bits land -bits) * 0x077CB531 land 0xFFFFFFFF) lsr 27)
+
+let set_bit t l b =
+  let w = (l lsl 3) lor (b lsr 5) in
+  t.occ.(w) <- t.occ.(w) lor (1 lsl (b land 31))
+
+let clear_bit t l b =
+  let w = (l lsl 3) lor (b lsr 5) in
+  t.occ.(w) <- t.occ.(w) land lnot (1 lsl (b land 31))
+
+(* Smallest occupied bucket index [>= from] at level [l], or -1. All the
+   recursive helpers below are top-level (not nested [let rec]) on
+   purpose: a nested recursive function is a closure, and without flambda
+   that is one allocation per call — on the per-event path. *)
+let rec occ_scan occ l w0 from w =
+  if w > 7 then -1
+  else begin
+    let bits = occ.((l lsl 3) lor w) in
+    let bits = if w = w0 then bits land ((-1) lsl (from land 31)) else bits in
+    if bits = 0 then occ_scan occ l w0 from (w + 1)
+    else (w lsl 5) lor ctz32 bits
+  end
+
+let first_occupied t l ~from =
+  if from > 255 then -1 else occ_scan t.occ l (from lsr 5) from (from lsr 5)
+
+(* Append slot [s] (with link [nil]) to its canonical bucket. *)
+let place t s =
+  let k = key_of t s in
+  let x = k lxor t.cursor in
+  let l = if x = 0 then 0 else level_of_xor x in
+  let b = digit k l in
+  let i = (l lsl 8) lor b in
+  if t.heads.(i) = nil then begin
+    t.heads.(i) <- s;
+    set_bit t l b
+  end
+  else set_link t t.tails.(i) s;
+  t.tails.(i) <- s
+
+let wheel_push t s =
+  place t s;
+  t.size <- t.size + 1;
+  t.cached <- false
+
+(* Locate the minimum key without mutating bucket contents: lowest level
+   first (slots at level [l] share all digits above [l] with the cursor,
+   so every key there is smaller than any key at a higher level); level 0
+   scans from the cursor's digit inclusively (keys equal to the cursor are
+   legal), higher levels exclusively (a bucket matching the cursor's digit
+   would already have cascaded). At level 0 every slot of a bucket has the
+   same key; at higher levels the bucket spans several keys, so walk the
+   list for the minimum. *)
+let rec list_min_key t s acc =
+  if s = nil then acc
+  else
+    let k = key_of t s in
+    list_min_key t (link_of t s) (if k < acc then k else acc)
+
+let rec find_min t l =
+  if l >= levels then assert false
+  else begin
+    let d = digit t.cursor l in
+    let from = if l = 0 then d else d + 1 in
+    match first_occupied t l ~from with
+    | -1 -> find_min t (l + 1)
+    | b ->
+        let key =
+          if l = 0 then (t.cursor land lnot 0xff) lor b
+          else list_min_key t t.heads.((l lsl 8) lor b) max_int
+        in
+        t.cached <- true;
+        t.cached_key <- key;
+        t.cached_level <- l;
+        t.cached_bucket <- b
+  end
+
+(* Callers check [size > 0]; a staged batch must be committed first (the
+   engine commits before returning to its event loop). *)
+let locate t =
+  if t.staged_n <> 0 then invalid_arg "Engine: staged batch pending commit";
+  if not t.cached then find_min t 0
+
+let min_key t =
+  locate t;
+  t.cached_key
+
+let rec redistribute t s =
+  if s <> nil then begin
+    let nx = link_of t s in
+    set_link t s nil;
+    place t s;
+    redistribute t nx
+  end
+
+(* Detach the minimum slot. Cascade the minimum's bucket down until the
+   minimum sits at level 0. The new cursor is the minimum key [k] itself:
+   every slot of the cascaded bucket has key >= k and shares its digits at
+   and above the bucket's level, so re-placement relative to [k] strictly
+   descends. Walking the detached list in order and appending preserves
+   insertion order. *)
+let wheel_pop t =
+  locate t;
+  let k = t.cached_key in
+  while t.cached_level > 0 do
+    let l = t.cached_level and b = t.cached_bucket in
+    let i = (l lsl 8) lor b in
+    let head = t.heads.(i) in
+    t.heads.(i) <- nil;
+    t.tails.(i) <- nil;
+    clear_bit t l b;
+    t.cursor <- k;
+    redistribute t head;
+    (* The minimum's slots are now at level 0, bucket [digit k 0]; other
+       slots may have landed at intermediate levels, all above [k]. *)
+    t.cached_level <- 0;
+    t.cached_bucket <- digit k 0
+  done;
+  t.cursor <- k;
+  let b = t.cached_bucket in
+  let s = t.heads.(b) in
+  let nx = link_of t s in
+  t.heads.(b) <- nx;
+  if nx = nil then begin
+    t.tails.(b) <- nil;
+    clear_bit t 0 b
+  end;
+  t.size <- t.size - 1;
+  t.cached <- false;
+  s
+
+(* Batched insertion. [batch_call_after] buffers slots on the staged chain
+   in call order; [batch_commit] splices the chain into the canonical
+   buckets. The chain walk attaches each maximal run of consecutive slots
+   sharing a canonical (level, bucket) as one pre-linked segment, so a
+   broadcast whose deliveries land in the same bucket costs one bucket
+   append instead of n-1. Insertion order within the chain is preserved
+   verbatim, which is exactly the order individual pushes would have
+   produced — the FIFO tie-break and canonical placement are untouched. *)
+
+(* Last slot of the maximal run starting at [last] whose canonical bucket
+   is [(l, b)]. *)
+let rec run_end t l b last =
+  let nx = link_of t last in
+  if nx = nil then last
+  else begin
+    let k = key_of t nx in
+    let x = k lxor t.cursor in
+    let l' = if x = 0 then 0 else level_of_xor x in
+    if l' = l && digit k l' = b then run_end t l b nx else last
+  end
+
+let rec commit_chain t s =
+  if s <> nil then begin
+    let k = key_of t s in
+    let x = k lxor t.cursor in
+    let l = if x = 0 then 0 else level_of_xor x in
+    let b = digit k l in
+    let tail = run_end t l b s in
+    let after = link_of t tail in
+    set_link t tail nil;
+    let i = (l lsl 8) lor b in
+    if t.heads.(i) = nil then begin
+      t.heads.(i) <- s;
+      set_bit t l b
+    end
+    else set_link t t.tails.(i) s;
+    t.tails.(i) <- tail;
+    commit_chain t after
+  end
+
+(* ------------------------------------------------------------ the engine *)
+
+let compare_slots t a b =
+  let c = Int.compare (key_of t a) (key_of t b) in
+  if c <> 0 then c else Int.compare (slot_cidx t a) (slot_cidx t b)
 
 let create ?(queue = `Wheel) ~seed () =
   let anon = { hstate = 0; hcidx = 0 } in
-  let queue =
-    match queue with
-    | `Heap -> Heap (Dstruct.Pqueue.create ~compare:compare_cell)
-    | `Wheel ->
-        let dummy =
-          { ckey = 0; cfn = ignore_obj; carg = unit_obj; cx = Obj.repr 0 }
-        in
-        Wheel (Dstruct.Wheel.create ~dummy ())
+  let wheel_array n x =
+    match queue with `Wheel -> Array.make n x | `Heap -> [||]
   in
-  {
-    queue;
-    rng = Dstruct.Rng.create seed;
-    now = Time.zero;
-    executed = 0;
-    live = 0;
-    sink = Obs.Sink.null;
-    anon;
-    cur_rank = 0;
-    last_key = 0;
-    counters = Array.make 8 0;
-    exec_key = 0;
-    exec_cidx = 0;
-    cpool = [||];
-    cpool_n = 0;
-  }
+  let t =
+    {
+      queue = Wheel;
+      rng = Dstruct.Rng.create seed;
+      now = Time.zero;
+      executed = 0;
+      live = 0;
+      sink = Obs.Sink.null;
+      anon;
+      cur_rank = 0;
+      counters = Array.make 8 0;
+      exec_key = 0;
+      exec_cidx = 0;
+      keys = [||];
+      links = [||];
+      fns = [||];
+      args = [||];
+      cxs = [||];
+      chunks = 0;
+      free = nil;
+      heads = wheel_array buckets nil;
+      tails = wheel_array buckets nil;
+      occ = wheel_array (levels * 8) 0;
+      cursor = 0;
+      size = 0;
+      cached = false;
+      cached_key = 0;
+      cached_level = 0;
+      cached_bucket = 0;
+      staged_head = nil;
+      staged_tail = nil;
+      staged_n = 0;
+    }
+  in
+  (match queue with
+  | `Heap -> t.queue <- Heap (Dstruct.Pqueue.create ~compare:(compare_slots t))
+  | `Wheel -> ());
+  t
 
 let now t = t.now
 let rng t = t.rng
@@ -178,24 +500,16 @@ let set_harness_rank t =
   end;
   t.cur_rank <- r
 
-(* Like the network's flight pool: grow with the released cell itself as
-   the [Array.make] filler. The released cell is cleared first so the pool
-   never keeps an event's payload (or its handle) reachable. *)
-let release_cell t c =
-  c.cfn <- ignore_obj;
-  c.carg <- unit_obj;
-  c.cx <- Obj.repr 0;
-  let k = t.cpool_n in
-  if k = Array.length t.cpool then begin
-    let a = Array.make (if k = 0 then 64 else 2 * k) c in
-    Array.blit t.cpool 0 a 0 k;
-    t.cpool <- a
-  end;
-  t.cpool.(k) <- c;
-  t.cpool_n <- k + 1
+(* The engine's clock arithmetic is on plain ints ([Time.t = int] is
+   manifest): the library is compiled [-opaque] in dev builds, so every
+   [Time.*] call would be an out-of-line call on the per-event path. *)
+let before_now ~what t time =
+  invalid_arg
+    (Format.asprintf "Engine.%s: %a is before now (%a)" what Time.pp time
+       Time.pp t.now)
 
-(* Key/index assignment, shared by both scheduling paths. The clamp to
-   [last_key] covers one legal corner: scheduling at the current µs from a
+(* Key/index assignment, shared by every scheduling path. The clamp to
+   [exec_key] covers one legal corner: scheduling at the current µs from a
    context whose rank is below the executing event's (e.g. a test
    scheduling at [now] between runs) — the event then sorts right after
    the current one, which is exactly the old FIFO behaviour. The clamp
@@ -203,10 +517,9 @@ let release_cell t c =
 (* Two separate int-returning helpers rather than one returning a pair:
    the hot path is allocation-free by contract and without flambda a
    tuple return boxes three minor words per scheduled event. *)
-let next_key t time =
-  let us = Time.to_us time in
-  let key = (us lsl rank_bits) lor t.cur_rank in
-  if key < t.last_key then t.last_key else key
+let next_key t (time : Time.t) =
+  let key = (time lsl rank_bits) lor t.cur_rank in
+  if key < t.exec_key then t.exec_key else key
 
 let next_cidx t =
   let r = t.cur_rank in
@@ -214,47 +527,45 @@ let next_cidx t =
   t.counters.(r) <- cidx + 1;
   cidx
 
+(* The wheel is monotone: a key below its cursor is refused before a slot
+   is taken. The cursor can lie above [exec_key] when a cancelled event
+   was popped after the last fired one. On the heap backend the cursor
+   stays 0, so the check never fires. *)
+let check_cursor ~what t key =
+  if key < t.cursor then
+    invalid_arg
+      (Printf.sprintf "Engine.%s: key %d below the wheel cursor %d" what key
+         t.cursor)
+
+(* Make a written slot poppable. *)
+let insert t s =
+  (match t.queue with
+  | Heap q -> Dstruct.Pqueue.push q s
+  | Wheel -> wheel_push t s);
+  t.live <- t.live + 1
+
+let emit_sched t (time : Time.t) =
+  if Obs.Sink.wants t.sink Obs.Event.c_engine then
+    Obs.Sink.emit t.sink (Obs.Event.Sched { now = t.now; at = time })
+
 let enqueue : type a. t -> Time.t -> (a -> unit) -> a -> handle -> unit =
  fun t time fn arg h ->
-  if Time.(time < t.now) then
-    invalid_arg
-      (Format.asprintf "Engine.schedule: %a is before now (%a)" Time.pp time
-         Time.pp t.now);
+  if time < t.now then before_now ~what:"schedule" t time;
   let key = next_key t time in
+  check_cursor ~what:"schedule" t key;
   let cidx = next_cidx t in
-  (* The only erasure point: [fn] and [arg] arrive at a common type [a], so
-     applying the erased function to the erased payload is well-typed by
-     construction. *)
-  let fn : Obj.t -> unit = Obj.magic fn in
-  let arg = Obj.repr arg in
-  let cx =
-    if h == t.anon then Obj.repr cidx
+  (* Erasure: [fn] and [arg] arrive at a common type [a], so applying the
+     erased function to the erased payload is well-typed by construction
+     (likewise at every other [new_slot] call). *)
+  let cx : handle =
+    if h == t.anon then Obj.magic cidx
     else begin
       h.hcidx <- cidx;
-      Obj.repr h
+      h
     end
   in
-  (match t.queue with
-  | Heap q -> Dstruct.Pqueue.push q { ckey = key; cfn = fn; carg = arg; cx }
-  | Wheel w ->
-      let c =
-        if t.cpool_n = 0 then { ckey = key; cfn = fn; carg = arg; cx }
-        else begin
-          let k = t.cpool_n - 1 in
-          t.cpool_n <- k;
-          let c = t.cpool.(k) in
-          c.ckey <- key;
-          c.cfn <- fn;
-          c.carg <- arg;
-          c.cx <- cx;
-          c
-        end
-      in
-      Dstruct.Wheel.push w ~key c);
-  t.live <- t.live + 1;
-  if Obs.Sink.wants t.sink Obs.Event.c_engine then
-    Obs.Sink.emit t.sink
-      (Obs.Event.Sched { now = Time.to_us t.now; at = Time.to_us time })
+  insert t (new_slot t key (Obj.magic fn) (Obj.magic arg) cx);
+  emit_sched t time
 
 (* Static trampoline for the closure API: the closure is the [arg]. *)
 let call_thunk (f : unit -> unit) = f ()
@@ -264,24 +575,21 @@ let schedule_at t time action =
   enqueue t time call_thunk action h;
   h
 
-let schedule_after t delay action =
-  schedule_at t (Time.add t.now delay) action
-
+let schedule_after t delay action = schedule_at t (t.now + delay) action
 let call_at t time fn arg = enqueue t time fn arg t.anon
-let call_after t delay fn arg = enqueue t (Time.add t.now delay) fn arg t.anon
+let call_after t delay fn arg = enqueue t (t.now + delay) fn arg t.anon
 
 let schedule_call_after t delay fn arg =
   let h = { hstate = 0; hcidx = 0 } in
-  enqueue t (Time.add t.now delay) fn arg h;
+  enqueue t (t.now + delay) fn arg h;
   h
 
 (* Batched fire-and-forget scheduling: a broadcast fan-out stages its n-1
-   events and splices them into the wheel in one [batch_commit]
-   ({!Dstruct.Wheel.stage} / [commit]). Everything observable — live count,
-   Sched emission, canonical order among equal keys — happens exactly as
-   the equivalent [call_after] sequence would produce it; only the bucket
-   bookkeeping is amortized. The heap backend has no batch path (it is the
-   allocate-per-event A/B reference), so it degrades to [call_after] and
+   slots and splices them into the wheel in one [batch_commit].
+   Everything observable — live count, Sched emission, canonical order
+   among equal keys — happens exactly as the equivalent [call_after]
+   sequence would produce it; only the bucket bookkeeping is amortized.
+   The heap backend has no batch path, so it degrades to [call_after] and
    [batch_commit] is a no-op — the two backends still produce identical
    event streams. Batches must be committed before control returns to the
    event loop; staging happens inside a single handler, so no pop can
@@ -289,41 +597,31 @@ let schedule_call_after t delay fn arg =
 let batch_call_after : type a. t -> Time.t -> (a -> unit) -> a -> unit =
  fun t delay fn arg ->
   match t.queue with
-  | Heap _ -> enqueue t (Time.add t.now delay) fn arg t.anon
-  | Wheel w ->
-      let time = Time.add t.now delay in
-      if Time.(time < t.now) then
-        invalid_arg
-          (Format.asprintf "Engine.schedule: %a is before now (%a)" Time.pp
-             time Time.pp t.now);
+  | Heap _ -> enqueue t (t.now + delay) fn arg t.anon
+  | Wheel ->
+      let time = t.now + delay in
+      if time < t.now then before_now ~what:"schedule" t time;
       let key = next_key t time in
+      check_cursor ~what:"schedule" t key;
       let cidx = next_cidx t in
-      let fn : Obj.t -> unit = Obj.magic fn in
-      let arg = Obj.repr arg in
-      let c =
-        if t.cpool_n = 0 then
-          { ckey = key; cfn = fn; carg = arg; cx = Obj.repr cidx }
-        else begin
-          let k = t.cpool_n - 1 in
-          t.cpool_n <- k;
-          let c = t.cpool.(k) in
-          c.ckey <- key;
-          c.cfn <- fn;
-          c.carg <- arg;
-          c.cx <- Obj.repr cidx;
-          c
-        end
-      in
-      Dstruct.Wheel.stage w ~key c;
+      let s = new_slot t key (Obj.magic fn) (Obj.magic arg) (Obj.magic cidx) in
+      if t.staged_head = nil then t.staged_head <- s
+      else set_link t t.staged_tail s;
+      t.staged_tail <- s;
+      t.staged_n <- t.staged_n + 1;
       t.live <- t.live + 1;
-      if Obs.Sink.wants t.sink Obs.Event.c_engine then
-        Obs.Sink.emit t.sink
-          (Obs.Event.Sched { now = Time.to_us t.now; at = Time.to_us time })
+      emit_sched t time
 
 let batch_commit t =
-  match t.queue with
-  | Heap _ -> ()
-  | Wheel w -> Dstruct.Wheel.commit w
+  if t.staged_n > 0 then begin
+    let head = t.staged_head in
+    t.staged_head <- nil;
+    t.staged_tail <- nil;
+    t.size <- t.size + t.staged_n;
+    t.staged_n <- 0;
+    t.cached <- false;
+    commit_chain t head
+  end
 
 (* ---- Intra-run sharded execution support (DESIGN.md §18) ----
    A cross-shard event creation splits [call_after] in two: the creating
@@ -335,159 +633,145 @@ let batch_commit t =
    sequential [call_after]. *)
 
 let stamp t time =
-  if Time.(time < t.now) then
-    invalid_arg
-      (Format.asprintf "Engine.stamp: %a is before now (%a)" Time.pp time
-         Time.pp t.now);
+  if time < t.now then before_now ~what:"stamp" t time;
   let key = next_key t time in
   let cidx = next_cidx t in
-  if Obs.Sink.wants t.sink Obs.Event.c_engine then
-    Obs.Sink.emit t.sink
-      (Obs.Event.Sched { now = Time.to_us t.now; at = Time.to_us time });
+  emit_sched t time;
   (key, cidx)
 
+(* A committed event must sort after the last one executed here: the
+   barrier's merge is only a replay of the sequential order if no
+   cross-shard arrival lands inside a window that already ran, which is
+   what the lookahead certifies. Both backends check it, so an undercut
+   lookahead fails loudly instead of running an event out of canonical
+   order. *)
 let enqueue_committed : type a. t -> key:int -> cidx:int -> (a -> unit) -> a -> unit
     =
  fun t ~key ~cidx fn arg ->
-  let fn : Obj.t -> unit = Obj.magic fn in
-  let arg = Obj.repr arg in
-  (match t.queue with
-  | Heap q ->
-      Dstruct.Pqueue.push q
-        { ckey = key; cfn = fn; carg = arg; cx = Obj.repr cidx }
-  | Wheel w ->
-      let c =
-        if t.cpool_n = 0 then
-          { ckey = key; cfn = fn; carg = arg; cx = Obj.repr cidx }
-        else begin
-          let k = t.cpool_n - 1 in
-          t.cpool_n <- k;
-          let c = t.cpool.(k) in
-          c.ckey <- key;
-          c.cfn <- fn;
-          c.carg <- arg;
-          c.cx <- Obj.repr cidx;
-          c
-        end
-      in
-      Dstruct.Wheel.push w ~key c);
-  t.live <- t.live + 1
+  if
+    t.executed > 0
+    && (key < t.exec_key || (key = t.exec_key && cidx <= t.exec_cidx))
+  then
+    invalid_arg
+      (Printf.sprintf
+         "Engine.enqueue_committed: event (key %d, cidx %d) sorts at or below \
+          the last executed event (key %d, cidx %d); the intra-run lookahead \
+          undercuts a real delay"
+         key cidx t.exec_key t.exec_cidx);
+  check_cursor ~what:"enqueue_committed" t key;
+  insert t (new_slot t key (Obj.magic fn) (Obj.magic arg) (Obj.magic cidx))
 
 let executing_key t = t.exec_key
 let executing_cidx t = t.exec_cidx
 
-(* Earliest pending event's µs, or -1 when the queue is empty. Peeks only:
-   the wheel's cursor must not advance (the engine may legally decide not
-   to pop at a window horizon). *)
-let next_pending_us t =
-  match t.queue with
-  | Heap q ->
-      if Dstruct.Pqueue.is_empty q then -1
-      else (Dstruct.Pqueue.peek_exn q).ckey asr rank_bits
-  | Wheel w ->
-      if Dstruct.Wheel.is_empty w then -1
-      else Dstruct.Wheel.min_key_exn w asr rank_bits
-
 (* Earliest pending event's full canonical key (µs and creator rank), or
-   -1 when the queue is empty — the intra-run driver interleaves the
-   control replica's events with shard events by key, not just by µs. *)
+   -1 when the queue is empty. Peeks only: the wheel's cursor must not
+   advance (the engine may legally decide not to pop at a window
+   horizon). The intra-run driver interleaves the control replica's
+   events with shard events by key, not just by µs. *)
 let next_pending_key t =
   match t.queue with
   | Heap q ->
       if Dstruct.Pqueue.is_empty q then -1
-      else (Dstruct.Pqueue.peek_exn q).ckey
-  | Wheel w ->
-      if Dstruct.Wheel.is_empty w then -1 else Dstruct.Wheel.min_key_exn w
+      else key_of t (Dstruct.Pqueue.peek_exn q)
+  | Wheel -> if t.size = 0 then -1 else min_key t
+
+let next_pending_us t =
+  let k = next_pending_key t in
+  if k < 0 then -1 else k asr rank_bits
 
 (* Advance the clock over an idle gap without running anything: barrier
    code (recovery, resync, fault application) computes relative delays
    from [now], which must read the barrier instant, not the last executed
    event's time. *)
-let fast_forward t time = t.now <- Time.max t.now time
+let fast_forward t (time : Time.t) = if time > t.now then t.now <- time
 
 let cancel t h =
   if h.hstate = 0 then begin
     h.hstate <- 2;
     t.live <- t.live - 1;
     if Obs.Sink.wants t.sink Obs.Event.c_engine then
-      Obs.Sink.emit t.sink (Obs.Event.Cancel { now = Time.to_us t.now })
+      Obs.Sink.emit t.sink (Obs.Event.Cancel { now = t.now })
   end
 
 let is_cancelled h = h.hstate = 2
 let pending t = t.live
 let executed t = t.executed
 
-(* [exec t c ~recycle] latches every field, optionally releases the cell
-   (wheel backend — the heap's cells are garbage once popped), then fires.
-   Latch-then-release, so the event's own schedules may reuse the cell.
-   The executing event's creator rank becomes the creation context for
+(* The executing event's creator rank becomes the creation context for
    whatever it schedules; deliver/forward override it to the receiving
    process's rank ([set_rank]) before running process code. *)
 let fire t key cidx fn arg =
   t.live <- t.live - 1;
-  let time = Time.of_us (key asr rank_bits) in
-  assert (Time.(time >= t.now));
+  let time = key asr rank_bits in
+  assert (time >= t.now);
   t.now <- time;
   t.cur_rank <- key land rank_mask;
-  t.last_key <- key;
   t.exec_key <- key;
   t.exec_cidx <- cidx;
   t.executed <- t.executed + 1;
   if Obs.Sink.wants t.sink Obs.Event.c_engine then
-    Obs.Sink.emit t.sink (Obs.Event.Fire { now = Time.to_us t.now });
+    Obs.Sink.emit t.sink (Obs.Event.Fire { now = t.now });
   fn arg
 
-let exec t c ~recycle =
-  let key = c.ckey in
-  let fn = c.cfn and arg = c.carg and cx = c.cx in
-  if recycle then release_cell t c;
-  if Obj.is_int cx then
+(* [exec t s] latches every column of a popped slot, frees the slot, then
+   fires. Latch-then-release, so the event's own schedules may reuse the
+   slot, and the store never keeps a fired payload reachable. *)
+let exec t s =
+  let c = s lsr chunk_bits and i = s land chunk_mask in
+  let key = Array.unsafe_get (Array.unsafe_get t.keys c) i in
+  let fns = Array.unsafe_get t.fns c in
+  let args = Array.unsafe_get t.args c in
+  let cxs = Array.unsafe_get t.cxs c in
+  let fn = Array.unsafe_get fns i in
+  let arg : Obj.t = Obj.repr (Array.unsafe_get args i) in
+  let cx = Array.unsafe_get cxs i in
+  Array.unsafe_set fns i ignore_obj;
+  Array.unsafe_set args i unit_payload;
+  Array.unsafe_set cxs i no_cx;
+  Array.unsafe_set (Array.unsafe_get t.links c) i t.free;
+  t.free <- s;
+  if Obj.is_int (Obj.repr cx) then
     (* Fire-and-forget: [cx] is the creation index and the event cannot
        have been cancelled. *)
-    fire t key (Obj.obj cx : int) fn arg
-  else begin
-    let h : handle = Obj.obj cx in
-    if h.hstate = 0 then begin
-      h.hstate <- 1;
-      fire t key h.hcidx fn arg
-    end
+    fire t key (Obj.magic cx : int) fn arg
+  else if cx.hstate = 0 then begin
+    cx.hstate <- 1;
+    fire t key cx.hcidx fn arg
   end
 
 (* The run loops are specialized per backend so the per-event dispatch is
-   hoisted out of the loop. The wheel loop decides from [min_key_exn]
+   hoisted out of the loop. The wheel loop decides from [min_key]
    (memoized, non-mutating) before popping: peeking must not advance the
    wheel's cursor past [limit], or a later legal schedule below the cursor
    would be rejected. A time limit translates to the largest key at that
    µs — every rank at time [limit] is included, matching the old
-   time-inclusive contract. *)
-let limit_key limit = ((Time.to_us limit + 1) lsl rank_bits) - 1
+   time-inclusive contract. Both loops pop while the minimum key is
+   [<= lim]. *)
+let limit_key (limit : Time.t) = ((limit + 1) lsl rank_bits) - 1
+
+let rec heap_loop t q lim =
+  if not (Dstruct.Pqueue.is_empty q) then begin
+    let s = Dstruct.Pqueue.peek_exn q in
+    if key_of t s <= lim then begin
+      Dstruct.Pqueue.drop_exn q;
+      exec t s;
+      heap_loop t q lim
+    end
+  end
+
+let rec wheel_loop t lim =
+  if t.size > 0 && min_key t <= lim then begin
+    exec t (wheel_pop t);
+    wheel_loop t lim
+  end
+
+let run_through_key t lim =
+  match t.queue with Heap q -> heap_loop t q lim | Wheel -> wheel_loop t lim
 
 let run_until t limit =
-  (match t.queue with
-  | Heap q ->
-      let lim = limit_key limit in
-      let rec loop () =
-        if not (Dstruct.Pqueue.is_empty q) then begin
-          let c = Dstruct.Pqueue.peek_exn q in
-          if c.ckey <= lim then begin
-            Dstruct.Pqueue.drop_exn q;
-            exec t c ~recycle:false;
-            loop ()
-          end
-        end
-      in
-      loop ()
-  | Wheel w ->
-      let lim = limit_key limit in
-      let rec loop () =
-        if not (Dstruct.Wheel.is_empty w) then
-          if Dstruct.Wheel.min_key_exn w <= lim then begin
-            exec t (Dstruct.Wheel.pop_exn w) ~recycle:true;
-            loop ()
-          end
-      in
-      loop ());
-  t.now <- Time.max t.now limit
+  run_through_key t (limit_key limit);
+  fast_forward t limit
 
 (* One conservative window (DESIGN.md §18): execute every event with
    canonical key STRICTLY below [limit_key] — key-exclusive, unlike
@@ -499,33 +783,19 @@ let run_until t limit =
    executed event, not advanced to the limit: the driver [fast_forward]s
    explicitly when barrier-time code needs [now] at the barrier
    instant. *)
-let run_window_key t ~limit_key =
-  let lim = limit_key in
-  match t.queue with
-  | Heap q ->
-      let rec loop () =
-        if not (Dstruct.Pqueue.is_empty q) then begin
-          let c = Dstruct.Pqueue.peek_exn q in
-          if c.ckey < lim then begin
-            Dstruct.Pqueue.drop_exn q;
-            exec t c ~recycle:false;
-            loop ()
-          end
-        end
-      in
-      loop ()
-  | Wheel w ->
-      let rec loop () =
-        if not (Dstruct.Wheel.is_empty w) then
-          if Dstruct.Wheel.min_key_exn w < lim then begin
-            exec t (Dstruct.Wheel.pop_exn w) ~recycle:true;
-            loop ()
-          end
-      in
-      loop ()
+let run_window_key t ~limit_key = run_through_key t (limit_key - 1)
 
 (* µs-exclusive window: every event strictly before [limit_us], any rank. *)
 let run_window t ~limit_us = run_window_key t ~limit_key:(limit_us lsl rank_bits)
+
+let run_until_idle ?limit t =
+  let lim = match limit with Some l -> limit_key l | None -> max_int in
+  run_through_key t lim;
+  if next_pending_key t < 0 then `Idle
+  else begin
+    (match limit with Some l -> fast_forward t l | None -> ());
+    `Limit
+  end
 
 (* ---------------------------------------------------- snapshot / restore *)
 
@@ -533,91 +803,58 @@ let () =
   Checkpoint.register ~id:0 ignore_obj;
   Checkpoint.register ~id:1 call_thunk
 
-(* Swizzle a cell's packed function to its registry id (an immediate int),
-   and back. The walks below can visit the same cell several times (pool
-   slots alias, heap stale slots alias live cells, wheel freelist cells
-   share [dummy]), so both directions are idempotent: a swizzled [cfn] is
-   an int and is skipped by [swizzle_cell]; an unswizzled one is a block
-   and is skipped by [unswizzle_cell]. *)
-let swizzle_cell c =
-  if not (Obj.is_int (Obj.repr c.cfn)) then begin
-    let id = Checkpoint.id_of c.cfn in
-    if id < 0 then
-      invalid_arg
-        "Engine.snapshot: a pending event's function is not registered \
-         (Sim.Checkpoint.register)";
-    c.cfn <- Obj.magic id
-  end
+(* Swizzle the fn column to registry ids (immediate ints), and back. Free
+   slots hold [ignore_obj], so every entry of every chunk is a registered
+   function or a swizzled id. Both directions skip entries already in the
+   target form, so an aborted swizzle unwinds cleanly. Pending events
+   mostly share a handful of functions, hence the one-entry memo in front
+   of the registry scan. *)
+let swizzle_fns t =
+  let last_fn = ref ignore_obj and last_id = ref 0 in
+  for c = 0 to t.chunks - 1 do
+    let col = t.fns.(c) in
+    for i = 0 to chunk_size - 1 do
+      let f = col.(i) in
+      if not (Obj.is_int (Obj.repr f)) then begin
+        if f != !last_fn then begin
+          let id = Checkpoint.id_of f in
+          if id < 0 then
+            invalid_arg
+              "Engine.snapshot: a pending event's function is not registered \
+               (Sim.Checkpoint.register)";
+          last_fn := f;
+          last_id := id
+        end;
+        col.(i) <- Obj.magic !last_id
+      end
+    done
+  done
 
-let unswizzle_cell c =
-  let r = Obj.repr c.cfn in
-  if Obj.is_int r then c.cfn <- Checkpoint.fn_of (Obj.magic r : int)
-
-(* Every event cell reachable through the engine's marshalled graph: the
-   queue's committed cells (plus the wheel's shared dummy, which recycled
-   freelist cells alias), and the engine's own cell pool — whose stale
-   slots may alias cells that are simultaneously live in the queue. *)
-let iter_cells t f =
-  (match t.queue with
-  | Heap q -> Dstruct.Pqueue.iter_slots q f
-  | Wheel w -> Dstruct.Wheel.iter_values w f);
-  for i = 0 to Array.length t.cpool - 1 do
-    f t.cpool.(i)
+let unswizzle_fns t =
+  for c = 0 to t.chunks - 1 do
+    let col = t.fns.(c) in
+    for i = 0 to chunk_size - 1 do
+      let r = Obj.repr col.(i) in
+      if Obj.is_int r then col.(i) <- Checkpoint.fn_of (Obj.obj r : int)
+    done
   done
 
 let snapshot : type a. t -> a -> Bytes.t =
  fun t root ->
-  (match t.queue with
-  | Wheel w when Dstruct.Wheel.staged_count w <> 0 ->
-      invalid_arg "Engine.snapshot: staged batch pending commit"
-  | Wheel _ | Heap _ -> ());
-  iter_cells t swizzle_cell;
+  if t.staged_n <> 0 then
+    invalid_arg "Engine.snapshot: staged batch pending commit";
+  swizzle_fns t;
   (* Unswizzle under protect: the live engine must come back runnable even
      if an unregistered function aborts the walk or marshalling fails
      (e.g. an out-channel-holding sink). One [to_bytes] call, so every
      physical sharing — the [anon] handle, interned ALIVE payloads, the
-     SoA store — survives the round trip. *)
+     SoA suspicion store — survives the round trip. *)
   Fun.protect
-    ~finally:(fun () -> iter_cells t unswizzle_cell)
+    ~finally:(fun () -> unswizzle_fns t)
     (fun () -> Marshal.to_bytes (t, root) [ Marshal.Closures ])
 
 let restore : type a. Bytes.t -> t * a =
  fun bytes ->
   let ((t, _) as pair) = (Marshal.from_bytes bytes 0 : t * a) in
-  iter_cells t unswizzle_cell;
+  unswizzle_fns t;
   pair
-
-let run_until_idle ?limit t =
-  match t.queue with
-  | Heap q ->
-      let lim = match limit with Some l -> limit_key l | None -> max_int in
-      let rec loop () =
-        if Dstruct.Pqueue.is_empty q then `Idle
-        else begin
-          let c = Dstruct.Pqueue.peek_exn q in
-          if c.ckey > lim then begin
-            (match limit with Some l -> t.now <- Time.max t.now l | None -> ());
-            `Limit
-          end
-          else begin
-            Dstruct.Pqueue.drop_exn q;
-            exec t c ~recycle:false;
-            loop ()
-          end
-        end
-      in
-      loop ()
-  | Wheel w ->
-      let lim = match limit with Some l -> limit_key l | None -> max_int in
-      let rec loop () =
-        if Dstruct.Wheel.is_empty w then `Idle
-        else if Dstruct.Wheel.min_key_exn w > lim then begin
-          (match limit with Some l -> t.now <- Time.max t.now l | None -> ());
-          `Limit
-        end
-        else begin
-          exec t (Dstruct.Wheel.pop_exn w) ~recycle:true;
-          loop ()
-        end
-      in
-      loop ()

@@ -28,13 +28,15 @@ type handle
 
 (** [create ~seed ()] is a fresh engine at time [Time.zero].
 
-    [queue] selects the scheduler backend — [`Wheel] (default) is the
-    hierarchical timing wheel ({!Dstruct.Wheel}: O(1) push, pooled event
-    cells); [`Heap] is the binary-heap reference ({!Dstruct.Pqueue} with
-    insertion tickets). Both implement the identical contract
-    (nondecreasing time, FIFO among equal times), so a run's event stream
-    is byte-identical under either; [test/test_wheel.ml] checks them
-    differentially. *)
+    Pending events live in a slot store: one int slot per event, its
+    fields in parallel columns that grow in fixed-size chunks, freed slots
+    recycled. [queue] selects how the slots are ordered — [`Wheel]
+    (default) is a hierarchical timing wheel whose buckets link slots by
+    int (O(1) push); [`Heap] is the binary-heap reference, a
+    {!Dstruct.Pqueue} of slot ids ordered by canonical key. Both implement
+    the identical contract (nondecreasing time, FIFO among equal times),
+    so a run's event stream is byte-identical under either;
+    [test/test_wheel.ml] checks them differentially. *)
 val create : ?queue:[ `Heap | `Wheel ] -> seed:int64 -> unit -> t
 
 (** Current virtual time. *)
@@ -90,20 +92,21 @@ val schedule_after : t -> Time.t -> (unit -> unit) -> handle
 
 (** [call_at t time fn arg] runs [fn arg] when the clock reaches [time].
     Fire-and-forget: no handle is allocated and the event cannot be
-    cancelled. With a statically allocated [fn], the only allocation is the
-    event cell itself. Raises [Invalid_argument] if [time] is in the past. *)
+    cancelled. With a statically allocated [fn], nothing is allocated once
+    the slot store holds as many slots as the run's peak of pending
+    events. Raises [Invalid_argument] if [time] is in the past. *)
 val call_at : t -> Time.t -> ('a -> unit) -> 'a -> unit
 
 (** [call_after t delay fn arg] is [call_at t (now t + delay) fn arg]. *)
 val call_after : t -> Time.t -> ('a -> unit) -> 'a -> unit
 
 (** [schedule_call_after t delay fn arg] is {!call_after} with a handle:
-    one handle record is the only allocation beyond the event cell. *)
+    one handle record is the only allocation. *)
 val schedule_call_after : t -> Time.t -> ('a -> unit) -> 'a -> handle
 
 (** [batch_call_after] is {!call_after} with deferred queue insertion: the
     event is staged and becomes poppable only at the next {!batch_commit}.
-    A broadcast fan-out stages its n-1 deliveries and commits once, so the
+    A broadcast fan-out stages its n-1 slots and commits once, so the
     wheel splices same-bucket runs instead of doing n-1 independent bucket
     appends. Observable behaviour (live count, Sched emission, FIFO order
     among equal times) is identical to the equivalent {!call_after}
@@ -142,11 +145,11 @@ val run_until_idle : ?limit:Time.t -> t -> [ `Idle | `Limit ]
 (** {2 Snapshot / restore (DESIGN.md §16)}
 
     [snapshot t root] is a deep copy of the whole simulation stack — the
-    engine (clock, queue contents, cell pool, RNG, sink) plus [root], the
+    engine (clock, slot store, queue, RNG, sink) plus [root], the
     caller's world reachable from it — as marshalled bytes. One marshal
     call covers both, so every physical sharing between them (handles,
     interned payloads, the SoA suspicion store) survives the round trip.
-    Packed event functions are swizzled to their {!Checkpoint} ids (and
+    The store's function column is swizzled to {!Checkpoint} ids (and
     back, even on failure — the live engine is untouched on return), so
     the packed lane is code-address-independent; closures reachable
     through payloads ride on [Marshal.Closures] and pin the bytes to the
@@ -183,9 +186,12 @@ val stamp : t -> Time.t -> int * int
 
 (** [enqueue_committed t ~key ~cidx fn arg] enqueues an already-stamped
     event silently: no [Sched] emission, no creation-counter movement.
-    [key] must not lie below the last popped key (wheel monotonicity);
-    barrier commits satisfy this by construction because stamped arrivals
-    lie at or beyond the window end. *)
+    On either backend, raises [Invalid_argument] if [(key, cidx)] sorts
+    at or below the last executed event's: the event would run out of
+    canonical order, which means the intra-run lookahead undercut a real
+    delay. Barrier commits satisfy this when the lookahead is a true lower
+    bound, because stamped arrivals then lie at or beyond the window end.
+    The wheel also refuses a key below the last popped one. *)
 val enqueue_committed : t -> key:int -> cidx:int -> ('a -> unit) -> 'a -> unit
 
 (** Canonical key / creation index of the event currently executing —

@@ -9,12 +9,15 @@ let to_ms_float t = float_of_int t /. 1_000.
 let add = ( + )
 let sub = ( - )
 let compare = Int.compare
-let ( <= ) = Stdlib.( <= )
-let ( < ) = Stdlib.( < )
-let ( >= ) = Stdlib.( >= )
-let ( > ) = Stdlib.( > )
-let max = Stdlib.max
-let min = Stdlib.min
+
+(* Annotated at [int]: bound to the polymorphic [Stdlib] primitives these
+   compiled to [caml_lessthan] & co. through [caml_c_call]. *)
+let ( <= ) (a : int) b = a <= b
+let ( < ) (a : int) b = a < b
+let ( >= ) (a : int) b = a >= b
+let ( > ) (a : int) b = a > b
+let max (a : int) b = if a >= b then a else b
+let min (a : int) b = if a <= b then a else b
 
 let pp ppf t =
   if t mod 1_000_000 = 0 then Format.fprintf ppf "%ds" (t / 1_000_000)

@@ -147,6 +147,42 @@ let test_start_refuses_intra () =
        false
      with Invalid_argument _ -> true)
 
+(* An undercut lookahead would hand a barrier commit an event that sorts
+   before one the owning shard already ran. Both backends must refuse it
+   loudly — the heap would otherwise run it out of canonical order. *)
+let test_undercut_commit_raises queue () =
+  let e = Sim.Engine.create ~queue ~seed:1L () in
+  let early_key, early_cidx = Sim.Engine.stamp e (ms 5) in
+  let key, cidx = Sim.Engine.stamp e (ms 5) in
+  let later_key, later_cidx = Sim.Engine.stamp e (ms 5) in
+  let ran = ref [] in
+  let note i = ran := i :: !ran in
+  Sim.Engine.enqueue_committed e ~key ~cidx note 1;
+  ignore (Sim.Engine.run_until_idle e);
+  let refused label key cidx =
+    match Sim.Engine.enqueue_committed e ~key ~cidx note 0 with
+    | () -> Alcotest.failf "%s: commit accepted" label
+    | exception Invalid_argument msg ->
+        let mentions s =
+          let n = String.length s in
+          let rec at i =
+            i + n <= String.length msg && (String.sub msg i n = s || at (i + 1))
+          in
+          at 0
+        in
+        check bool_t (label ^ ": message names the lookahead") true
+          (mentions "lookahead")
+  in
+  refused "same key, lower creation index" early_key early_cidx;
+  refused "the executed event itself" key cidx;
+  refused "an earlier instant" (key - (1 lsl Sim.Engine.rank_bits)) cidx;
+  check int_t "refusals leave nothing pending" 0 (Sim.Engine.pending e);
+  (* Sorting after the executed event is fine, even at the same key. *)
+  Sim.Engine.enqueue_committed e ~key:later_key ~cidx:later_cidx note 2;
+  ignore (Sim.Engine.run_until_idle e);
+  check (Alcotest.list int_t) "accepted commits ran in order" [ 1; 2 ]
+    (List.rev !ran)
+
 (* ------------------------------------------------ lookahead safety *)
 
 (* Window certificate: over every regime family and adversarial knob the
@@ -220,6 +256,10 @@ let () =
         [
           Alcotest.test_case "start refuses intra" `Quick
             test_start_refuses_intra;
+          Alcotest.test_case "undercut commit raises (wheel)" `Quick
+            (test_undercut_commit_raises `Wheel);
+          Alcotest.test_case "undercut commit raises (heap)" `Quick
+            (test_undercut_commit_raises `Heap);
         ] );
       ( "lookahead",
         [ QCheck_alcotest.to_alcotest lookahead_safety ] );

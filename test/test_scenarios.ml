@@ -323,6 +323,79 @@ let test_checker_detects_violations () =
   check bool_t "violations found" true
     (List.length report.Checker.violations > 0)
 
+(* The checker on hand-built deliveries of one round in S, one Q point
+   per case: the center arriving second (late, so only winning), a
+   duplicated center ALIVE (the first arrival fixes position and delay),
+   and the center missing after n - t others arrived (a violation). Both
+   lanes — the scalar one the network uses and the record one — must
+   reach the same report. *)
+let test_checker_hand_built () =
+  let s = make (Scenario.Rotating_star { center = 6 }) in
+  let rn = (Scenario.params s).Scenario.rn0 in
+  let q1, q2, q3 =
+    match List.map fst (Scenario.q_set s rn) with
+    | [ a; b; c ] -> (a, b, c)
+    | _ -> Alcotest.fail "expected |Q| = t = 3"
+  in
+  let late = 10_000_000 and timely = 1 in
+  let others q =
+    List.filter (fun p -> p <> 6 && p <> q) [ 0; 1; 2; 3; 4; 5; 7 ]
+  in
+  let deliveries =
+    List.concat
+      [
+        [ (q1, List.hd (others q1), timely); (q1, 6, late) ];
+        [
+          (q2, List.hd (others q2), timely);
+          (q2, 6, late);
+          (q2, 6, timely);
+        ];
+        List.filteri (fun i _ -> i < 5) (others q3)
+        |> List.map (fun src -> (q3, src, timely));
+      ]
+  in
+  let feed emit =
+    List.iteri
+      (fun i (dst, src, delay) ->
+        let now = 20_000_000 + i in
+        emit ~now ~sent_at:(now - delay) ~src ~dst)
+      deliveries
+  in
+  let deliver c ~now ~sent_at ~src ~dst =
+    Checker.on_event c
+      (Obs.Event.Deliver
+         { now; sent_at; seq = 0; src; dst; kind = "ALIVE"; round = rn;
+           bytes = 0 })
+  in
+  let info = { Obs.Event.kind = "ALIVE"; round = rn; bytes = 0 } in
+  let scalar = Checker.create s in
+  let sink = Checker.sink scalar in
+  feed (fun ~now ~sent_at ~src ~dst ->
+      Obs.Sink.emit_deliver sink ~now ~sent_at ~seq:0 ~src ~dst info);
+  let record = Checker.create s in
+  feed (deliver record);
+  let verify c = Checker.verify c ~upto_round:rn ~crashed:(fun _ -> false) in
+  let r = verify scalar in
+  check int_t "three points" 3 r.Checker.points_checked;
+  check int_t "no point is timely" 0 r.Checker.points_timely;
+  check int_t "second and duplicated centers are winning" 2
+    r.Checker.points_winning;
+  check (Alcotest.list (Alcotest.pair int_t int_t))
+    "the missing center is the one violation" [ (rn, q3) ]
+    (List.map (fun v -> (v.Checker.rn, v.Checker.q)) r.Checker.violations);
+  check bool_t "record lane agrees" true (verify record = r);
+  (* One fewer arrival and the missing center is only in flight. *)
+  let short = Checker.create s in
+  List.iteri
+    (fun i src ->
+      if i < 4 then deliver short ~now:(1 + i) ~sent_at:0 ~src ~dst:q3)
+    (others q3);
+  let r = verify short in
+  check int_t "n - t - 1 others: skipped (the other points have none)" 3
+    r.Checker.points_skipped;
+  check int_t "n - t - 1 others: no violation" 0
+    (List.length r.Checker.violations)
+
 let test_describe_strings () =
   let has_sub sub str =
     let n = String.length sub and m = String.length str in
@@ -414,5 +487,7 @@ let () =
             test_checker_no_violations_star_regimes;
           Alcotest.test_case "detects violations" `Quick
             test_checker_detects_violations;
+          Alcotest.test_case "hand-built deliveries" `Quick
+            test_checker_hand_built;
         ] );
     ]

@@ -211,6 +211,67 @@ let test_file_round_trip () =
       check str_t "digest through the file" "d04e0b6bb1a89956"
         (digest_hex (Harness.Run.finish restored)))
 
+(* ------------------------------------------------- engine slot store *)
+
+(* The engine keeps pending events in fixed-size chunks of slots; a cut
+   with thousands of live events must carry every chunk through the
+   snapshot. 3000 self-rescheduling chains (closures, so the payload and
+   handle columns hold blocks; every seventh chain cancelled) fold their
+   fire order into [acc]: the restored continuation and the snapshotted
+   original must both fold to the uninterrupted run's value. *)
+type chains = { mutable acc : int; mutable fired : int }
+
+let test_store_spans_chunks () =
+  let horizon = ms 40 and cut = ms 5 in
+  let build queue =
+    let e = Sim.Engine.create ~queue ~seed:3L () in
+    let st = { acc = 0; fired = 0 } in
+    let rng = Dstruct.Rng.create 5L in
+    let rec hop id () =
+      st.acc <-
+        ((st.acc * 31) + (id * 1_000_003)
+        + Sim.Time.to_us (Sim.Engine.now e))
+        land max_int;
+      st.fired <- st.fired + 1;
+      if st.fired < 20_000 then
+        ignore
+          (Sim.Engine.schedule_after e
+             (Sim.Time.of_us (1 + Dstruct.Rng.int rng 5_000))
+             (hop id))
+    in
+    for id = 0 to 2_999 do
+      let h =
+        Sim.Engine.schedule_after e
+          (Sim.Time.of_us (Dstruct.Rng.int rng 5_000))
+          (hop id)
+      in
+      if id mod 7 = 0 then Sim.Engine.cancel e h
+    done;
+    (e, st)
+  in
+  List.iter
+    (fun queue ->
+      let sname = match queue with `Wheel -> "wheel" | `Heap -> "heap" in
+      let e, st = build queue in
+      Sim.Engine.run_until e horizon;
+      let straight = (st.acc, st.fired) in
+      let e, st = build queue in
+      Sim.Engine.run_until e cut;
+      check bool_t
+        (Printf.sprintf "%s: more live events than one chunk at the cut" sname)
+        true
+        (Sim.Engine.pending e > 1024);
+      let e', st' =
+        (Sim.Engine.restore (Sim.Engine.snapshot e st) : Sim.Engine.t * chains)
+      in
+      Sim.Engine.run_until e' horizon;
+      Sim.Engine.run_until e horizon;
+      let pair = Alcotest.pair int_t int_t in
+      check pair (sname ^ ": restored continuation") straight
+        (st'.acc, st'.fired);
+      check pair (sname ^ ": snapshotted original") straight (st.acc, st.fired))
+    [ `Wheel; `Heap ]
+
 (* ----------------------------------------------------------- refusals *)
 
 let test_pending_batch_raises () =
@@ -272,6 +333,11 @@ let () =
         ] );
       ( "file",
         [ Alcotest.test_case "marshal round trip" `Quick test_file_round_trip ] );
+      ( "store",
+        [
+          Alcotest.test_case "live events span chunks" `Quick
+            test_store_spans_chunks;
+        ] );
       ( "refusals",
         [
           Alcotest.test_case "pending batch" `Quick test_pending_batch_raises;

@@ -1,200 +1,209 @@
-(* Differential tests for the timing-wheel scheduler: the wheel and the
-   binary heap implement one contract (nondecreasing key order, FIFO among
-   equal keys), so any workload must drain identically from both. The
-   random workloads respect the wheel's monotonicity precondition (pushed
-   keys >= last popped key) because that is the regime the engine
-   guarantees; the engine-level tests then check the two backends through
-   [Sim.Engine] itself, cancels and all. *)
+(* Tests for the engine's scheduler: the timing wheel over the slot store
+   and the binary-heap reference implement one contract (nondecreasing
+   canonical key order, FIFO among equal keys), so any program must fire
+   identically under both. Everything goes through [Sim.Engine]'s public
+   API: unit cases for the contract's corners, random differential
+   programs on both backends (external schedules between partial runs,
+   handlers that schedule more, batched fan-outs, rank changes), and the
+   allocation gates of the steady state. *)
 
 let check = Alcotest.check
 let int_t = Alcotest.int
 let bool_t = Alcotest.bool
-
-let new_wheel () = Dstruct.Wheel.create ~dummy:(-1, -1) ()
-
-let new_heap () =
-  Dstruct.Pqueue.create ~compare:(fun (a, _) (b, _) -> Int.compare a b)
+let us = Sim.Time.of_us
+let rank_mask = (1 lsl Sim.Engine.rank_bits) - 1
 
 (* ------------------------------------------------------------ unit tests *)
 
+let fired_pairs () =
+  let log = ref [] in
+  let note (k, id) = log := (k, id) :: !log in
+  (log, note)
+
 let test_basics () =
-  let w = new_wheel () in
-  check bool_t "fresh is empty" true (Dstruct.Wheel.is_empty w);
-  check int_t "fresh cursor" 0 (Dstruct.Wheel.cursor w);
+  let e = Sim.Engine.create ~seed:1L () in
+  let log, note = fired_pairs () in
   List.iter
-    (fun (k, id) -> Dstruct.Wheel.push w ~key:k (k, id))
+    (fun (k, id) -> Sim.Engine.call_at e (us k) note (k, id))
     [ (5, 0); (1, 1); (70_000, 2); (1, 3); (300, 4) ];
-  check int_t "length" 5 (Dstruct.Wheel.length w);
-  check int_t "min key" 1 (Dstruct.Wheel.min_key_exn w);
-  let drained = List.init 5 (fun _ -> Dstruct.Wheel.pop_exn w) in
+  check int_t "pending" 5 (Sim.Engine.pending e);
+  check int_t "earliest pending us" 1 (Sim.Engine.next_pending_us e);
+  check bool_t "drains to idle" true (Sim.Engine.run_until_idle e = `Idle);
   check
     (Alcotest.list (Alcotest.pair int_t int_t))
     "sorted drain, FIFO ties"
     [ (1, 1); (1, 3); (5, 0); (300, 4); (70_000, 2) ]
-    drained;
-  check bool_t "empty again" true (Dstruct.Wheel.is_empty w);
-  check int_t "cursor at last pop" 70_000 (Dstruct.Wheel.cursor w)
+    (List.rev !log);
+  check int_t "nothing pending" 0 (Sim.Engine.pending e);
+  check int_t "clock at the last event" 70_000
+    (Sim.Time.to_us (Sim.Engine.now e))
 
 let test_push_below_cursor_raises () =
-  let w = new_wheel () in
-  Dstruct.Wheel.push w ~key:10 (10, 0);
-  ignore (Dstruct.Wheel.pop_exn w);
-  Alcotest.check_raises "push below cursor"
-    (Invalid_argument "Wheel.push: key 3 below cursor 10") (fun () ->
-      Dstruct.Wheel.push w ~key:3 (3, 0))
+  let e = Sim.Engine.create ~seed:1L () in
+  Sim.Engine.call_at e (us 10) ignore ();
+  ignore (Sim.Engine.run_until_idle e);
+  Alcotest.check_raises "schedule before now"
+    (Invalid_argument "Engine.schedule: 3us is before now (10us)") (fun () ->
+      Sim.Engine.call_at e (us 3) ignore ());
+  check int_t "refusal leaves nothing pending" 0 (Sim.Engine.pending e)
 
-let test_empty_raises () =
-  let w = new_wheel () in
-  Alcotest.check_raises "pop on empty" (Invalid_argument "Wheel: empty wheel")
-    (fun () -> ignore (Dstruct.Wheel.pop_exn w))
+let test_empty_idle () =
+  List.iter
+    (fun queue ->
+      let e = Sim.Engine.create ~queue ~seed:1L () in
+      check int_t "empty: no pending key" (-1) (Sim.Engine.next_pending_key e);
+      check int_t "empty: no pending us" (-1) (Sim.Engine.next_pending_us e);
+      check bool_t "empty: idle at once" true
+        (Sim.Engine.run_until_idle e = `Idle);
+      Sim.Engine.call_at e (us 4) ignore ();
+      ignore (Sim.Engine.run_until_idle e);
+      check int_t "drained: no pending key" (-1)
+        (Sim.Engine.next_pending_key e))
+    [ `Wheel; `Heap ]
 
 (* The engine peeks an event beyond its run limit and leaves it queued; a
-   later push below that peeked key (but at/above the cursor) must still be
-   accepted and pop first. This pins that [peek]/[min_key] never cascade or
-   advance the cursor. *)
+   later schedule below that peeked key (but at/above the clock) must
+   still be accepted and fire first. This pins that peeking — the run
+   loops' and [next_pending_key]'s — never cascades or advances the
+   wheel's cursor. *)
 let test_peek_does_not_advance () =
-  let w = new_wheel () in
-  Dstruct.Wheel.push w ~key:1_000_000 (1_000_000, 0);
-  check int_t "peek far key" 1_000_000 (Dstruct.Wheel.min_key_exn w);
-  check int_t "cursor still 0" 0 (Dstruct.Wheel.cursor w);
-  Dstruct.Wheel.push w ~key:3 (3, 1);
+  let e = Sim.Engine.create ~seed:1L () in
+  let log, note = fired_pairs () in
+  Sim.Engine.call_at e (us 1_000_000) note (1_000_000, 0);
+  check int_t "peek far key" 1_000_000 (Sim.Engine.next_pending_us e);
+  check int_t "peek again" 1_000_000 (Sim.Engine.next_pending_us e);
+  Sim.Engine.run_until e (us 100);
+  check int_t "far event still pending" 1 (Sim.Engine.pending e);
+  Sim.Engine.call_at e (us 200) note (200, 1);
+  Sim.Engine.call_at e (us 100) note (100, 2);
+  ignore (Sim.Engine.run_until_idle e);
   check
-    (Alcotest.pair int_t int_t)
-    "near key pops first" (3, 1) (Dstruct.Wheel.pop_exn w);
-  check
-    (Alcotest.pair int_t int_t)
-    "far key follows" (1_000_000, 0) (Dstruct.Wheel.pop_exn w)
+    (Alcotest.list (Alcotest.pair int_t int_t))
+    "near keys fire first" [ (100, 2); (200, 1); (1_000_000, 0) ]
+    (List.rev !log)
 
 (* ------------------------------------------------------- batch insertion *)
 
-(* Staged cells are invisible until commit; a commit makes the wheel
-   identical to individual pushes, FIFO included. *)
+(* Staged slots are invisible to queries until the commit; a commit makes
+   the queue identical to individual schedules, FIFO included. *)
 let test_stage_commit_basics () =
-  let w = new_wheel () in
-  Dstruct.Wheel.push w ~key:5 (5, 0);
-  Dstruct.Wheel.stage w ~key:3 (3, 1);
-  Dstruct.Wheel.stage w ~key:5 (5, 2);
-  Dstruct.Wheel.stage w ~key:3 (3, 3);
-  check int_t "staged cells not counted" 1 (Dstruct.Wheel.length w);
-  Alcotest.check_raises "pop with staged cells raises"
-    (Invalid_argument "Wheel: staged cells pending commit") (fun () ->
-      ignore (Dstruct.Wheel.pop_exn w));
-  Dstruct.Wheel.commit w;
-  check int_t "committed length" 4 (Dstruct.Wheel.length w);
-  let drained = List.init 4 (fun _ -> Dstruct.Wheel.pop_exn w) in
-  check
-    (Alcotest.list (Alcotest.pair int_t int_t))
-    "stage order = push order, FIFO ties with earlier push"
-    [ (3, 1); (3, 3); (5, 0); (5, 2) ]
-    drained;
-  (* Empty commit is a no-op. *)
-  Dstruct.Wheel.commit w;
-  check bool_t "empty after drain" true (Dstruct.Wheel.is_empty w)
+  let program batched queue =
+    let e = Sim.Engine.create ~queue ~seed:1L () in
+    let log, note = fired_pairs () in
+    let sched =
+      if batched then Sim.Engine.batch_call_after e else Sim.Engine.call_after e
+    in
+    Sim.Engine.call_after e (us 5) note (5, 0);
+    sched (us 3) note (3, 1);
+    sched (us 5) note (5, 2);
+    sched (us 3) note (3, 3);
+    check int_t "staged events are live" 4 (Sim.Engine.pending e);
+    if batched && queue = `Wheel then
+      Alcotest.check_raises "peek with a staged batch raises"
+        (Invalid_argument "Engine: staged batch pending commit") (fun () ->
+          ignore (Sim.Engine.next_pending_key e));
+    Sim.Engine.batch_commit e;
+    check int_t "earliest after commit" 3 (Sim.Engine.next_pending_us e);
+    ignore (Sim.Engine.run_until_idle e);
+    (* An empty commit is a no-op. *)
+    Sim.Engine.batch_commit e;
+    check int_t "drained" 0 (Sim.Engine.pending e);
+    List.rev !log
+  in
+  let expected = [ (3, 1); (3, 3); (5, 0); (5, 2) ] in
+  List.iter
+    (fun (label, batched, queue) ->
+      check
+        (Alcotest.list (Alcotest.pair int_t int_t))
+        label expected (program batched queue))
+    [
+      ("wheel, staged", true, `Wheel);
+      ("wheel, one by one", false, `Wheel);
+      ("heap, staged", true, `Heap);
+    ]
 
 let test_stage_below_cursor_raises () =
-  let w = new_wheel () in
-  Dstruct.Wheel.push w ~key:10 (10, 0);
-  ignore (Dstruct.Wheel.pop_exn w);
-  Alcotest.check_raises "stage below cursor"
-    (Invalid_argument "Wheel.stage: key 3 below cursor 10") (fun () ->
-      Dstruct.Wheel.stage w ~key:3 (3, 0))
-
-(* Differential with batched inserts: the wheel receives its pushes in
-   stage/commit batches (like a broadcast fan-out), the heap one by one;
-   the drains must still agree element for element. Batch sizes and key
-   spreads vary so batches cross buckets and levels, and repeat keys so
-   same-bucket runs of length > 1 take the spliced path. *)
-let run_batch_differential ~seed ~rounds ~spread () =
-  let rng = Dstruct.Rng.create seed in
-  let w = new_wheel () and q = new_heap () in
-  let uid = ref 0 in
-  for _ = 1 to rounds do
-    let batch = 1 + Dstruct.Rng.int rng 24 in
-    let base = Dstruct.Wheel.cursor w in
-    let last = ref base in
-    for _ = 1 to batch do
-      let key =
-        if Dstruct.Rng.chance rng 0.4 then !last
-        else base + Dstruct.Rng.int rng spread
-      in
-      last := key;
-      let v = (key, !uid) in
-      incr uid;
-      Dstruct.Wheel.stage w ~key v;
-      Dstruct.Pqueue.push q v
-    done;
-    Dstruct.Wheel.commit w;
-    (* Drain about half, so later batches land on a moved cursor. *)
-    let pops = Dstruct.Wheel.length w / 2 in
-    for _ = 1 to pops do
-      let vw = Dstruct.Wheel.pop_exn w in
-      let vq = Dstruct.Pqueue.pop_exn q in
-      if vw <> vq then
-        Alcotest.failf "batch divergence: wheel (%d,%d) heap (%d,%d)"
-          (fst vw) (snd vw) (fst vq) (snd vq)
-    done
-  done;
-  while not (Dstruct.Wheel.is_empty w) do
-    check
-      (Alcotest.pair int_t int_t)
-      "batch drain order" (Dstruct.Pqueue.pop_exn q) (Dstruct.Wheel.pop_exn w)
-  done;
-  check bool_t "heap drained too" true (Dstruct.Pqueue.is_empty q)
-
-let test_batch_differential () =
-  List.iter
-    (fun (seed, spread) -> run_batch_differential ~seed ~rounds:800 ~spread ())
-    [ (31L, 64); (32L, 5_000); (33L, 10_000_000) ]
+  let e = Sim.Engine.create ~seed:1L () in
+  Sim.Engine.call_at e (us 10) ignore ();
+  ignore (Sim.Engine.run_until_idle e);
+  Alcotest.check_raises "stage before now"
+    (Invalid_argument "Engine.schedule: 3us is before now (10us)") (fun () ->
+      Sim.Engine.batch_call_after e (us (-7)) ignore ());
+  Sim.Engine.batch_commit e;
+  check int_t "refusal stages nothing" 0 (Sim.Engine.pending e)
 
 (* -------------------------------------------- differential vs binary heap *)
 
-(* One random workload: interleaved pushes and pops, keys issued at a
-   random offset above the wheel cursor so both structures see a legal
-   monotone schedule. [burst] biases offsets toward 0 and repeats keys, so
-   same-key FIFO ordering is exercised hard. Every pop is compared. *)
-let run_differential ~seed ~ops ~spread ~burst () =
-  let rng = Dstruct.Rng.create seed in
-  let w = new_wheel () and q = new_heap () in
-  let uid = ref 0 in
-  let last_key = ref 0 in
-  for _ = 1 to ops do
-    let do_push =
-      Dstruct.Wheel.is_empty w || Dstruct.Rng.chance rng 0.55
-    in
-    if do_push then begin
-      let key =
-        if burst && Dstruct.Rng.chance rng 0.5 then !last_key
-        else Dstruct.Wheel.cursor w + Dstruct.Rng.int rng spread
+(* One random program, run on the wheel (optionally with every schedule
+   staged and committed in batches) and on the heap; the fire logs and
+   the [pending] trace must be equal. The outer loop alternates external
+   schedules at random offsets above the clock with partial runs to a
+   random limit (so pops are interleaved with pushes that land near a
+   moved cursor); handlers raise the creator rank and schedule children,
+   so same-µs events of different ranks exercise the low key digits. With
+   [burst], half the delays are 0 — the key of the running event's
+   instant — so the FIFO tie-break is hit hard. Ranks only rise inside a
+   handler: a zero-delay schedule under a lower rank takes the [exec_key]
+   clamp, whose key carries another rank's creation counter, and there
+   the heap's (key, cidx) order and the wheel's FIFO are not specified to
+   agree. Both runs draw from one RNG stream in fire order: a divergence
+   shows up as differing logs. *)
+let run_differential ~seed ~ops ~spread ~burst ?(batched = false) () =
+  let run queue ~batched =
+    let rng = Dstruct.Rng.create seed in
+    let e = Sim.Engine.create ~queue ~seed:1L () in
+    let log = ref [] and pendings = ref [] in
+    let uid = ref 0 in
+    let rec fire id =
+      log := id :: !log;
+      let pid = (Sim.Engine.executing_key e land rank_mask) - 1 in
+      Sim.Engine.set_rank e (max pid (id mod 7));
+      if !uid < ops && Dstruct.Rng.chance rng 0.45 then begin
+        for _ = 1 to 1 + Dstruct.Rng.int rng 3 do
+          schedule ()
+        done;
+        Sim.Engine.batch_commit e
+      end
+    and schedule () =
+      let delay =
+        if burst && Dstruct.Rng.chance rng 0.5 then 0
+        else Dstruct.Rng.int rng spread
       in
-      let key = max key (Dstruct.Wheel.cursor w) in
-      last_key := key;
-      let v = (key, !uid) in
+      let id = !uid in
       incr uid;
-      Dstruct.Wheel.push w ~key v;
-      Dstruct.Pqueue.push q v
-    end
-    else begin
-      let vw = Dstruct.Wheel.pop_exn w in
-      let vq = Dstruct.Pqueue.pop_exn q in
-      if vw <> vq then
-        Alcotest.failf "divergence at uid %d: wheel (%d,%d) heap (%d,%d)"
-          !uid (fst vw) (snd vw) (fst vq) (snd vq)
-    end;
-    if Dstruct.Wheel.length w <> Dstruct.Pqueue.length q then
-      Alcotest.failf "length divergence: wheel %d heap %d"
-        (Dstruct.Wheel.length w) (Dstruct.Pqueue.length q)
-  done;
-  (* Drain the remainder: the tail orders must agree too. *)
-  while not (Dstruct.Wheel.is_empty w) do
-    let vw = Dstruct.Wheel.pop_exn w in
-    let vq = Dstruct.Pqueue.pop_exn q in
-    check (Alcotest.pair int_t int_t) "drain order" vq vw
-  done;
-  check bool_t "heap drained too" true (Dstruct.Pqueue.is_empty q)
+      if batched then Sim.Engine.batch_call_after e (us delay) fire id
+      else Sim.Engine.call_after e (us delay) fire id
+    in
+    while !uid < ops do
+      for _ = 1 to 1 + Dstruct.Rng.int rng 8 do
+        schedule ()
+      done;
+      Sim.Engine.batch_commit e;
+      let now = Sim.Time.to_us (Sim.Engine.now e) in
+      Sim.Engine.run_until e (us (now + Dstruct.Rng.int rng spread));
+      pendings := Sim.Engine.pending e :: !pendings
+    done;
+    ignore (Sim.Engine.run_until_idle e);
+    check int_t "every scheduled event fired" !uid (Sim.Engine.executed e);
+    (List.rev !log, List.rev !pendings, Sim.Engine.executed e)
+  in
+  let heap_log, heap_pend, heap_x = run `Heap ~batched:false in
+  let wheel_log, wheel_pend, wheel_x = run `Wheel ~batched in
+  check (Alcotest.list int_t) "fire order agrees" heap_log wheel_log;
+  check (Alcotest.list int_t) "pending agrees after every run" heap_pend
+    wheel_pend;
+  check int_t "executed agrees" heap_x wheel_x
+
+let test_batch_differential () =
+  List.iter
+    (fun (seed, spread) ->
+      run_differential ~seed ~ops:20_000 ~spread ~burst:true ~batched:true ())
+    [ (31L, 64); (32L, 5_000); (33L, 10_000_000) ]
 
 let test_differential_spread () =
   List.iter
-    (fun seed -> run_differential ~seed ~ops:20_000 ~spread:5_000 ~burst:false ())
+    (fun seed ->
+      run_differential ~seed ~ops:20_000 ~spread:5_000 ~burst:false ())
     [ 1L; 2L; 3L; 1234L ]
 
 (* Wide spread crosses wheel levels (keys land several radix-256 digits
@@ -285,24 +294,45 @@ let minor_words_of f =
   f ();
   int_of_float (Gc.minor_words () -. before)
 
-(* Steady-state wheel traffic must reuse its freelist: after a warm-up that
-   sizes the pool, a push/pop-balanced loop allocates nothing. *)
-let test_wheel_steady_state_alloc_free () =
-  let w = Dstruct.Wheel.create ~dummy:0 () in
-  for i = 0 to 63 do
-    Dstruct.Wheel.push w ~key:i i
-  done;
-  let words =
-    minor_words_of (fun () ->
-        for i = 64 to 100_063 do
-          ignore (Dstruct.Wheel.drop_exn w);
-          Dstruct.Wheel.push w ~key:i i
-        done)
-  in
-  check bool_t
-    (Printf.sprintf "100k wheel push/pop cycles allocated %d minor words"
-       words)
-    true (words < 1_000)
+(* Steady-state scheduling must reuse freed slots: after a warm-up that
+   sizes the store, 100k schedule/fire cycles allocate nothing — on both
+   backends (the heap's slot-id array only grows while the peak rises).
+   64 self-rescheduling chains with a static [fn] keep the queue at a
+   constant depth. *)
+type ticker = { engine : Sim.Engine.t; mutable left : int }
+
+let rec tick st =
+  st.left <- st.left - 1;
+  if st.left > 0 then
+    Sim.Engine.call_after st.engine
+      (us (1 + (st.left * 7919 mod 1_000)))
+      tick st
+
+let test_steady_state_alloc_free () =
+  List.iter
+    (fun queue ->
+      let e = Sim.Engine.create ~queue ~seed:1L () in
+      let chains = Array.init 64 (fun _ -> { engine = e; left = 0 }) in
+      let start left =
+        Array.iteri
+          (fun i st ->
+            st.left <- left;
+            Sim.Engine.call_after e (us i) tick st)
+          chains
+      in
+      start 100;
+      ignore (Sim.Engine.run_until_idle e);
+      start (100_000 / 64);
+      let words =
+        minor_words_of (fun () -> ignore (Sim.Engine.run_until_idle e))
+      in
+      check bool_t
+        (Printf.sprintf
+           "%s: 100k schedule/fire cycles allocated %d minor words"
+           (match queue with `Wheel -> "wheel" | `Heap -> "heap")
+           words)
+        true (words < 1_000))
+    [ `Wheel; `Heap ]
 
 (* The large-cluster differential (DESIGN.md §14): the same n=256 slice of
    simulation, digested event by event, under the timing wheel and the
@@ -331,9 +361,10 @@ let test_n256_backend_digest_differential () =
     (digest_of `Heap) (digest_of `Wheel)
 
 (* The n-scaling budget: one simulated second at n=32 under the default
-   wheel+pools stack. Like test_rng's n=4 budget, the bound is ~1.4x the
-   measured value — a breach means per-message allocation crept back into
-   the scaled path (wheel cells, flights, or round cells). *)
+   wheel and recycled stores. Like test_rng's n=4 budget, the bound is
+   ~1.4x the measured value at its introduction — a breach means
+   per-message allocation crept back into the scaled path (event slots,
+   flights, or round cells). *)
 let test_n32_run_budget () =
   let config = Omega.Config.default ~n:32 ~t:8 Omega.Config.Fig1 in
   let env =
@@ -423,7 +454,8 @@ let () =
           Alcotest.test_case "basics" `Quick test_basics;
           Alcotest.test_case "push below cursor raises" `Quick
             test_push_below_cursor_raises;
-          Alcotest.test_case "empty pop raises" `Quick test_empty_raises;
+          Alcotest.test_case "empty queue peeks -1 and runs idle" `Quick
+            test_empty_idle;
           Alcotest.test_case "peek does not advance cursor" `Quick
             test_peek_does_not_advance;
           Alcotest.test_case "stage/commit equals pushes" `Quick
@@ -449,7 +481,7 @@ let () =
       ( "alloc",
         [
           Alcotest.test_case "steady state is allocation-free" `Quick
-            test_wheel_steady_state_alloc_free;
+            test_steady_state_alloc_free;
           Alcotest.test_case "n=32 run budget" `Slow test_n32_run_budget;
           Alcotest.test_case "n=256 run budget" `Slow test_n256_run_budget;
           Alcotest.test_case "payload interning budget" `Slow
