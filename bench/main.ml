@@ -11,10 +11,8 @@ open Bechamel
 open Toolkit
 
 (* Run one complete small simulation: n processes, rotating star, given
-   horizon; returns the message count so the work cannot be optimized out.
-   [sched] selects the scheduler backend, so the n-scaling rows can A/B
-   the timing wheel against the binary-heap reference in the same build. *)
-let sim_run ?(digest = false) ?(sched = `Wheel) ?(algo = `Gossip) ?(topology = Net.Topology.Complete) ?(intra = 1) ~variant
+   horizon; returns the message count so the work cannot be optimized out. *)
+let sim_run ?(digest = false) ?(algo = `Gossip) ?(topology = Net.Topology.Complete) ?(intra = 1) ~variant
     ~n ~horizon_ms () =
   let t = (n - 1) / 2 in
   let config = Omega.Config.default ~n ~t variant in
@@ -25,7 +23,7 @@ let sim_run ?(digest = false) ?(sched = `Wheel) ?(algo = `Gossip) ?(topology = N
   let spec =
     Harness.Run.Spec.(
       default |> with_check false |> with_digest digest
-      |> with_sched sched |> with_algo algo
+      |> with_algo algo
       |> with_topology topology
       |> with_intra_domains intra
       |> with_horizon (Sim.Time.of_ms horizon_ms))
@@ -114,10 +112,8 @@ let micro_tests =
            ignore
              (sim_run ~digest:true ~variant:Omega.Config.Fig1 ~n:8
                 ~horizon_ms:1000 ())));
-    (* The n-scaling tier (DESIGN.md §13): identical runs under the default
-       timing wheel and the binary-heap reference. The -heap row is the
-       scheduler A/B baseline — same build, same seed, same event
-       stream. *)
+    (* The n-scaling tier (DESIGN.md §13): the same simulated second as n
+       grows, so per-message cost can be read across rows. *)
     Test.make ~name:"micro:sim-1s-n32-fig1"
       (Staged.stage (fun () ->
            ignore (sim_run ~variant:Omega.Config.Fig1 ~n:32 ~horizon_ms:1000 ())));
@@ -132,11 +128,6 @@ let micro_tests =
       (Staged.stage (fun () ->
            ignore
              (sim_run ~intra:1 ~variant:Omega.Config.Fig1 ~n:64
-                ~horizon_ms:1000 ())));
-    Test.make ~name:"micro:sim-1s-n64-fig1-heap"
-      (Staged.stage (fun () ->
-           ignore
-             (sim_run ~sched:`Heap ~variant:Omega.Config.Fig1 ~n:64
                 ~horizon_ms:1000 ())));
     Test.make ~name:"micro:sim-1s-n128-fig1"
       (Staged.stage (fun () ->
@@ -210,9 +201,9 @@ let large_micro_tests =
                 ~horizon_ms:1000 ())));
   ]
 
-(* micro:pqueue-push-pop-1k and micro:engine-pending-1k wobbled ±30%
-   between identical builds under the 2s quota (CHANGES.md, PR 3), drowning
-   bench_diff's clock warnings; they get a longer quota and more samples. *)
+(* micro:engine-pending-1k wobbled ±30% between identical builds under the
+   2s quota, drowning bench_diff's clock warnings; it gets a longer quota
+   and more samples. *)
 let noisy_micro_tests =
   [
     Test.make ~name:"micro:engine-pending-1k"
@@ -232,15 +223,6 @@ let noisy_micro_tests =
              acc := !acc + Sim.Engine.pending engine
            done;
            ignore !acc));
-    Test.make ~name:"micro:pqueue-push-pop-1k"
-      (Staged.stage (fun () ->
-           let q = Dstruct.Pqueue.create ~compare:Int.compare in
-           for i = 1_000 downto 1 do
-             Dstruct.Pqueue.push q i
-           done;
-           while not (Dstruct.Pqueue.is_empty q) do
-             ignore (Dstruct.Pqueue.pop q)
-           done));
   ]
 
 (* One result row: the OLS estimate per measure, keyed by the measure's

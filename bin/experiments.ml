@@ -5,7 +5,6 @@
      experiments --quick       run every experiment (reduced size)
      experiments --jobs 4      fan runs out over 4 domains (same output)
      experiments --metrics     append per-run digest columns to the tables
-     experiments --sched heap  run every simulation on the heap scheduler
      experiments --trace f.jsonl  stream every run's typed events to f.jsonl
      experiments --checkpoint-dir D --checkpoint-every 5
                                persist resumable per-row snapshots into D
@@ -64,14 +63,6 @@ let trace_term =
           "Stream every run's typed events to $(docv) as JSON lines, each \
            run prefixed by a note naming it. Forces --jobs 1 (the writer is \
            shared across runs).")
-
-let sched_term =
-  Cmdliner.Arg.(
-    value
-    & opt (enum [ ("wheel", `Wheel); ("heap", `Heap) ]) `Wheel
-    & info [ "sched" ] ~docv:"BACKEND"
-        ~doc:
-          "Engine scheduler backend for every run: $(b,wheel) (the default            timing wheel) or $(b,heap) (the binary-heap A/B reference). Both            print byte-identical tables — the CI determinism gate diffs            them.")
 
 let topology_conv =
   let parse s =
@@ -154,7 +145,7 @@ let ids_term =
     & info [] ~docv:"EXPERIMENT"
         ~doc:"Experiment ids to run (e1..e13). Default: all.")
 
-let run list quick jobs intra_jobs metrics trace sched topology checkpoint_dir
+let run list quick jobs intra_jobs metrics trace topology checkpoint_dir
     checkpoint_every shard shard_out ids =
   if list then begin
     List.iter
@@ -214,7 +205,6 @@ let run list quick jobs intra_jobs metrics trace sched topology checkpoint_dir
           {
             Experiments.Suite.trace = jsonl;
             metrics;
-            sched;
             checkpoint;
             farm;
             topology;
@@ -233,7 +223,6 @@ let run list quick jobs intra_jobs metrics trace sched topology checkpoint_dir
             Experiments.Suite.Shard.save ~path ~index ~count
               ~ids:(List.map (fun (id, _, _) -> id) selected)
               ~quick ~metrics
-              ~sched:(match sched with `Wheel -> "wheel" | `Heap -> "heap")
               ~topology:
                 (match topology with
                 | Some k -> Net.Topology.kind_to_string k
@@ -253,7 +242,7 @@ let cmd =
     Cmdliner.Term.(
       ret
         (const run $ list_term $ quick_term $ jobs_term $ intra_jobs_term
-       $ metrics_term $ trace_term $ sched_term $ topology_term
+       $ metrics_term $ trace_term $ topology_term
        $ checkpoint_dir_term $ checkpoint_every_term $ shard_term
        $ shard_out_term $ ids_term))
 

@@ -4,7 +4,7 @@
 
    Each file comes from `experiments --shard i/k --shard-out FILE`. The
    headers must agree pairwise (same k, same experiment selection, same
-   --quick/--metrics/--sched flags) and cover every index 1..k exactly
+   --quick/--metrics/--topology flags) and cover every index 1..k exactly
    once. The suite is then replayed with a Merge farm: no simulation
    runs — every row is looked up by its cell id — so the rendered stdout
    is byte-identical to the unsharded run of the same command. *)
@@ -29,7 +29,6 @@ let () =
       if s.ids <> first.ids then fail "shards ran different experiment sets";
       if s.quick <> first.quick then fail "shards mix --quick and full runs";
       if s.metrics <> first.metrics then fail "shards mix --metrics settings";
-      if s.sched <> first.sched then fail "shards mix --sched backends";
       if s.topology <> first.topology then
         fail "shards mix --topology overrides")
     shards;
@@ -49,7 +48,6 @@ let () =
     {
       Experiments.Suite.no_obs with
       metrics = first.metrics;
-      sched = (if first.sched = "heap" then `Heap else `Wheel);
       topology =
         (if first.topology = "-" then None
          else Net.Topology.kind_of_string first.topology);

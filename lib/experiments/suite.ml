@@ -69,7 +69,6 @@ let local_farm () = { mode = Local; next_cell = 0 }
 type obs = {
   trace : Obs.Jsonl.t option;
   metrics : bool;
-  sched : [ `Heap | `Wheel ];
   checkpoint : (string * Sim.Time.t) option;
   farm : farm;
   topology : Net.Topology.kind option;
@@ -84,7 +83,6 @@ let no_obs =
   {
     trace = None;
     metrics = false;
-    sched = `Wheel;
     checkpoint = None;
     farm = local_farm ();
     topology = None;
@@ -181,7 +179,6 @@ let obs_run ~obs ~label ?(spec = Run.Spec.default) ~env ~seed () =
       spec with
       Run.Spec.metrics = obs.metrics;
       digest = obs.metrics;
-      sched = obs.sched;
       intra_domains = obs.intra;
     }
   in
@@ -317,7 +314,7 @@ let on ~obs pool cells =
    bin/merge_tables.exe validates that the headers agree pairwise and
    cover 1..count before replaying. *)
 module Shard = struct
-  let magic = "omega-experiment-shard-v2"
+  let magic = "omega-experiment-shard-v3"
 
   type file = {
     shard_magic : string;
@@ -326,12 +323,11 @@ module Shard = struct
     ids : string list;  (* selected experiment ids, Suite.all order *)
     quick : bool;
     metrics : bool;
-    sched : string;  (* "wheel" | "heap" *)
     topology : string;  (* --topology override kind name; "-" = none *)
     cells : (int * string list) list;
   }
 
-  let save ~path ~index ~count ~ids ~quick ~metrics ~sched ~topology ~cells =
+  let save ~path ~index ~count ~ids ~quick ~metrics ~topology ~cells =
     let oc = open_out_bin path in
     Marshal.to_channel oc
       {
@@ -341,7 +337,6 @@ module Shard = struct
         ids;
         quick;
         metrics;
-        sched;
         topology;
         cells;
       }

@@ -46,10 +46,6 @@ type obs = {
   trace : Obs.Jsonl.t option;
       (** stream every run's events here; requires a sequential pool *)
   metrics : bool;  (** per-run metrics + digest column *)
-  sched : [ `Heap | `Wheel ];
-      (** scheduler backend for every Run.run-backed row
-          (bin/experiments.exe [--sched]); both backends print
-          byte-identical tables — the CI determinism gate diffs them *)
   checkpoint : (string * Sim.Time.t) option;
       (** [(dir, every)]: advance each run in [every]-sized simulated-time
           slices, persisting a resumable snapshot into [dir] between
@@ -82,7 +78,6 @@ module Shard : sig
     ids : string list;  (** selected experiment ids, {!all} order *)
     quick : bool;
     metrics : bool;
-    sched : string;  (** ["wheel"] or ["heap"] *)
     topology : string;  (** [--topology] override kind name; ["-"] = none *)
     cells : (int * string list) list;
   }
@@ -94,7 +89,6 @@ module Shard : sig
     ids:string list ->
     quick:bool ->
     metrics:bool ->
-    sched:string ->
     topology:string ->
     cells:(int * string list) list ->
     unit

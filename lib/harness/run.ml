@@ -43,7 +43,6 @@ module Spec = struct
     metrics : bool;
     digest : bool;
     sink : Obs.Sink.t option;
-    sched : [ `Heap | `Wheel ];
     algo : [ `Gossip | `Relay ];
     topology : Net.Topology.kind;
     link_channel : Net.Topology.channel;
@@ -62,7 +61,6 @@ module Spec = struct
       metrics = false;
       digest = false;
       sink = None;
-      sched = `Wheel;
       algo = `Gossip;
       topology = Net.Topology.Complete;
       link_channel = Net.Topology.Reliable;
@@ -79,7 +77,6 @@ module Spec = struct
   let with_metrics metrics t = { t with metrics }
   let with_digest digest t = { t with digest }
   let with_sink sink t = { t with sink = Some sink }
-  let with_sched sched t = { t with sched }
   let with_algo algo t = { t with algo }
   let with_topology topology t = { t with topology }
   let with_link_channel link_channel t = { t with link_channel }
@@ -238,7 +235,6 @@ let start ?(spec = Spec.default) ~env ~seed () =
     metrics;
     digest;
     sink;
-    sched;
     algo;
     topology;
     link_channel;
@@ -251,7 +247,7 @@ let start ?(spec = Spec.default) ~env ~seed () =
       "Run.start: intra-run parallel execution covers whole runs only \
        (Run.run); the incremental start/advance/snapshot API is sequential";
   let config = Scenarios.Env.config env in
-  let engine = Sim.Engine.create ~queue:sched ~seed () in
+  let engine = Sim.Engine.create ~seed () in
   let scenario, net =
     Scenarios.Env.build ~topology ~channel:link_channel env engine
   in
@@ -593,7 +589,6 @@ let run_intra ~spec ~env ~seed () =
     wire_stats;
     metrics;
     digest;
-    sched;
     algo;
     topology;
     link_channel;
@@ -607,7 +602,7 @@ let run_intra ~spec ~env ~seed () =
   let k = min intra_domains n in
   let shard_of = Array.init n (fun p -> p * k / n) in
   let mk () =
-    let engine = Sim.Engine.create ~queue:sched ~seed () in
+    let engine = Sim.Engine.create ~seed () in
     let scenario, net =
       Scenarios.Env.build ~topology ~channel:link_channel env engine
     in

@@ -78,10 +78,6 @@ module Spec : sig
     digest : bool;  (** attach an {!Obs.Digest} over the event stream *)
     sink : Obs.Sink.t option;
         (** extra consumer (e.g. an {!Obs.Jsonl} writer for [--trace]) *)
-    sched : [ `Heap | `Wheel ];
-        (** engine scheduler backend (default [`Wheel]); both produce the
-            identical event stream — [`Heap] is the reference for A/B
-            benchmarking (see {!Sim.Engine.create}) *)
     algo : [ `Gossip | `Relay ];
         (** Ω algorithm behind the {!Omega.Iface} surface (default
             [`Gossip], the Figure-1/2/3 family selected by
@@ -117,7 +113,6 @@ module Spec : sig
   val with_metrics : bool -> t -> t
   val with_digest : bool -> t -> t
   val with_sink : Obs.Sink.t -> t -> t
-  val with_sched : [ `Heap | `Wheel ] -> t -> t
   val with_algo : [ `Gossip | `Relay ] -> t -> t
   val with_topology : Net.Topology.kind -> t -> t
   val with_link_channel : Net.Topology.channel -> t -> t

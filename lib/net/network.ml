@@ -261,8 +261,7 @@ let set_handler t i f =
 (* [release] grows the pool with the released flight itself as the
    [Array.make] filler, so no dummy element is ever needed. The pooled
    record keeps its last [fmsg]/[finfo] values alive until reuse — a
-   bounded retention (pool size = peak in-flight count), unlike the
-   unbounded Pqueue slot leak this design replaces. *)
+   bounded retention (pool size = peak in-flight count). *)
 let release t f =
   let k = t.pool_n in
   if k = Array.length t.pool then begin

@@ -76,18 +76,14 @@ let nil = -1
    [Obj.magic]. *)
 type payload = Payload of int [@@warning "-37"]
 
-(* Two interchangeable orders over the same slots. The wheel keys on the
-   packed key (µs times rank: no two distinct (time, creator) pairs share
-   a key) and is monotone — keys below the last popped one are rejected
-   (see [enqueue]). The heap orders slot ids by [(key, cidx)] through a
-   binary heap. Both pop in nondecreasing key order with the creation
-   index breaking residual ties: test_wheel checks them against each
-   other, and the pinned digests check the wheel against the heap-era
-   event streams. *)
-type queue = Heap of int Dstruct.Pqueue.t | Wheel
-
+(* One order over the slots: the wheel keys on the packed key (µs times
+   rank: no two distinct (time, creator) pairs share a key), is monotone —
+   keys below the last popped one are rejected (see [enqueue]) — and pops
+   equal keys FIFO. Every key's creation indices come from that key's
+   rank counter in insertion order ([next_cidx]), so FIFO among equal keys
+   is ascending creation index, and the pop order is the canonical
+   [(key, cidx)] order. [fire] checks that on every event. *)
 type t = {
-  mutable queue : queue;
   rng : Dstruct.Rng.t;
   mutable now : Time.t;
   mutable executed : int;
@@ -102,9 +98,10 @@ type t = {
   (* Execution context, latched by [exec] from the popped slot: the
      canonical identity of the event currently (or last) running.
      Intra-run shard buffers tag emissions with it so a barrier merge can
-     re-fold the global stream in canonical order (DESIGN.md §18), and
+     re-fold the global stream in canonical order (DESIGN.md §18),
      [exec_key] is the floor future keys are clamped to, so the wheel's
-     monotonicity holds by construction. *)
+     monotonicity holds by construction, and the pair is what [fire]
+     checks the next event against. *)
   mutable exec_key : int;
   mutable exec_cidx : int;
   (* Slot store: chunk directories of the five columns, the number of
@@ -118,9 +115,9 @@ type t = {
   mutable free : int;
   (* Hierarchical timing wheel (Varghese & Lauck) over slots, radix 256,
      8 levels — the levels' digit spans cover the full 62-bit key range,
-     so there is no overflow structure and no revolution wrap. Empty
-     arrays on the heap backend. Placement invariant: a slot with key [k]
-     always lives at [level = highest digit of (k lxor cursor)] in bucket
+     so there is no overflow structure and no revolution wrap. Placement
+     invariant: a slot with key [k] always lives at
+     [level = highest digit of (k lxor cursor)] in bucket
      [digit k level]. The invariant is canonical — a function of [k] and
      the cursor only, not of insertion time — because the cursor's digit
      at level [l] changes to a new value exactly when the bucket at
@@ -170,15 +167,6 @@ let[@inline] set_link t s v =
   Array.unsafe_set
     (Array.unsafe_get t.links (s lsr chunk_bits))
     (s land chunk_mask) v
-
-let[@inline] cx_of t s =
-  Array.unsafe_get
-    (Array.unsafe_get t.cxs (s lsr chunk_bits))
-    (s land chunk_mask)
-
-let slot_cidx t s =
-  let cx = cx_of t s in
-  if Obj.is_int (Obj.repr cx) then (Obj.magic cx : int) else cx.hcidx
 
 (* Append one chunk, threading its slots onto the (empty) freelist in
    index order. *)
@@ -418,53 +406,39 @@ let rec commit_chain t s =
 
 (* ------------------------------------------------------------ the engine *)
 
-let compare_slots t a b =
-  let c = Int.compare (key_of t a) (key_of t b) in
-  if c <> 0 then c else Int.compare (slot_cidx t a) (slot_cidx t b)
-
-let create ?(queue = `Wheel) ~seed () =
+let create ~seed () =
   let anon = { hstate = 0; hcidx = 0 } in
-  let wheel_array n x =
-    match queue with `Wheel -> Array.make n x | `Heap -> [||]
-  in
-  let t =
-    {
-      queue = Wheel;
-      rng = Dstruct.Rng.create seed;
-      now = Time.zero;
-      executed = 0;
-      live = 0;
-      sink = Obs.Sink.null;
-      anon;
-      cur_rank = 0;
-      counters = Array.make 8 0;
-      exec_key = 0;
-      exec_cidx = 0;
-      keys = [||];
-      links = [||];
-      fns = [||];
-      args = [||];
-      cxs = [||];
-      chunks = 0;
-      free = nil;
-      heads = wheel_array buckets nil;
-      tails = wheel_array buckets nil;
-      occ = wheel_array (levels * 8) 0;
-      cursor = 0;
-      size = 0;
-      cached = false;
-      cached_key = 0;
-      cached_level = 0;
-      cached_bucket = 0;
-      staged_head = nil;
-      staged_tail = nil;
-      staged_n = 0;
-    }
-  in
-  (match queue with
-  | `Heap -> t.queue <- Heap (Dstruct.Pqueue.create ~compare:(compare_slots t))
-  | `Wheel -> ());
-  t
+  {
+    rng = Dstruct.Rng.create seed;
+    now = Time.zero;
+    executed = 0;
+    live = 0;
+    sink = Obs.Sink.null;
+    anon;
+    cur_rank = 0;
+    counters = Array.make 8 0;
+    exec_key = 0;
+    exec_cidx = 0;
+    keys = [||];
+    links = [||];
+    fns = [||];
+    args = [||];
+    cxs = [||];
+    chunks = 0;
+    free = nil;
+    heads = Array.make buckets nil;
+    tails = Array.make buckets nil;
+    occ = Array.make (levels * 8) 0;
+    cursor = 0;
+    size = 0;
+    cached = false;
+    cached_key = 0;
+    cached_level = 0;
+    cached_bucket = 0;
+    staged_head = nil;
+    staged_tail = nil;
+    staged_n = 0;
+  }
 
 let now t = t.now
 let rng t = t.rng
@@ -511,9 +485,13 @@ let before_now ~what t time =
 (* Key/index assignment, shared by every scheduling path. The clamp to
    [exec_key] covers one legal corner: scheduling at the current µs from a
    context whose rank is below the executing event's (e.g. a test
-   scheduling at [now] between runs) — the event then sorts right after
-   the current one, which is exactly the old FIFO behaviour. The clamp
-   never changes the µs part (times in the past are rejected first). *)
+   scheduling at [now] between runs, or a handler that lowered the rank).
+   The clamp never changes the µs part (times in the past are rejected
+   first). The creation index comes from the counter of the rank the
+   {e key} carries — the creation rank itself unless the clamp was taken
+   — so a clamped event draws after every index already issued at that
+   key, the executing event's included: it sorts after everything queued
+   there, which is the wheel's FIFO position. *)
 (* Two separate int-returning helpers rather than one returning a pair:
    the hot path is allocation-free by contract and without flambda a
    tuple return boxes three minor words per scheduled event. *)
@@ -521,16 +499,31 @@ let next_key t (time : Time.t) =
   let key = (time lsl rank_bits) lor t.cur_rank in
   if key < t.exec_key then t.exec_key else key
 
-let next_cidx t =
-  let r = t.cur_rank in
+let next_cidx t key =
+  let r = key land rank_mask in
   let cidx = t.counters.(r) in
   t.counters.(r) <- cidx + 1;
   cidx
 
+(* The canonical-order guard, shared by [fire] and [enqueue_committed]:
+   [(key, cidx)] sorts strictly after the last executed event, or nothing
+   has executed yet. Most events carry a key above the last one, so that
+   test comes first. *)
+let[@inline] after_executed t key cidx =
+  key > t.exec_key
+  || (key = t.exec_key && cidx > t.exec_cidx)
+  || t.executed = 0
+
+let out_of_order ~what ~why t key cidx =
+  invalid_arg
+    (Printf.sprintf
+       "Engine.%s: event (key %d, cidx %d) sorts at or below the last \
+        executed event (key %d, cidx %d); %s"
+       what key cidx t.exec_key t.exec_cidx why)
+
 (* The wheel is monotone: a key below its cursor is refused before a slot
    is taken. The cursor can lie above [exec_key] when a cancelled event
-   was popped after the last fired one. On the heap backend the cursor
-   stays 0, so the check never fires. *)
+   was popped after the last fired one. *)
 let check_cursor ~what t key =
   if key < t.cursor then
     invalid_arg
@@ -539,9 +532,7 @@ let check_cursor ~what t key =
 
 (* Make a written slot poppable. *)
 let insert t s =
-  (match t.queue with
-  | Heap q -> Dstruct.Pqueue.push q s
-  | Wheel -> wheel_push t s);
+  wheel_push t s;
   t.live <- t.live + 1
 
 let emit_sched t (time : Time.t) =
@@ -553,7 +544,7 @@ let enqueue : type a. t -> Time.t -> (a -> unit) -> a -> handle -> unit =
   if time < t.now then before_now ~what:"schedule" t time;
   let key = next_key t time in
   check_cursor ~what:"schedule" t key;
-  let cidx = next_cidx t in
+  let cidx = next_cidx t key in
   (* Erasure: [fn] and [arg] arrive at a common type [a], so applying the
      erased function to the erased payload is well-typed by construction
      (likewise at every other [new_slot] call). *)
@@ -589,28 +580,23 @@ let schedule_call_after t delay fn arg =
    Everything observable — live count, Sched emission, canonical order
    among equal keys — happens exactly as the equivalent [call_after]
    sequence would produce it; only the bucket bookkeeping is amortized.
-   The heap backend has no batch path, so it degrades to [call_after] and
-   [batch_commit] is a no-op — the two backends still produce identical
-   event streams. Batches must be committed before control returns to the
-   event loop; staging happens inside a single handler, so no pop can
-   intervene and the wheel's cursor cannot move mid-batch. *)
+   Batches must be committed before control returns to the event loop;
+   staging happens inside a single handler, so no pop can intervene and
+   the wheel's cursor cannot move mid-batch. *)
 let batch_call_after : type a. t -> Time.t -> (a -> unit) -> a -> unit =
  fun t delay fn arg ->
-  match t.queue with
-  | Heap _ -> enqueue t (t.now + delay) fn arg t.anon
-  | Wheel ->
-      let time = t.now + delay in
-      if time < t.now then before_now ~what:"schedule" t time;
-      let key = next_key t time in
-      check_cursor ~what:"schedule" t key;
-      let cidx = next_cidx t in
-      let s = new_slot t key (Obj.magic fn) (Obj.magic arg) (Obj.magic cidx) in
-      if t.staged_head = nil then t.staged_head <- s
-      else set_link t t.staged_tail s;
-      t.staged_tail <- s;
-      t.staged_n <- t.staged_n + 1;
-      t.live <- t.live + 1;
-      emit_sched t time
+  let time = t.now + delay in
+  if time < t.now then before_now ~what:"schedule" t time;
+  let key = next_key t time in
+  check_cursor ~what:"schedule" t key;
+  let cidx = next_cidx t key in
+  let s = new_slot t key (Obj.magic fn) (Obj.magic arg) (Obj.magic cidx) in
+  if t.staged_head = nil then t.staged_head <- s
+  else set_link t t.staged_tail s;
+  t.staged_tail <- s;
+  t.staged_n <- t.staged_n + 1;
+  t.live <- t.live + 1;
+  emit_sched t time
 
 let batch_commit t =
   if t.staged_n > 0 then begin
@@ -635,29 +621,21 @@ let batch_commit t =
 let stamp t time =
   if time < t.now then before_now ~what:"stamp" t time;
   let key = next_key t time in
-  let cidx = next_cidx t in
+  let cidx = next_cidx t key in
   emit_sched t time;
   (key, cidx)
 
 (* A committed event must sort after the last one executed here: the
    barrier's merge is only a replay of the sequential order if no
    cross-shard arrival lands inside a window that already ran, which is
-   what the lookahead certifies. Both backends check it, so an undercut
-   lookahead fails loudly instead of running an event out of canonical
-   order. *)
+   what the lookahead certifies. Refusing it here names the cause; [fire]
+   would otherwise refuse the event later, when it popped. *)
 let enqueue_committed : type a. t -> key:int -> cidx:int -> (a -> unit) -> a -> unit
     =
  fun t ~key ~cidx fn arg ->
-  if
-    t.executed > 0
-    && (key < t.exec_key || (key = t.exec_key && cidx <= t.exec_cidx))
-  then
-    invalid_arg
-      (Printf.sprintf
-         "Engine.enqueue_committed: event (key %d, cidx %d) sorts at or below \
-          the last executed event (key %d, cidx %d); the intra-run lookahead \
-          undercuts a real delay"
-         key cidx t.exec_key t.exec_cidx);
+  if not (after_executed t key cidx) then
+    out_of_order ~what:"enqueue_committed"
+      ~why:"the intra-run lookahead undercuts a real delay" t key cidx;
   check_cursor ~what:"enqueue_committed" t key;
   insert t (new_slot t key (Obj.magic fn) (Obj.magic arg) (Obj.magic cidx))
 
@@ -669,12 +647,7 @@ let executing_cidx t = t.exec_cidx
    advance (the engine may legally decide not to pop at a window
    horizon). The intra-run driver interleaves the control replica's
    events with shard events by key, not just by µs. *)
-let next_pending_key t =
-  match t.queue with
-  | Heap q ->
-      if Dstruct.Pqueue.is_empty q then -1
-      else key_of t (Dstruct.Pqueue.peek_exn q)
-  | Wheel -> if t.size = 0 then -1 else min_key t
+let next_pending_key t = if t.size = 0 then -1 else min_key t
 
 let next_pending_us t =
   let k = next_pending_key t in
@@ -700,8 +673,17 @@ let executed t = t.executed
 
 (* The executing event's creator rank becomes the creation context for
    whatever it schedules; deliver/forward override it to the receiving
-   process's rank ([set_rank]) before running process code. *)
+   process's rank ([set_rank]) before running process code.
+
+   The order check: an event must sort strictly after the one it succeeds
+   as [(exec_key, exec_cidx)]. The wheel pops in that order by
+   construction, so this costs a few int compares per event and turns a
+   silent ordering bug — a placement shortcut, a broken FIFO splice, a
+   creation index drawn from the wrong counter — into an exception
+   naming both events. *)
 let fire t key cidx fn arg =
+  if not (after_executed t key cidx) then
+    out_of_order ~what:"fire" ~why:"the queue broke canonical order" t key cidx;
   t.live <- t.live - 1;
   let time = key asr rank_bits in
   assert (time >= t.now);
@@ -740,34 +722,19 @@ let exec t s =
     fire t key cx.hcidx fn arg
   end
 
-(* The run loops are specialized per backend so the per-event dispatch is
-   hoisted out of the loop. The wheel loop decides from [min_key]
-   (memoized, non-mutating) before popping: peeking must not advance the
-   wheel's cursor past [limit], or a later legal schedule below the cursor
-   would be rejected. A time limit translates to the largest key at that
-   µs — every rank at time [limit] is included, matching the old
-   time-inclusive contract. Both loops pop while the minimum key is
-   [<= lim]. *)
+(* The run loop pops while the minimum key is [<= lim]. It decides from
+   [min_key] (memoized, non-mutating) before popping: peeking must not
+   advance the wheel's cursor past [limit], or a later legal schedule
+   below the cursor would be rejected. A time limit translates to the
+   largest key at that µs — every rank at time [limit] is included,
+   matching the old time-inclusive contract. *)
 let limit_key (limit : Time.t) = ((limit + 1) lsl rank_bits) - 1
 
-let rec heap_loop t q lim =
-  if not (Dstruct.Pqueue.is_empty q) then begin
-    let s = Dstruct.Pqueue.peek_exn q in
-    if key_of t s <= lim then begin
-      Dstruct.Pqueue.drop_exn q;
-      exec t s;
-      heap_loop t q lim
-    end
-  end
-
-let rec wheel_loop t lim =
+let rec run_through_key t lim =
   if t.size > 0 && min_key t <= lim then begin
     exec t (wheel_pop t);
-    wheel_loop t lim
+    run_through_key t lim
   end
-
-let run_through_key t lim =
-  match t.queue with Heap q -> heap_loop t q lim | Wheel -> wheel_loop t lim
 
 let run_until t limit =
   run_through_key t (limit_key limit);

@@ -30,14 +30,14 @@ type handle
 
     Pending events live in a slot store: one int slot per event, its
     fields in parallel columns that grow in fixed-size chunks, freed slots
-    recycled. [queue] selects how the slots are ordered — [`Wheel]
-    (default) is a hierarchical timing wheel whose buckets link slots by
-    int (O(1) push); [`Heap] is the binary-heap reference, a
-    {!Dstruct.Pqueue} of slot ids ordered by canonical key. Both implement
-    the identical contract (nondecreasing time, FIFO among equal times),
-    so a run's event stream is byte-identical under either;
-    [test/test_wheel.ml] checks them differentially. *)
-val create : ?queue:[ `Heap | `Wheel ] -> seed:int64 -> unit -> t
+    recycled. A hierarchical timing wheel whose buckets link slots by int
+    (O(1) push) orders them. Every event the engine runs is checked to
+    sort strictly after the one before it in the canonical order; a
+    violation — a scheduler bug, or an {!enqueue_committed} pair that
+    undercuts the running order — raises [Invalid_argument] naming both
+    events' (key, creation index) pairs. [test/test_wheel.ml] checks the
+    fire order against a sorted-list reference. *)
+val create : seed:int64 -> unit -> t
 
 (** Current virtual time. *)
 val now : t -> Time.t
@@ -58,7 +58,10 @@ val set_sink : t -> Obs.Sink.t -> unit
 
 (** [set_rank t pid] declares process [pid] the creator of subsequently
     scheduled events, until the next [set_rank] or the next event pops
-    (executing an event restores its own creator's rank). Called at every
+    (executing an event restores its own creator's rank). A schedule at
+    the current instant under a rank below the executing event's takes
+    the executing event's key, and the creation index of that key's rank,
+    so it runs after everything already queued at that key. Called at every
     entry point into process code whose executing event does not already
     carry that process's rank: message delivery at the receiver, hop
     forwarding at the relay, node start/recover. Outside process code the
@@ -110,12 +113,13 @@ val schedule_call_after : t -> Time.t -> ('a -> unit) -> 'a -> handle
     wheel splices same-bucket runs instead of doing n-1 independent bucket
     appends. Observable behaviour (live count, Sched emission, FIFO order
     among equal times) is identical to the equivalent {!call_after}
-    sequence; on the heap backend it {e is} {!call_after}. The caller must
-    {!batch_commit} before returning to the event loop. *)
+    sequence, provided nothing else is scheduled at an equal key between
+    the stage and its commit (that event would pop first despite its
+    larger creation index, and the order check would raise). The caller
+    must {!batch_commit} before returning to the event loop. *)
 val batch_call_after : t -> Time.t -> ('a -> unit) -> 'a -> unit
 
-(** Make every staged event poppable. No-op when nothing is staged (and
-    always, on the heap backend). *)
+(** Make every staged event poppable. No-op when nothing is staged. *)
 val batch_commit : t -> unit
 
 (** [cancel t h] prevents the event from firing. Idempotent; no effect if
@@ -186,12 +190,15 @@ val stamp : t -> Time.t -> int * int
 
 (** [enqueue_committed t ~key ~cidx fn arg] enqueues an already-stamped
     event silently: no [Sched] emission, no creation-counter movement.
-    On either backend, raises [Invalid_argument] if [(key, cidx)] sorts
-    at or below the last executed event's: the event would run out of
-    canonical order, which means the intra-run lookahead undercut a real
-    delay. Barrier commits satisfy this when the lookahead is a true lower
-    bound, because stamped arrivals then lie at or beyond the window end.
-    The wheel also refuses a key below the last popped one. *)
+    Raises [Invalid_argument] if [(key, cidx)] sorts at or below the last
+    executed event's: the event would run out of canonical order, which
+    means the intra-run lookahead undercut a real delay. Barrier commits
+    satisfy this when the lookahead is a true lower bound, because stamped
+    arrivals then lie at or beyond the window end. A key below the last
+    popped one is refused too. Pairs sharing a key must be committed in
+    ascending creation index: equal keys pop in commit order, and the
+    engine's order check raises when one fires after a pair that sorts
+    above it. *)
 val enqueue_committed : t -> key:int -> cidx:int -> ('a -> unit) -> 'a -> unit
 
 (** Canonical key / creation index of the event currently executing —

@@ -4,85 +4,6 @@ let check = Alcotest.check
 let int_t = Alcotest.int
 let bool_t = Alcotest.bool
 
-(* ------------------------------------------------------------- Pqueue *)
-
-let test_pqueue_basic () =
-  let q = Dstruct.Pqueue.create ~compare:Int.compare in
-  check bool_t "empty" true (Dstruct.Pqueue.is_empty q);
-  check (Alcotest.option int_t) "peek empty" None (Dstruct.Pqueue.peek q);
-  check (Alcotest.option int_t) "pop empty" None (Dstruct.Pqueue.pop q);
-  List.iter (Dstruct.Pqueue.push q) [ 5; 1; 4; 1; 3 ];
-  check int_t "length" 5 (Dstruct.Pqueue.length q);
-  check (Alcotest.option int_t) "peek min" (Some 1) (Dstruct.Pqueue.peek q);
-  check int_t "peek does not remove" 5 (Dstruct.Pqueue.length q);
-  let drained = List.init 5 (fun _ -> Dstruct.Pqueue.pop_exn q) in
-  check (Alcotest.list int_t) "sorted drain" [ 1; 1; 3; 4; 5 ] drained;
-  check bool_t "empty again" true (Dstruct.Pqueue.is_empty q)
-
-let test_pqueue_pop_exn_empty () =
-  let q = Dstruct.Pqueue.create ~compare:Int.compare in
-  Alcotest.check_raises "pop_exn on empty"
-    (Invalid_argument "Pqueue.pop_exn: empty heap") (fun () ->
-      ignore (Dstruct.Pqueue.pop_exn q))
-
-let test_pqueue_fifo_ties () =
-  (* Equal priorities must pop in insertion order (the engine's determinism
-     depends on it). *)
-  let q = Dstruct.Pqueue.create ~compare:(fun (a, _) (b, _) -> Int.compare a b) in
-  List.iter (Dstruct.Pqueue.push q) [ (1, "a"); (1, "b"); (0, "z"); (1, "c") ];
-  let order = List.init 4 (fun _ -> snd (Dstruct.Pqueue.pop_exn q)) in
-  check (Alcotest.list Alcotest.string) "fifo ties" [ "z"; "a"; "b"; "c" ] order
-
-let test_pqueue_to_sorted_list_preserves () =
-  let q = Dstruct.Pqueue.create ~compare:Int.compare in
-  List.iter (Dstruct.Pqueue.push q) [ 3; 1; 2 ];
-  check (Alcotest.list int_t) "sorted view" [ 1; 2; 3 ]
-    (Dstruct.Pqueue.to_sorted_list q);
-  check int_t "unchanged" 3 (Dstruct.Pqueue.length q);
-  check (Alcotest.option int_t) "still peeks min" (Some 1)
-    (Dstruct.Pqueue.peek q)
-
-let test_pqueue_clear () =
-  let q = Dstruct.Pqueue.create ~compare:Int.compare in
-  List.iter (Dstruct.Pqueue.push q) [ 3; 1; 2 ];
-  Dstruct.Pqueue.clear q;
-  check bool_t "cleared" true (Dstruct.Pqueue.is_empty q);
-  Dstruct.Pqueue.push q 9;
-  check (Alcotest.option int_t) "usable after clear" (Some 9)
-    (Dstruct.Pqueue.pop q)
-
-let prop_pqueue_sorts =
-  QCheck.Test.make ~name:"pqueue drains any list sorted" ~count:300
-    QCheck.(list int)
-    (fun xs ->
-      let q = Dstruct.Pqueue.create ~compare:Int.compare in
-      List.iter (Dstruct.Pqueue.push q) xs;
-      Dstruct.Pqueue.to_sorted_list q = List.sort Int.compare xs)
-
-let prop_pqueue_interleaved =
-  (* Model check: interleaved pushes and pops against a sorted-list model. *)
-  QCheck.Test.make ~name:"pqueue matches sorted-list model under mixed ops"
-    ~count:200
-    QCheck.(list (option int))
-    (fun ops ->
-      let q = Dstruct.Pqueue.create ~compare:Int.compare in
-      let model = ref [] in
-      List.for_all
-        (fun op ->
-          match op with
-          | Some x ->
-              Dstruct.Pqueue.push q x;
-              model := List.sort Int.compare (x :: !model);
-              true
-          | None -> (
-              match (Dstruct.Pqueue.pop q, !model) with
-              | None, [] -> true
-              | Some v, m :: rest ->
-                  model := rest;
-                  v = m
-              | _ -> false))
-        ops)
-
 (* ---------------------------------------------------------------- Rng *)
 
 let test_rng_deterministic () =
@@ -412,17 +333,6 @@ let qtest = QCheck_alcotest.to_alcotest
 let () =
   Alcotest.run "dstruct"
     [
-      ( "pqueue",
-        [
-          Alcotest.test_case "basic" `Quick test_pqueue_basic;
-          Alcotest.test_case "pop_exn empty" `Quick test_pqueue_pop_exn_empty;
-          Alcotest.test_case "fifo ties" `Quick test_pqueue_fifo_ties;
-          Alcotest.test_case "sorted view" `Quick
-            test_pqueue_to_sorted_list_preserves;
-          Alcotest.test_case "clear" `Quick test_pqueue_clear;
-          qtest prop_pqueue_sorts;
-          qtest prop_pqueue_interleaved;
-        ] );
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;

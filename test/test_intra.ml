@@ -1,11 +1,10 @@
 (* Tests for deterministic intra-run parallelism (DESIGN.md §18): sharded
    conservative-window execution must be observationally invisible. The
    digest (an FNV fold over the complete event stream) and the whole
-   result record must be identical for intra_domains 1/2/4, on both
-   scheduler backends, for every flavour of run the driver parallelizes —
-   plain gossip, the relay tier, a faulted plan, a routed topology,
-   fair-lossy channels — and
-   the plan-free gossip stream must still be the exact pinned digest the
+   result record must be identical for intra_domains 1/2/4, for every
+   flavour of run the driver parallelizes — plain gossip, the relay tier,
+   a faulted plan, a routed topology, fair-lossy channels — and the
+   plan-free gossip stream must still be the exact pinned digest the
    sequential engine produces. The qcheck property at the bottom is the
    window-safety certificate: no scenario oracle can return a delay below
    [Scenario.lookahead_us], so nothing sent inside a window [t, t+λ) can
@@ -61,22 +60,17 @@ let run ~spec ~env ~intra ~seed =
     ~env ~seed ()
 
 (* The workhorse: the full fingerprint — digest first — must coincide for
-   intra 1/2/4 on both backends, and intra 1 must equal the plain spec
-   (the sequential path, bit for bit). *)
+   intra 1/2/4, and intra 1 must equal the plain spec (the sequential
+   path, bit for bit). *)
 let assert_invariant ?(seed = 7L) ~name spec env =
+  let seq = fingerprint (Harness.Run.run ~spec ~env ~seed ()) in
   List.iter
-    (fun sched ->
-      let spec = Harness.Run.Spec.with_sched sched spec in
-      let seq = fingerprint (Harness.Run.run ~spec ~env ~seed ()) in
-      List.iter
-        (fun intra ->
-          let par = fingerprint (run ~spec ~env ~intra ~seed) in
-          check bool_t
-            (Printf.sprintf "%s: intra=%d matches sequential (%s)" name intra
-               (match sched with `Wheel -> "wheel" | `Heap -> "heap"))
-            true (par = seq))
-        [ 1; 2; 4 ])
-    [ `Wheel; `Heap ]
+    (fun intra ->
+      let par = fingerprint (run ~spec ~env ~intra ~seed) in
+      check bool_t
+        (Printf.sprintf "%s: intra=%d matches sequential" name intra)
+        true (par = seq))
+    [ 1; 2; 4 ]
 
 let test_gossip () = assert_invariant ~name:"gossip" base env
 
@@ -148,10 +142,10 @@ let test_start_refuses_intra () =
      with Invalid_argument _ -> true)
 
 (* An undercut lookahead would hand a barrier commit an event that sorts
-   before one the owning shard already ran. Both backends must refuse it
-   loudly — the heap would otherwise run it out of canonical order. *)
-let test_undercut_commit_raises queue () =
-  let e = Sim.Engine.create ~queue ~seed:1L () in
+   before one the owning shard already ran. The commit must refuse it
+   loudly, naming the lookahead, rather than queue it for a later fire. *)
+let test_undercut_commit_raises () =
+  let e = Sim.Engine.create ~seed:1L () in
   let early_key, early_cidx = Sim.Engine.stamp e (ms 5) in
   let key, cidx = Sim.Engine.stamp e (ms 5) in
   let later_key, later_cidx = Sim.Engine.stamp e (ms 5) in
@@ -257,9 +251,7 @@ let () =
           Alcotest.test_case "start refuses intra" `Quick
             test_start_refuses_intra;
           Alcotest.test_case "undercut commit raises (wheel)" `Quick
-            (test_undercut_commit_raises `Wheel);
-          Alcotest.test_case "undercut commit raises (heap)" `Quick
-            (test_undercut_commit_raises `Heap);
+            test_undercut_commit_raises;
         ] );
       ( "lookahead",
         [ QCheck_alcotest.to_alcotest lookahead_safety ] );

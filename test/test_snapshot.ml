@@ -1,10 +1,11 @@
 (* Tests for snapshot/restore (DESIGN.md §16): a run cut by a mid-run
    snapshot and continued from the restored copy must be bit-identical —
    same digest, same aggregate results — to the uninterrupted run, for
-   both schedulers, both algorithms and faulted plans; and snapshotting
-   must never perturb the run it copies. Also the failure modes: a staged
-   broadcast batch, an unregistered packed function, and a trace sink all
-   refuse to snapshot with a clean error and leave the live run usable. *)
+   both algorithms and faulted plans; and snapshotting must never perturb
+   the run it copies. Also the failure modes: a staged broadcast batch, an
+   unregistered packed function, and a trace sink all refuse to snapshot
+   with a clean error and leave the live run usable. The farm's shard
+   files ride along: they are marshalled the same untyped way. *)
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
@@ -63,32 +64,28 @@ let relay_env ~n =
 
 let test_matrix () =
   List.iter
-    (fun sched ->
-      let sname = match sched with `Wheel -> "wheel" | `Heap -> "heap" in
+    (fun n ->
+      (* n=8 gets a 1 sim-s horizon; n=64 is ~50x the traffic, so a
+         shorter slice keeps the suite's wall clock in budget while still
+         snapshotting tens of thousands of pending flights. *)
+      let horizon = if n = 8 then sec 1 else ms 400 in
+      let cut = Sim.Time.of_us (Sim.Time.to_us horizon * 2 / 5) in
+      let spec =
+        Harness.Run.Spec.(
+          default |> with_horizon horizon |> with_digest true
+          |> with_check false)
+      in
       List.iter
-        (fun n ->
-          (* n=8 gets a 1 sim-s horizon; n=64 is ~50x the traffic, so a
-             shorter slice keeps the suite's wall clock in budget while
-             still snapshotting tens of thousands of pending flights. *)
-          let horizon = if n = 8 then sec 1 else ms 400 in
-          let cut = Sim.Time.of_us (Sim.Time.to_us horizon * 2 / 5) in
-          let spec =
-            Harness.Run.Spec.(
-              default |> with_horizon horizon |> with_digest true
-              |> with_check false |> with_sched sched)
-          in
-          List.iter
-            (fun variant ->
-              differential
-                ~msg:(Printf.sprintf "n=%d %s fig" n sname)
-                ~spec ~env:(matrix_env ~n variant) ~seed:7L ~cut)
-            [ Omega.Config.Fig1; Omega.Config.Fig3 ];
+        (fun variant ->
           differential
-            ~msg:(Printf.sprintf "n=%d %s relay" n sname)
-            ~spec:Harness.Run.Spec.(spec |> with_algo `Relay)
-            ~env:(relay_env ~n) ~seed:7L ~cut)
-        [ 8; 64 ])
-    [ `Wheel; `Heap ]
+            ~msg:(Printf.sprintf "n=%d fig" n)
+            ~spec ~env:(matrix_env ~n variant) ~seed:7L ~cut)
+        [ Omega.Config.Fig1; Omega.Config.Fig3 ];
+      differential
+        ~msg:(Printf.sprintf "n=%d relay" n)
+        ~spec:Harness.Run.Spec.(spec |> with_algo `Relay)
+        ~env:(relay_env ~n) ~seed:7L ~cut)
+    [ 8; 64 ]
 
 let test_faulted () =
   (* test_fault's busy plan — a partition over the center, a crash with
@@ -107,17 +104,12 @@ let test_faulted () =
   let env =
     Scenarios.Env.make config (Scenarios.Scenario.Rotating_star { center = 2 })
   in
-  List.iter
-    (fun sched ->
-      let sname = match sched with `Wheel -> "wheel" | `Heap -> "heap" in
-      differential
-        ~msg:("faulted " ^ sname)
-        ~spec:
-          Harness.Run.Spec.(
-            default |> with_horizon (sec 2) |> with_digest true
-            |> with_plan busy_plan |> with_sched sched)
-        ~env ~seed:7L ~cut:(ms 700))
-    [ `Wheel; `Heap ]
+  differential ~msg:"faulted"
+    ~spec:
+      Harness.Run.Spec.(
+        default |> with_horizon (sec 2) |> with_digest true
+        |> with_plan busy_plan)
+    ~env ~seed:7L ~cut:(ms 700)
 
 (* ------------------------------------------------------- pinned runs *)
 
@@ -211,6 +203,38 @@ let test_file_round_trip () =
       check str_t "digest through the file" "d04e0b6bb1a89956"
         (digest_hex (Harness.Run.finish restored)))
 
+(* The shard file written by [experiments --shard] is marshalled untyped,
+   so only its magic tells a current file from one of another layout: a
+   saved file must load back field for field, and a file with any other
+   magic must be refused rather than misread. *)
+let test_shard_file () =
+  let module Shard = Experiments.Suite.Shard in
+  let path = Filename.temp_file "experiments" ".shard" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let cells = [ (0, [ "row a" ]); (3, [ "row b"; "row c" ]) ] in
+      Shard.save ~path ~index:2 ~count:3 ~ids:[ "e1"; "e9" ] ~quick:true
+        ~metrics:false ~topology:"ring" ~cells;
+      let f = Shard.load path in
+      check int_t "index" 2 f.Shard.index;
+      check int_t "count" 3 f.Shard.count;
+      check (Alcotest.list str_t) "ids" [ "e1"; "e9" ] f.Shard.ids;
+      check bool_t "quick" true f.Shard.quick;
+      check bool_t "metrics" false f.Shard.metrics;
+      check str_t "topology" "ring" f.Shard.topology;
+      check
+        (Alcotest.list (Alcotest.pair int_t (Alcotest.list str_t)))
+        "cells" cells f.Shard.cells;
+      let oc = open_out_bin path in
+      Marshal.to_channel oc
+        { f with Shard.shard_magic = "omega-experiment-shard-v2" }
+        [];
+      close_out oc;
+      Alcotest.check_raises "another magic is refused"
+        (Failure (path ^ ": not an experiment shard file")) (fun () ->
+          ignore (Shard.load path)))
+
 (* ------------------------------------------------- engine slot store *)
 
 (* The engine keeps pending events in fixed-size chunks of slots; a cut
@@ -223,8 +247,8 @@ type chains = { mutable acc : int; mutable fired : int }
 
 let test_store_spans_chunks () =
   let horizon = ms 40 and cut = ms 5 in
-  let build queue =
-    let e = Sim.Engine.create ~queue ~seed:3L () in
+  let build () =
+    let e = Sim.Engine.create ~seed:3L () in
     let st = { acc = 0; fired = 0 } in
     let rng = Dstruct.Rng.create 5L in
     let rec hop id () =
@@ -249,28 +273,21 @@ let test_store_spans_chunks () =
     done;
     (e, st)
   in
-  List.iter
-    (fun queue ->
-      let sname = match queue with `Wheel -> "wheel" | `Heap -> "heap" in
-      let e, st = build queue in
-      Sim.Engine.run_until e horizon;
-      let straight = (st.acc, st.fired) in
-      let e, st = build queue in
-      Sim.Engine.run_until e cut;
-      check bool_t
-        (Printf.sprintf "%s: more live events than one chunk at the cut" sname)
-        true
-        (Sim.Engine.pending e > 1024);
-      let e', st' =
-        (Sim.Engine.restore (Sim.Engine.snapshot e st) : Sim.Engine.t * chains)
-      in
-      Sim.Engine.run_until e' horizon;
-      Sim.Engine.run_until e horizon;
-      let pair = Alcotest.pair int_t int_t in
-      check pair (sname ^ ": restored continuation") straight
-        (st'.acc, st'.fired);
-      check pair (sname ^ ": snapshotted original") straight (st.acc, st.fired))
-    [ `Wheel; `Heap ]
+  let e, st = build () in
+  Sim.Engine.run_until e horizon;
+  let straight = (st.acc, st.fired) in
+  let e, st = build () in
+  Sim.Engine.run_until e cut;
+  check bool_t "more live events than one chunk at the cut" true
+    (Sim.Engine.pending e > 1024);
+  let e', st' =
+    (Sim.Engine.restore (Sim.Engine.snapshot e st) : Sim.Engine.t * chains)
+  in
+  Sim.Engine.run_until e' horizon;
+  Sim.Engine.run_until e horizon;
+  let pair = Alcotest.pair int_t int_t in
+  check pair "restored continuation" straight (st'.acc, st'.fired);
+  check pair "snapshotted original" straight (st.acc, st.fired)
 
 (* ----------------------------------------------------------- refusals *)
 
@@ -332,7 +349,11 @@ let () =
           Alcotest.test_case "relay pin" `Quick test_pinned_relay;
         ] );
       ( "file",
-        [ Alcotest.test_case "marshal round trip" `Quick test_file_round_trip ] );
+        [
+          Alcotest.test_case "marshal round trip" `Quick test_file_round_trip;
+          Alcotest.test_case "shard file round trip and magic" `Quick
+            test_shard_file;
+        ] );
       ( "store",
         [
           Alcotest.test_case "live events span chunks" `Quick

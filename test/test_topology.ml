@@ -2,8 +2,7 @@
    deterministic routing tables, channel-class semantics (fair-lossy coin,
    eventually-timely clamp), topology-aware faults, and the digest
    contracts of the routed path — the legacy pin through the Spec builder,
-   wheel-vs-heap equality on a routed run, and snapshot/restore on a
-   routed run. *)
+   a pinned routed-ring digest, and snapshot/restore on a routed run. *)
 
 let check = Alcotest.check
 let int_t = Alcotest.int
@@ -301,21 +300,20 @@ let ring_env () =
   let config = Omega.Config.default ~n:6 ~t:2 Omega.Config.Fig3 in
   Scenarios.Env.make config (Scenarios.Scenario.Rotating_star { center = 4 })
 
-let ring_spec sched =
+let ring_spec =
   Harness.Run.Spec.(
     default |> with_horizon (sec 1) |> with_digest true |> with_check false
-    |> with_topology Net.Topology.Ring |> with_sched sched)
+    |> with_topology Net.Topology.Ring)
 
-let test_routed_wheel_heap_agree () =
-  let wheel = Harness.Run.run ~spec:(ring_spec `Wheel) ~env:(ring_env ()) ~seed:7L () in
-  let heap = Harness.Run.run ~spec:(ring_spec `Heap) ~env:(ring_env ()) ~seed:7L () in
-  check str_t "routed run: wheel and heap streams agree" (digest_hex wheel)
-    (digest_hex heap);
-  check str_t "routed ring digest pinned" "18c64c0ae9271f56" (digest_hex wheel)
+(* The routed ring's stream, pinned where the wheel and the binary-heap
+   reference it replaced produced the same digest. *)
+let test_routed_digest_pinned () =
+  let result = Harness.Run.run ~spec:ring_spec ~env:(ring_env ()) ~seed:7L () in
+  check str_t "routed ring digest pinned" "18c64c0ae9271f56" (digest_hex result)
 
 let test_routed_deterministic () =
   let once () =
-    digest_hex (Harness.Run.run ~spec:(ring_spec `Wheel) ~env:(ring_env ()) ~seed:11L ())
+    digest_hex (Harness.Run.run ~spec:ring_spec ~env:(ring_env ()) ~seed:11L ())
   in
   check str_t "routed run: same seed, same digest" (once ()) (once ())
 
@@ -323,9 +321,9 @@ let test_routed_snapshot_restore () =
   (* Snapshot mid-run on a routed topology (pending multi-hop flights in
      the pool), restore, continue: same digest as the straight run. *)
   let straight =
-    Harness.Run.run ~spec:(ring_spec `Wheel) ~env:(ring_env ()) ~seed:7L ()
+    Harness.Run.run ~spec:ring_spec ~env:(ring_env ()) ~seed:7L ()
   in
-  let live = Harness.Run.start ~spec:(ring_spec `Wheel) ~env:(ring_env ()) ~seed:7L () in
+  let live = Harness.Run.start ~spec:ring_spec ~env:(ring_env ()) ~seed:7L () in
   Harness.Run.advance live ~until:(ms 400);
   let restored = Harness.Run.restore (Harness.Run.snapshot live) in
   check str_t "routed snapshot -> restore -> continue"
@@ -341,8 +339,8 @@ let test_edge_fault_plan () =
   in
   let spec plan =
     match plan with
-    | None -> ring_spec `Wheel
-    | Some p -> Harness.Run.Spec.(ring_spec `Wheel |> with_plan p)
+    | None -> ring_spec
+    | Some p -> Harness.Run.Spec.(ring_spec |> with_plan p)
   in
   let run p = digest_hex (Harness.Run.run ~spec:(spec p) ~env:(ring_env ()) ~seed:7L ()) in
   check str_t "faulted routed run deterministic" (run (Some plan))
@@ -354,7 +352,7 @@ let test_edge_fault_plan () =
    plan the topology cannot honour must fail there. *)
 let rejected ~topology plan =
   let spec =
-    Harness.Run.Spec.(ring_spec `Wheel |> with_topology topology |> with_plan plan)
+    Harness.Run.Spec.(ring_spec |> with_topology topology |> with_plan plan)
   in
   match Harness.Run.start ~spec ~env:(ring_env ()) ~seed:7L () with
   | _ -> false
@@ -423,7 +421,7 @@ let () =
           Alcotest.test_case "spec path keeps the relay pin" `Quick
             test_spec_path_keeps_relay_pin;
           Alcotest.test_case "wheel vs heap on routed run" `Quick
-            test_routed_wheel_heap_agree;
+            test_routed_digest_pinned;
           Alcotest.test_case "routed determinism" `Quick
             test_routed_deterministic;
           Alcotest.test_case "routed snapshot restore" `Quick

@@ -1,10 +1,12 @@
 (* Tests for the engine's scheduler: the timing wheel over the slot store
-   and the binary-heap reference implement one contract (nondecreasing
-   canonical key order, FIFO among equal keys), so any program must fire
-   identically under both. Everything goes through [Sim.Engine]'s public
-   API: unit cases for the contract's corners, random differential
-   programs on both backends (external schedules between partial runs,
-   handlers that schedule more, batched fan-outs, rank changes), and the
+   pops in the canonical order — nondecreasing key, FIFO among equal keys,
+   which is ascending creation index — and the engine checks that order
+   on every event it fires. Everything goes through [Sim.Engine]'s public
+   API: unit cases for the contract's corners (the [exec_key] clamp and
+   the order check among them), random differential programs against a
+   sorted-list reference that computes every event's (key, cidx) itself
+   (external schedules between partial runs, handlers that schedule more,
+   batched fan-outs, rank changes in both directions, cancels), and the
    allocation gates of the steady state. *)
 
 let check = Alcotest.check
@@ -48,18 +50,61 @@ let test_push_below_cursor_raises () =
   check int_t "refusal leaves nothing pending" 0 (Sim.Engine.pending e)
 
 let test_empty_idle () =
-  List.iter
-    (fun queue ->
-      let e = Sim.Engine.create ~queue ~seed:1L () in
-      check int_t "empty: no pending key" (-1) (Sim.Engine.next_pending_key e);
-      check int_t "empty: no pending us" (-1) (Sim.Engine.next_pending_us e);
-      check bool_t "empty: idle at once" true
-        (Sim.Engine.run_until_idle e = `Idle);
-      Sim.Engine.call_at e (us 4) ignore ();
-      ignore (Sim.Engine.run_until_idle e);
-      check int_t "drained: no pending key" (-1)
-        (Sim.Engine.next_pending_key e))
-    [ `Wheel; `Heap ]
+  let e = Sim.Engine.create ~seed:1L () in
+  check int_t "empty: no pending key" (-1) (Sim.Engine.next_pending_key e);
+  check int_t "empty: no pending us" (-1) (Sim.Engine.next_pending_us e);
+  check bool_t "empty: idle at once" true (Sim.Engine.run_until_idle e = `Idle);
+  Sim.Engine.call_at e (us 4) ignore ();
+  ignore (Sim.Engine.run_until_idle e);
+  check int_t "drained: no pending key" (-1) (Sim.Engine.next_pending_key e)
+
+(* The [exec_key] clamp: A and B run at 5 µs under rank 5 (pid 4); A drops
+   to rank 1 and schedules C at zero delay. C's own key would sort below
+   A's, so it takes A's key — and the next creation index of that key's
+   rank, so it runs after B, which was already queued there, and every
+   fire sorts strictly after the one before it. *)
+let test_clamp_sorts_after_queued () =
+  let e = Sim.Engine.create ~seed:1L () in
+  let log = ref [] in
+  let note name =
+    log :=
+      (name, Sim.Engine.executing_key e, Sim.Engine.executing_cidx e) :: !log
+  in
+  let a () =
+    note "A";
+    Sim.Engine.set_rank e 0;
+    Sim.Engine.call_after e (us 0) note "C"
+  in
+  Sim.Engine.set_rank e 4;
+  Sim.Engine.call_at e (us 5) a ();
+  Sim.Engine.call_at e (us 5) note "B";
+  ignore (Sim.Engine.run_until_idle e);
+  let key = (5 lsl Sim.Engine.rank_bits) lor 5 in
+  check
+    (Alcotest.list (Alcotest.triple Alcotest.string int_t int_t))
+    "A, B, then the clamped C, at strictly increasing (key, cidx)"
+    [ ("A", key, 0); ("B", key, 1); ("C", key, 2) ]
+    (List.rev !log)
+
+(* The order check, reached through the public API: two committed events
+   at one key, enqueued before anything runs with descending creation
+   indices. The wheel pops them FIFO, so the second sorts below the first
+   when it fires — and the engine must refuse to run it. *)
+let test_order_check_raises () =
+  let e = Sim.Engine.create ~seed:1L () in
+  let key = (7 lsl Sim.Engine.rank_bits) lor 3 in
+  let ran = ref [] in
+  let note i = ran := i :: !ran in
+  Sim.Engine.enqueue_committed e ~key ~cidx:5 note 5;
+  Sim.Engine.enqueue_committed e ~key ~cidx:3 note 3;
+  Alcotest.check_raises "the descending fire is refused"
+    (Invalid_argument
+       (Printf.sprintf
+          "Engine.fire: event (key %d, cidx 3) sorts at or below the last \
+           executed event (key %d, cidx 5); the queue broke canonical order"
+          key key))
+    (fun () -> ignore (Sim.Engine.run_until_idle e));
+  check (Alcotest.list int_t) "only the first event ran" [ 5 ] !ran
 
 (* The engine peeks an event beyond its run limit and leaves it queued; a
    later schedule below that peeked key (but at/above the clock) must
@@ -87,8 +132,8 @@ let test_peek_does_not_advance () =
 (* Staged slots are invisible to queries until the commit; a commit makes
    the queue identical to individual schedules, FIFO included. *)
 let test_stage_commit_basics () =
-  let program batched queue =
-    let e = Sim.Engine.create ~queue ~seed:1L () in
+  let program batched =
+    let e = Sim.Engine.create ~seed:1L () in
     let log, note = fired_pairs () in
     let sched =
       if batched then Sim.Engine.batch_call_after e else Sim.Engine.call_after e
@@ -98,7 +143,7 @@ let test_stage_commit_basics () =
     sched (us 5) note (5, 2);
     sched (us 3) note (3, 3);
     check int_t "staged events are live" 4 (Sim.Engine.pending e);
-    if batched && queue = `Wheel then
+    if batched then
       Alcotest.check_raises "peek with a staged batch raises"
         (Invalid_argument "Engine: staged batch pending commit") (fun () ->
           ignore (Sim.Engine.next_pending_key e));
@@ -112,15 +157,11 @@ let test_stage_commit_basics () =
   in
   let expected = [ (3, 1); (3, 3); (5, 0); (5, 2) ] in
   List.iter
-    (fun (label, batched, queue) ->
+    (fun (label, batched) ->
       check
         (Alcotest.list (Alcotest.pair int_t int_t))
-        label expected (program batched queue))
-    [
-      ("wheel, staged", true, `Wheel);
-      ("wheel, one by one", false, `Wheel);
-      ("heap, staged", true, `Heap);
-    ]
+        label expected (program batched))
+    [ ("staged", true); ("one by one", false) ]
 
 let test_stage_below_cursor_raises () =
   let e = Sim.Engine.create ~seed:1L () in
@@ -132,67 +173,181 @@ let test_stage_below_cursor_raises () =
   Sim.Engine.batch_commit e;
   check int_t "refusal stages nothing" 0 (Sim.Engine.pending e)
 
-(* -------------------------------------------- differential vs binary heap *)
+(* ------------------------------------------- differential vs reference *)
 
-(* One random program, run on the wheel (optionally with every schedule
-   staged and committed in batches) and on the heap; the fire logs and
-   the [pending] trace must be equal. The outer loop alternates external
-   schedules at random offsets above the clock with partial runs to a
-   random limit (so pops are interleaved with pushes that land near a
-   moved cursor); handlers raise the creator rank and schedule children,
-   so same-µs events of different ranks exercise the low key digits. With
-   [burst], half the delays are 0 — the key of the running event's
-   instant — so the FIFO tie-break is hit hard. Ranks only rise inside a
-   handler: a zero-delay schedule under a lower rank takes the [exec_key]
-   clamp, whose key carries another rank's creation counter, and there
-   the heap's (key, cidx) order and the wheel's FIFO are not specified to
-   agree. Both runs draw from one RNG stream in fire order: a divergence
-   shows up as differing logs. *)
+(* The reference: the canonical order, computed by the test with no wheel.
+   A schedule at µs [time] under creator rank [rank] gets the key
+   [(time lsl rank_bits) lor rank] — raised to the executing event's key
+   when it would sort below it — and the next creation index of the rank
+   that key carries. Pending events sit in a list sorted by [(key, cidx)];
+   running pops the head, takes its time, key and rank, and calls the
+   program's handler. Cancelling removes the event from the list. *)
+type reference = {
+  mutable r_now : int;
+  mutable r_rank : int;
+  mutable r_exec_key : int;
+  mutable r_pending : (int * int * int) list;  (* (key, cidx, id) *)
+  r_counters : int array;
+  mutable r_executed : int;
+}
+
+(* The scheduler surface a random program drives, implemented by the
+   engine and by the reference. Times are µs; [on_fire id key cidx] is
+   called with each fired event's canonical identity. *)
+type sched = {
+  schedule : delay:int -> int -> unit;
+  commit : unit -> unit;
+  cancel : int -> unit;
+  set_rank : int -> unit;
+  run_until : int -> unit;
+  run_until_idle : unit -> unit;
+  now : unit -> int;
+  pending : unit -> int;
+  executed : unit -> int;
+}
+
+let rec insert_sorted ((key, cidx, _) as ev) = function
+  | ((k, c, _) as hd) :: tl when k < key || (k = key && c < cidx) ->
+      hd :: insert_sorted ev tl
+  | l -> ev :: l
+
+let reference_sched ~on_fire =
+  let r =
+    {
+      r_now = 0;
+      r_rank = 0;
+      r_exec_key = 0;
+      r_pending = [];
+      r_counters = Array.make (rank_mask + 1) 0;
+      r_executed = 0;
+    }
+  in
+  let rec run ~through_us =
+    match r.r_pending with
+    | (key, cidx, id) :: rest when key asr Sim.Engine.rank_bits <= through_us
+      ->
+        r.r_pending <- rest;
+        r.r_now <- key asr Sim.Engine.rank_bits;
+        r.r_rank <- key land rank_mask;
+        r.r_exec_key <- key;
+        r.r_executed <- r.r_executed + 1;
+        on_fire id key cidx;
+        run ~through_us
+    | _ -> ()
+  in
+  {
+    schedule =
+      (fun ~delay id ->
+        let key = ((r.r_now + delay) lsl Sim.Engine.rank_bits) lor r.r_rank in
+        let key = max key r.r_exec_key in
+        let rank = key land rank_mask in
+        let cidx = r.r_counters.(rank) in
+        r.r_counters.(rank) <- cidx + 1;
+        r.r_pending <- insert_sorted (key, cidx, id) r.r_pending);
+    commit = ignore;
+    cancel =
+      (fun id ->
+        r.r_pending <- List.filter (fun (_, _, i) -> i <> id) r.r_pending);
+    set_rank = (fun pid -> r.r_rank <- pid + 1);
+    run_until =
+      (fun limit ->
+        run ~through_us:limit;
+        r.r_now <- max r.r_now limit);
+    run_until_idle = (fun () -> run ~through_us:max_int);
+    now = (fun () -> r.r_now);
+    pending = (fun () -> List.length r.r_pending);
+    executed = (fun () -> r.r_executed);
+  }
+
+(* [api]: [`Packed] schedules fire-and-forget with [call_after],
+   [`Batched] stages every schedule with [batch_call_after] (the program
+   commits), [`Handles] schedules closures with handles, so [cancel]
+   works. *)
+let engine_sched ~api ~on_fire =
+  let e = Sim.Engine.create ~seed:1L () in
+  let handles = Hashtbl.create 64 in
+  let fire id =
+    on_fire id (Sim.Engine.executing_key e) (Sim.Engine.executing_cidx e)
+  in
+  {
+    schedule =
+      (fun ~delay id ->
+        match api with
+        | `Packed -> Sim.Engine.call_after e (us delay) fire id
+        | `Batched -> Sim.Engine.batch_call_after e (us delay) fire id
+        | `Handles ->
+            Hashtbl.replace handles id
+              (Sim.Engine.schedule_after e (us delay) (fun () -> fire id)));
+    commit = (fun () -> Sim.Engine.batch_commit e);
+    cancel = (fun id -> Sim.Engine.cancel e (Hashtbl.find handles id));
+    set_rank = Sim.Engine.set_rank e;
+    run_until = (fun limit -> Sim.Engine.run_until e (us limit));
+    run_until_idle = (fun () -> ignore (Sim.Engine.run_until_idle e));
+    now = (fun () -> Sim.Time.to_us (Sim.Engine.now e));
+    pending = (fun () -> Sim.Engine.pending e);
+    executed = (fun () -> Sim.Engine.executed e);
+  }
+
+let fired_t = Alcotest.(list (triple int_t int_t int_t))
+
+(* One random program, run on the engine (optionally with every schedule
+   staged and committed in batches) and on the reference; the fire logs —
+   ids with their (key, cidx) — and the [pending] trace must be equal. The
+   outer loop alternates external schedules at random offsets above the
+   clock with partial runs to a random limit (so pops are interleaved with
+   pushes that land near a moved cursor); handlers switch to a rank that
+   may lie above or below their own and schedule children, so same-µs
+   events of different ranks exercise the low key digits. With [burst],
+   half the delays are 0 — the key of the running event's instant — so
+   the FIFO tie-break is hit hard, and a zero-delay child under a lower
+   rank takes the [exec_key] clamp. Both runs draw from one RNG stream in
+   fire order: a divergence shows up as differing logs. *)
 let run_differential ~seed ~ops ~spread ~burst ?(batched = false) () =
-  let run queue ~batched =
+  let run make =
     let rng = Dstruct.Rng.create seed in
-    let e = Sim.Engine.create ~queue ~seed:1L () in
-    let log = ref [] and pendings = ref [] in
-    let uid = ref 0 in
-    let rec fire id =
-      log := id :: !log;
-      let pid = (Sim.Engine.executing_key e land rank_mask) - 1 in
-      Sim.Engine.set_rank e (max pid (id mod 7));
-      if !uid < ops && Dstruct.Rng.chance rng 0.45 then begin
-        for _ = 1 to 1 + Dstruct.Rng.int rng 3 do
-          schedule ()
-        done;
-        Sim.Engine.batch_commit e
-      end
-    and schedule () =
+    let log = ref [] and pendings = ref [] and uid = ref 0 in
+    let self = ref None in
+    let schedule () =
       let delay =
         if burst && Dstruct.Rng.chance rng 0.5 then 0
         else Dstruct.Rng.int rng spread
       in
       let id = !uid in
       incr uid;
-      if batched then Sim.Engine.batch_call_after e (us delay) fire id
-      else Sim.Engine.call_after e (us delay) fire id
+      (Option.get !self).schedule ~delay id
     in
+    let on_fire id key cidx =
+      log := (id, key, cidx) :: !log;
+      let s = Option.get !self in
+      s.set_rank (id mod 7);
+      if !uid < ops && Dstruct.Rng.chance rng 0.45 then begin
+        for _ = 1 to 1 + Dstruct.Rng.int rng 3 do
+          schedule ()
+        done;
+        s.commit ()
+      end
+    in
+    let s = make ~on_fire in
+    self := Some s;
     while !uid < ops do
       for _ = 1 to 1 + Dstruct.Rng.int rng 8 do
         schedule ()
       done;
-      Sim.Engine.batch_commit e;
-      let now = Sim.Time.to_us (Sim.Engine.now e) in
-      Sim.Engine.run_until e (us (now + Dstruct.Rng.int rng spread));
-      pendings := Sim.Engine.pending e :: !pendings
+      s.commit ();
+      s.run_until (s.now () + Dstruct.Rng.int rng spread);
+      pendings := s.pending () :: !pendings
     done;
-    ignore (Sim.Engine.run_until_idle e);
-    check int_t "every scheduled event fired" !uid (Sim.Engine.executed e);
-    (List.rev !log, List.rev !pendings, Sim.Engine.executed e)
+    s.run_until_idle ();
+    check int_t "every scheduled event fired" !uid (s.executed ());
+    (List.rev !log, List.rev !pendings, s.executed ())
   in
-  let heap_log, heap_pend, heap_x = run `Heap ~batched:false in
-  let wheel_log, wheel_pend, wheel_x = run `Wheel ~batched in
-  check (Alcotest.list int_t) "fire order agrees" heap_log wheel_log;
-  check (Alcotest.list int_t) "pending agrees after every run" heap_pend
-    wheel_pend;
-  check int_t "executed agrees" heap_x wheel_x
+  let ref_log, ref_pend, ref_x = run reference_sched in
+  let log, pend, x =
+    run (engine_sched ~api:(if batched then `Batched else `Packed))
+  in
+  check fired_t "fire order and (key, cidx) agree" ref_log log;
+  check (Alcotest.list int_t) "pending agrees after every run" ref_pend pend;
+  check int_t "executed agrees" ref_x x
 
 let test_batch_differential () =
   List.iter
@@ -221,11 +376,11 @@ let test_differential_bursts () =
 
 (* --------------------------------------------- engine-level differential *)
 
-(* Drive two engines — one per backend — through one pre-generated random
-   program of schedules and cancels, and require identical fire order and
-   identical [pending]/[executed] counters at every phase. Cancels cover
-   both the pre-run and the mid-run (an event cancelling a later event)
-   paths. *)
+(* Drive the engine and the reference through one pre-generated random
+   program of closure schedules and cancels, and require identical fire
+   order and identical [pending]/[executed] counters at every phase.
+   Cancels cover both the pre-run and the mid-run (an event cancelling a
+   later event) paths. *)
 let run_engine_differential ~seed () =
   let rng = Dstruct.Rng.create seed in
   let n_events = 400 in
@@ -239,50 +394,32 @@ let run_engine_differential ~seed () =
         in
         (i, delay, cancels))
   in
-  let run queue =
-    let engine = Sim.Engine.create ~queue ~seed:11L () in
-    let log = ref [] in
-    let handles = Array.make n_events None in
-    List.iter
-      (fun (i, delay, cancels) ->
-        let h =
-          Sim.Engine.schedule_after engine (Sim.Time.of_us delay) (fun () ->
-              log := i :: !log;
-              match cancels with
-              | Some j -> (
-                  match handles.(j) with
-                  | Some hj -> Sim.Engine.cancel engine hj
-                  | None -> ())
-              | None -> ())
-        in
-        handles.(i) <- Some h)
-      program;
+  let cancels = Array.of_list (List.map (fun (_, _, c) -> c) program) in
+  let run make =
+    let log = ref [] and self = ref None in
+    let on_fire id key cidx =
+      log := (id, key, cidx) :: !log;
+      Option.iter (Option.get !self).cancel cancels.(id)
+    in
+    let s = make ~on_fire in
+    self := Some s;
+    List.iter (fun (i, delay, _) -> s.schedule ~delay i) program;
     (* Pre-run cancels: every 17th event dies before the clock moves. *)
-    List.iter
-      (fun (i, _, _) ->
-        if i mod 17 = 0 then
-          match handles.(i) with
-          | Some h -> Sim.Engine.cancel engine h
-          | None -> ())
-      program;
-    let pending_before = Sim.Engine.pending engine in
-    Sim.Engine.run_until engine (Sim.Time.of_us 25_000);
-    let mid = (List.rev !log, Sim.Engine.pending engine) in
-    Sim.Engine.run_until engine (Sim.Time.of_us 60_000);
-    ( pending_before,
-      mid,
-      List.rev !log,
-      Sim.Engine.pending engine,
-      Sim.Engine.executed engine )
+    List.iter (fun (i, _, _) -> if i mod 17 = 0 then s.cancel i) program;
+    let pending_before = s.pending () in
+    s.run_until 25_000;
+    let mid = (List.rev !log, s.pending ()) in
+    s.run_until 60_000;
+    (pending_before, mid, List.rev !log, s.pending (), s.executed ())
   in
-  let bh, (mid_h, midp_h), fh, ph, xh = run `Heap in
-  let bw, (mid_w, midp_w), fw, pw, xw = run `Wheel in
-  check int_t "pending before run agrees" bh bw;
-  check (Alcotest.list int_t) "fire order agrees at mid-run" mid_h mid_w;
-  check int_t "pending agrees at mid-run" midp_h midp_w;
-  check (Alcotest.list int_t) "final fire order agrees" fh fw;
-  check int_t "final pending agrees" ph pw;
-  check int_t "executed agrees" xh xw
+  let br, (mid_r, midp_r), fr, pr, xr = run reference_sched in
+  let bw, (mid_w, midp_w), fw, pw, xw = run (engine_sched ~api:`Handles) in
+  check int_t "pending before run agrees" br bw;
+  check fired_t "fire order agrees at mid-run" mid_r mid_w;
+  check int_t "pending agrees at mid-run" midp_r midp_w;
+  check fired_t "final fire order agrees" fr fw;
+  check int_t "final pending agrees" pr pw;
+  check int_t "executed agrees" xr xw
 
 let test_engine_differential () =
   List.iter (fun seed -> run_engine_differential ~seed ()) [ 21L; 22L; 23L ]
@@ -295,9 +432,8 @@ let minor_words_of f =
   int_of_float (Gc.minor_words () -. before)
 
 (* Steady-state scheduling must reuse freed slots: after a warm-up that
-   sizes the store, 100k schedule/fire cycles allocate nothing — on both
-   backends (the heap's slot-id array only grows while the peak rises).
-   64 self-rescheduling chains with a static [fn] keep the queue at a
+   sizes the store, 100k schedule/fire cycles allocate nothing. 64
+   self-rescheduling chains with a static [fn] keep the queue at a
    constant depth. *)
 type ticker = { engine : Sim.Engine.t; mutable left : int }
 
@@ -309,56 +445,44 @@ let rec tick st =
       tick st
 
 let test_steady_state_alloc_free () =
-  List.iter
-    (fun queue ->
-      let e = Sim.Engine.create ~queue ~seed:1L () in
-      let chains = Array.init 64 (fun _ -> { engine = e; left = 0 }) in
-      let start left =
-        Array.iteri
-          (fun i st ->
-            st.left <- left;
-            Sim.Engine.call_after e (us i) tick st)
-          chains
-      in
-      start 100;
-      ignore (Sim.Engine.run_until_idle e);
-      start (100_000 / 64);
-      let words =
-        minor_words_of (fun () -> ignore (Sim.Engine.run_until_idle e))
-      in
-      check bool_t
-        (Printf.sprintf
-           "%s: 100k schedule/fire cycles allocated %d minor words"
-           (match queue with `Wheel -> "wheel" | `Heap -> "heap")
-           words)
-        true (words < 1_000))
-    [ `Wheel; `Heap ]
+  let e = Sim.Engine.create ~seed:1L () in
+  let chains = Array.init 64 (fun _ -> { engine = e; left = 0 }) in
+  let start left =
+    Array.iteri
+      (fun i st ->
+        st.left <- left;
+        Sim.Engine.call_after e (us i) tick st)
+      chains
+  in
+  start 100;
+  ignore (Sim.Engine.run_until_idle e);
+  start (100_000 / 64);
+  let words = minor_words_of (fun () -> ignore (Sim.Engine.run_until_idle e)) in
+  check bool_t
+    (Printf.sprintf "100k schedule/fire cycles allocated %d minor words" words)
+    true (words < 1_000)
 
-(* The large-cluster differential (DESIGN.md §14): the same n=256 slice of
-   simulation, digested event by event, under the timing wheel and the
-   binary-heap reference — the batched broadcast fan-out (staged wheel
-   splices) must leave the event stream bit-identical to the heap's
-   push-per-destination. The horizon is short: at n=256 even 100 simulated
-   milliseconds is ~1M messages through both backends. *)
-let test_n256_backend_digest_differential () =
+(* The large-cluster stream (DESIGN.md §14): an n=256 slice of simulation,
+   digested event by event, pinned at the value on which the timing wheel
+   and the binary-heap reference it replaced agreed — the batched
+   broadcast fan-out (staged wheel splices) must keep the order of one
+   push per destination. The horizon is short: at n=256 even 100
+   simulated milliseconds is ~1M messages. *)
+let test_n256_digest_pinned () =
   let n = 256 in
   let config = Omega.Config.default ~n ~t:((n - 1) / 2) Omega.Config.Fig1 in
   let env =
     Scenarios.Env.make config
       (Scenarios.Scenario.Rotating_star { center = n - 2 })
   in
-  let digest_of sched =
-    let spec =
-      Harness.Run.Spec.(
-        default |> with_check false |> with_digest true |> with_sched sched
-        |> with_horizon (Sim.Time.of_ms 100))
-    in
-    let result = Harness.Run.run ~spec ~env ~seed:7L () in
-    Option.get result.Harness.Run.digest
+  let spec =
+    Harness.Run.Spec.(
+      default |> with_check false |> with_digest true
+      |> with_horizon (Sim.Time.of_ms 100))
   in
-  check (Alcotest.of_pp (fun fmt d -> Format.fprintf fmt "%Lx" d))
-    "wheel and heap digests agree at n=256"
-    (digest_of `Heap) (digest_of `Wheel)
+  let result = Harness.Run.run ~spec ~env ~seed:7L () in
+  check Alcotest.string "n=256 digest pinned" "b554724e8007fd83"
+    (Obs.Digest.to_hex (Option.get result.Harness.Run.digest))
 
 (* The n-scaling budget: one simulated second at n=32 under the default
    wheel and recycled stores. Like test_rng's n=4 budget, the bound is
@@ -462,9 +586,16 @@ let () =
             test_stage_commit_basics;
           Alcotest.test_case "stage below cursor raises" `Quick
             test_stage_below_cursor_raises;
+          Alcotest.test_case "clamped schedule sorts after its key's queue"
+            `Quick test_clamp_sorts_after_queued;
+          Alcotest.test_case "order check raises on a descending commit"
+            `Quick test_order_check_raises;
         ] );
       ( "differential",
         [
+          (* The "heap" and "backend" case names predate the sorted-list
+             reference and the pinned digest that replaced the binary heap
+             as the scheduler's reference. *)
           Alcotest.test_case "random schedules match heap" `Quick
             test_differential_spread;
           Alcotest.test_case "wide keys cross levels" `Quick
@@ -476,7 +607,7 @@ let () =
           Alcotest.test_case "engine backends agree" `Quick
             test_engine_differential;
           Alcotest.test_case "n=256 backend digests agree" `Slow
-            test_n256_backend_digest_differential;
+            test_n256_digest_pinned;
         ] );
       ( "alloc",
         [
