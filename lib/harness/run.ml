@@ -576,9 +576,10 @@ let intra_fallback spec =
    owns. A control replica carries the harness-side rank-0 state: fault
    injector, scheduled crashes, the sampler. Windows [t, t+λ) run in
    parallel — λ is the certified minimum cross-shard latency, so nothing
-   created in a window can land inside it — and barriers commit
-   cross-shard messages, replay buffered emissions in canonical order,
-   and run rank-0 work. *)
+   created in a window can land inside it — and barriers seal
+   cross-shard messages (each shard drains its inbox as its next window
+   starts), replay buffered emissions in canonical order, and run rank-0
+   work. *)
 let run_intra ~spec ~env ~seed () =
   let {
     Spec.horizon;
@@ -762,25 +763,39 @@ let run_intra ~spec ~env ~seed () =
   if lookahead_us < 1 then
     invalid_arg "Run: intra-run parallelism needs a positive delay floor";
   let horizon_us = Sim.Time.to_us horizon in
-  let nets_list = Array.to_list all_nets in
-  let commit_all () =
-    for s = 0 to k - 1 do
-      Net.Network.commit_inbox shard_nets.(s)
-        (List.map (fun nt -> Net.Network.drain_outbox nt s) nets_list)
-    done
-  in
-  let wlim = ref 0 in
+  (* The barrier only seals the outboxes; each shard drains its own inbox
+     on its own domain as its window starts. *)
+  let seal_all () = Array.iter Net.Network.seal all_nets in
+  let wstart = ref 0 and wlim = ref 0 in
   let tasks =
     Array.init k (fun i () ->
-        Sim.Engine.run_window_key shard_engines.(i) ~limit_key:!wlim)
+        let e = shard_engines.(i) in
+        Net.Network.drain_sealed shard_nets.(i);
+        (* A window bound that missed a sealed arrival would run it out of
+           order; refuse rather than reorder. *)
+        let first = Sim.Engine.next_pending_key e in
+        if first >= 0 && first < !wstart then
+          invalid_arg
+            (Printf.sprintf
+               "Run: shard %d holds key %d below the window start %d after \
+                draining its inbox"
+               i first !wstart);
+        Sim.Engine.run_window_key e ~limit_key:!wlim)
   in
   let rb = Sim.Engine.rank_bits in
+  (* -1 = empty, like [next_pending_key]. Sealed arrivals are pending
+     shard events too, so the window bound and the root phase see them. *)
+  let min_key a b = if a < 0 || (b >= 0 && b < a) then b else a in
   let shard_min_key () =
-    Array.fold_left
-      (fun acc e ->
-        let v = Sim.Engine.next_pending_key e in
-        if v >= 0 && (acc < 0 || v < acc) then v else acc)
-      (-1) shard_engines
+    let acc = ref (-1) in
+    for i = 0 to k - 1 do
+      acc :=
+        min_key !acc
+          (min_key
+             (Sim.Engine.next_pending_key shard_engines.(i))
+             (Net.Network.sealed_min_key shard_nets.(i)))
+    done;
+    !acc
   in
   let pool = Parallel.Pool.create ~jobs:k () in
   Fun.protect
@@ -807,7 +822,7 @@ let run_intra ~spec ~env ~seed () =
             record_mode false;
             Sim.Engine.run_window_key control_engine ~limit_key:(rk + 1);
             record_mode true;
-            commit_all ();
+            seal_all ();
             root ()
           end
         end
@@ -825,17 +840,18 @@ let run_intra ~spec ~env ~seed () =
              (* One parallel window: up to the lookahead bound, cut short
                 at the control replica's next key — nothing sent in the
                 window can arrive below the bound, so every shard event
-                in [sk, lim) is causally closed under the commits already
-                applied. *)
+                in [sk, lim) is causally closed under the arrivals already
+                sealed. *)
              let look =
                min ((sk asr rb) + lookahead_us) (horizon_us + 1) lsl rb
              in
              let lim = if rk >= 0 && rk < look then rk else look in
              if sk < lim then begin
+               wstart := sk;
                wlim := lim;
                ignore (Parallel.Pool.run pool tasks);
                eb_merge_replay bufs real;
-               commit_all ()
+               seal_all ()
              end
            end);
           root ();
@@ -844,8 +860,9 @@ let run_intra ~spec ~env ~seed () =
       in
       loop ();
       record_mode false);
-  (* Everything left pends beyond the horizon, exactly as sequential
-     [finish] leaves it; advance the clocks and assemble. *)
+  (* Everything left pends beyond the horizon — in the engines or still
+     sealed — so nothing observable differs from sequential [finish];
+     advance the clocks and assemble. *)
   Array.iter (fun e -> Sim.Engine.run_until e horizon) shard_engines;
   Sim.Engine.run_until control_engine horizon;
   eb_merge_replay bufs real;

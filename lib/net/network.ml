@@ -70,14 +70,17 @@ type 'm t = {
      maps each pid to its owning shard ([||] = sequential mode, the only
      state the hot path ever checks); [my_shard] is this replica's index
      (-1 on the control network the fault injector mutates);
-     [outboxes.(s)] accumulates cross-shard event creations bound for
-     shard [s] (newest first; the barrier commit sorts canonically); and
-     [siblings] — every replica of the run including this one — is the
-     fan-out list the fault mutators keep in lockstep so a barrier-time
-     partition or crash lands on all shards at once. *)
+     [outboxes.(s)] accumulates, in creation order, this replica's
+     cross-shard event creations bound for shard [s] during a window, and
+     [sealed.(s)] holds the ones the last barrier sealed, until shard [s]
+     drains them; [siblings] — every replica of the run including this
+     one — is the fan-out list the fault mutators keep in lockstep so a
+     barrier-time partition or crash lands on all shards at once, and the
+     list a shard drains its inbox from. *)
   mutable shard_of : int array;
   mutable my_shard : int;
-  mutable outboxes : 'm xmsg list array;
+  mutable outboxes : 'm outbox array;
+  mutable sealed : 'm outbox array;
   mutable siblings : 'm t array;
 }
 
@@ -109,22 +112,30 @@ and 'm flight = {
   mutable frecycle : bool;
 }
 
-(* A cross-shard event creation in transit between a window and its
-   barrier: the canonical identity ([x_key]/[x_cidx]) was drawn on the
-   creating shard by {!Sim.Engine.stamp}; everything else is what
-   [commit_inbox] needs to materialize a flight from the owning replica's
-   pool. Plain immutable records — they live only between barriers, and
-   the barrier runs on the main domain. *)
-and 'm xmsg = {
-  x_key : int;
-  x_cidx : int;
-  x_sent_at : Sim.Time.t;
-  x_seq : int;
-  x_src : pid;
-  x_dst : pid;
-  x_via : pid;
-  x_msg : 'm;
-  x_info : Obs.Event.msg_info;
+(* Cross-shard event creations in transit from one replica to one shard,
+   as parallel columns: the canonical identity ([ob_key]/[ob_cidx]) drawn
+   on the creating shard by {!Sim.Engine.stamp_key}, then what the drain
+   needs to materialize a flight from the owning replica's pool. Entries
+   sit in creation order, so equal keys — one key carries one creator
+   rank, and one replica owns each rank — sit in ascending creation
+   index, the order [enqueue_committed] wants them in: the drain needs no
+   sort. Appending writes no block; the columns are allocated on the
+   first append and grow by doubling. [ob_min] is the smallest key held
+   ([max_int] when empty). Drained entries keep their last [ob_msg]/
+   [ob_info] values until overwritten — a bounded retention, like the
+   flight pool's. *)
+and 'm outbox = {
+  mutable ob_len : int;
+  mutable ob_min : int;
+  mutable ob_key : int array;
+  mutable ob_cidx : int array;
+  mutable ob_sent : int array;
+  mutable ob_seq : int array;
+  mutable ob_src : int array;
+  mutable ob_dst : int array;
+  mutable ob_via : int array;
+  mutable ob_msg : 'm array;
+  mutable ob_info : Obs.Event.msg_info array;
 }
 
 let default_classify _ = Obs.Event.no_info
@@ -244,6 +255,7 @@ let of_spec (spec : 'm Spec.t) engine ~n =
     shard_of = [||];
     my_shard = -1;
     outboxes = [||];
+    sealed = [||];
     siblings = [||];
   }
 
@@ -272,29 +284,75 @@ let release t f =
   t.pool.(k) <- f;
   t.pool_n <- k + 1
 
+let ob_create () =
+  {
+    ob_len = 0;
+    ob_min = max_int;
+    ob_key = [||];
+    ob_cidx = [||];
+    ob_sent = [||];
+    ob_seq = [||];
+    ob_src = [||];
+    ob_dst = [||];
+    ob_via = [||];
+    ob_msg = [||];
+    ob_info = [||];
+  }
+
+(* Double every column; [msg] fills the new message column, so no dummy
+   message is ever needed. *)
+let ob_grow b msg =
+  let n = b.ob_len in
+  let cap = if n = 0 then 64 else 2 * n in
+  let grow a fill =
+    let c = Array.make cap fill in
+    Array.blit a 0 c 0 n;
+    c
+  in
+  b.ob_key <- grow b.ob_key 0;
+  b.ob_cidx <- grow b.ob_cidx 0;
+  b.ob_sent <- grow b.ob_sent 0;
+  b.ob_seq <- grow b.ob_seq 0;
+  b.ob_src <- grow b.ob_src 0;
+  b.ob_dst <- grow b.ob_dst 0;
+  b.ob_via <- grow b.ob_via 0;
+  b.ob_msg <- grow b.ob_msg msg;
+  b.ob_info <- grow b.ob_info Obs.Event.no_info
+
+let ob_push b ~key ~cidx ~sent_at ~seq ~src ~dst ~via ~info msg =
+  let i = b.ob_len in
+  if i = Array.length b.ob_key then ob_grow b msg;
+  Array.unsafe_set b.ob_key i key;
+  Array.unsafe_set b.ob_cidx i cidx;
+  Array.unsafe_set b.ob_sent i sent_at;
+  Array.unsafe_set b.ob_seq i seq;
+  Array.unsafe_set b.ob_src i src;
+  Array.unsafe_set b.ob_dst i dst;
+  Array.unsafe_set b.ob_via i via;
+  Array.unsafe_set b.ob_msg i msg;
+  Array.unsafe_set b.ob_info i info;
+  b.ob_len <- i + 1;
+  if key < b.ob_min then b.ob_min <- key
+
+let ob_clear b =
+  b.ob_len <- 0;
+  b.ob_min <- max_int
+
 (* Cross-shard creation (DESIGN.md §18): draw the canonical identity the
    local [call_after] would have drawn — same [Sched] emission, same
-   creation-counter movement — and buffer the payload for the shard that
-   owns [via] instead of scheduling a flight here. The window barrier
-   materializes it on the owning replica via [commit_inbox]; together the
-   two halves are observationally identical to the local path. *)
+   creation-counter movement — and append the payload to the outbox of
+   the shard that owns [via] instead of scheduling a flight here. The
+   owning replica materializes it when its next window drains the sealed
+   outbox ([drain_sealed]); together the two halves are observationally
+   identical to the local path. *)
 let defer t ~delay ~sent_at ~seq ~src ~dst ~via ~info msg =
-  let time = Sim.Time.add (Sim.Engine.now t.engine) delay in
-  let x_key, x_cidx = Sim.Engine.stamp t.engine time in
-  let s = Array.unsafe_get t.shard_of via in
-  t.outboxes.(s) <-
-    {
-      x_key;
-      x_cidx;
-      x_sent_at = sent_at;
-      x_seq = seq;
-      x_src = src;
-      x_dst = dst;
-      x_via = via;
-      x_msg = msg;
-      x_info = info;
-    }
-    :: t.outboxes.(s)
+  let key =
+    Sim.Engine.stamp_key t.engine (Sim.Time.add (Sim.Engine.now t.engine) delay)
+  in
+  let cidx = Sim.Engine.stamp_cidx t.engine key in
+  ob_push
+    (Array.unsafe_get t.outboxes (Array.unsafe_get t.shard_of via))
+    ~key ~cidx ~sent_at ~seq ~src ~dst ~via ~info msg
 
 let deliver f =
   let t = f.net in
@@ -761,36 +819,64 @@ let dropped_count t = t.dropped
 let set_sharding t ~my_shard ~shard_of ~shards =
   t.my_shard <- my_shard;
   t.shard_of <- shard_of;
-  t.outboxes <- Array.make shards []
+  t.outboxes <- Array.init shards (fun _ -> ob_create ());
+  t.sealed <- Array.init shards (fun _ -> ob_create ())
 
 let link_siblings nets = Array.iter (fun t -> t.siblings <- nets) nets
 
-let drain_outbox t s =
-  let l = t.outboxes.(s) in
-  t.outboxes.(s) <- [];
-  l
+(* One pointer swap per destination. A seal that finds the previous
+   sealed outbox not yet drained (consecutive root-phase barriers)
+   appends behind it instead: everything already sealed was created
+   earlier, so creation order holds across the join. *)
+let seal t =
+  for s = 0 to Array.length t.outboxes - 1 do
+    let o = t.outboxes.(s) in
+    if o.ob_len > 0 then begin
+      let d = t.sealed.(s) in
+      if d.ob_len = 0 then begin
+        t.sealed.(s) <- o;
+        t.outboxes.(s) <- d
+      end
+      else begin
+        for i = 0 to o.ob_len - 1 do
+          ob_push d ~key:o.ob_key.(i) ~cidx:o.ob_cidx.(i)
+            ~sent_at:o.ob_sent.(i) ~seq:o.ob_seq.(i) ~src:o.ob_src.(i)
+            ~dst:o.ob_dst.(i) ~via:o.ob_via.(i) ~info:o.ob_info.(i)
+            o.ob_msg.(i)
+        done;
+        ob_clear o
+      end
+    end
+  done
 
-let xcompare a b =
-  if a.x_key <> b.x_key then compare a.x_key b.x_key
-  else compare a.x_cidx b.x_cidx
+let sealed_min_key t =
+  let m = ref max_int in
+  Array.iter
+    (fun u ->
+      let k = u.sealed.(t.my_shard).ob_min in
+      if k < !m then m := k)
+    t.siblings;
+  if !m = max_int then -1 else !m
 
-let commit_inbox t lists =
-  (* Keys are globally unique below the cidx tie-break, and (key, cidx)
-     pairs are unique outright, so this sort is a total order: the commit
-     sequence — and hence queue insertion order, which is the residual
-     FIFO tie-break — is independent of how the window interleaved. *)
-  let all = List.sort xcompare (List.concat lists) in
-  List.iter
-    (fun x ->
-      let f =
-        acquire t ~now:x.x_sent_at ~seq:x.x_seq ~src:x.x_src ~dst:x.x_dst
-          ~info:x.x_info x.x_msg
-      in
-      f.fvia <- x.x_via;
-      Sim.Engine.enqueue_committed t.engine ~key:x.x_key ~cidx:x.x_cidx
-        (if t.routed then hop_arrive else deliver)
-        f)
-    all
+(* Runs on the owning shard's domain: it alone touches [sealed.(my_shard)]
+   of every sibling, its own pool and its own engine until the next
+   barrier. Each outbox commits in creation order — see [outbox]. *)
+let drain_sealed t =
+  let fn = if t.routed then hop_arrive else deliver in
+  Array.iter
+    (fun u ->
+      let b = u.sealed.(t.my_shard) in
+      for i = 0 to b.ob_len - 1 do
+        let f =
+          acquire t ~now:b.ob_sent.(i) ~seq:b.ob_seq.(i) ~src:b.ob_src.(i)
+            ~dst:b.ob_dst.(i) ~info:b.ob_info.(i) b.ob_msg.(i)
+        in
+        f.fvia <- b.ob_via.(i);
+        Sim.Engine.enqueue_committed t.engine ~key:b.ob_key.(i)
+          ~cidx:b.ob_cidx.(i) fn f
+      done;
+      ob_clear b)
+    t.siblings
 
 let channel_floor_us t =
   if Array.length t.chan = 0 then max_int

@@ -192,14 +192,14 @@ val diameter : 'm t -> int
     events for processes it owns through the normal local path; an event
     whose {e executor} (delivery target on the direct path, next hop on a
     routed one) lives on another shard is stamped with its canonical
-    identity ({!Sim.Engine.stamp}) and buffered in a per-target-shard
-    outbox, then materialized on the owning replica at the window barrier.
-    All of this is inert until {!set_sharding}: sequential networks never
-    touch the shard map. *)
-
-(** A buffered cross-shard event creation (opaque outside the barrier
-    protocol: produced by {!drain_outbox}, consumed by {!commit_inbox}). *)
-type 'm xmsg
+    identity ({!Sim.Engine.stamp_key}) and appended, allocation-free, to
+    this replica's outbox for the target shard. At a barrier {!seal}
+    hands every outbox over; the owning shard then {!drain_sealed}s its
+    inbox on its own domain at the start of its next window. Outboxes
+    keep creation order and are never reordered: equal keys come from
+    one replica and so sit in ascending creation index, which is what
+    {!Sim.Engine.enqueue_committed} requires. All of this is inert until
+    {!set_sharding}: sequential networks never touch the shard map. *)
 
 (** [set_sharding t ~my_shard ~shard_of ~shards] turns on sharded dispatch
     for this replica: [shard_of.(pid)] is the owning shard of each process,
@@ -210,20 +210,29 @@ val set_sharding : 'm t -> my_shard:int -> shard_of:int array -> shards:int -> u
 (** [link_siblings nets] registers every replica of one run (shards and
     control) with every other: fault mutators ({!crash}, {!set_partition},
     {!set_edge_cut}, …) then apply to all replicas at once, keeping link
-    state in lockstep. Mutators only ever run at barriers on the main
-    domain, so no synchronisation is involved. *)
+    state in lockstep, and a shard drains its inbox from every replica.
+    Mutators only ever run at barriers on the main domain, so no
+    synchronisation is involved. *)
 val link_siblings : 'm t array -> unit
 
-(** [drain_outbox t s] removes and returns this replica's buffered
-    creations bound for shard [s] (unordered). *)
-val drain_outbox : 'm t -> int -> 'm xmsg list
+(** [seal t] hands over every creation this replica buffered since the
+    last seal — one pointer swap per target shard. If a target has not
+    drained the previous seal yet, the new creations are appended behind
+    it, keeping creation order. Call at a barrier, on the main domain. *)
+val seal : 'm t -> unit
 
-(** [commit_inbox t lists] materializes every buffered creation owned by
-    this replica, in canonical (key, creation index) order — flights come
-    from this replica's pool and are enqueued silently with
-    {!Sim.Engine.enqueue_committed}. Call only at a window barrier, with
-    the target engine's clock at or past every sender's window end. *)
-val commit_inbox : 'm t -> 'm xmsg list list -> unit
+(** [sealed_min_key t] is the smallest key sealed for [t]'s shard by any
+    replica and not yet drained, or [-1] when there is none. A window
+    bound must include it: those arrivals are pending events of the
+    shard that its engine does not hold yet. *)
+val sealed_min_key : 'm t -> int
+
+(** [drain_sealed t] materializes every creation sealed for [t]'s shard,
+    replica by replica in creation order — flights come from [t]'s pool
+    and are enqueued silently with {!Sim.Engine.enqueue_committed} — and
+    empties those sealed outboxes. Call it from the domain that runs
+    [t]'s shard, before that shard's window runs. *)
+val drain_sealed : 'm t -> unit
 
 (** The smallest delay a channel class can impose on a hop of this
     network — an eventually-timely clamp can pull any oracle delay down

@@ -611,19 +611,22 @@ let batch_commit t =
 
 (* ---- Intra-run sharded execution support (DESIGN.md §18) ----
    A cross-shard event creation splits [call_after] in two: the creating
-   shard [stamp]s the event — drawing the exact canonical (key, cidx) and
+   shard stamps the event — drawing the exact canonical (key, cidx) and
    emitting the Sched that the local path would have emitted — and ships
-   the pair with the payload; at the window barrier the owning shard
-   [enqueue_committed]s it silently (no second Sched, no counter bump).
+   the pair with the payload; the owning shard [enqueue_committed]s it
+   silently (no second Sched, no counter bump) when its next window
+   drains the sealed outboxes.
    The union of both shards' observable actions is bit-identical to the
    sequential [call_after]. *)
 
-let stamp t time =
-  if time < t.now then before_now ~what:"stamp" t time;
-  let key = next_key t time in
-  let cidx = next_cidx t key in
+(* Split like [next_key]/[next_cidx], for the same reason: a pair return
+   would box on every cross-shard creation. *)
+let stamp_key t time =
+  if time < t.now then before_now ~what:"stamp_key" t time;
   emit_sched t time;
-  (key, cidx)
+  next_key t time
+
+let stamp_cidx = next_cidx
 
 (* A committed event must sort after the last one executed here: the
    barrier's merge is only a replay of the sequential order if no

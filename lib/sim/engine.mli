@@ -174,19 +174,26 @@ val restore : Bytes.t -> t * 'a
 
     A conservative-window parallel run gives each shard of processes its
     own engine and splits every cross-shard event creation in two: the
-    creating shard calls {!stamp} — which draws the canonical (key,
-    creation index) pair exactly as the local scheduling path would, and
-    emits the same [Sched] event — and ships the pair with the payload to
-    the owning shard, which enqueues it at the window barrier with
-    {!enqueue_committed}. Together the two halves are observationally
-    identical to a local {!call_after} on a single sequential engine. *)
+    creating shard calls {!stamp_key} then {!stamp_cidx} — which draw the
+    canonical (key, creation index) pair exactly as the local scheduling
+    path would, and emit the same [Sched] event — and ships the pair with
+    the payload to the owning shard, which enqueues it with
+    {!enqueue_committed} at the start of its next window. Together the
+    two halves are observationally identical to a local {!call_after} on
+    a single sequential engine. *)
 
-(** [stamp t time] reserves the canonical identity of an event created in
+(** [stamp_key t time] reserves the canonical key of an event created in
     the current context and arriving at [time], emitting the [Sched] the
-    local path would emit. The event itself must then be enqueued exactly
-    once via {!enqueue_committed} (on any engine of the same run). Raises
-    [Invalid_argument] if [time] is in the past. *)
-val stamp : t -> Time.t -> int * int
+    local path would emit; [stamp_cidx t key] then draws its creation
+    index. Call [stamp_cidx] exactly once per [stamp_key], with the key it
+    returned: the pair is split so that stamping allocates nothing (a
+    tuple return boxes without flambda). The event itself must then be
+    enqueued exactly once via {!enqueue_committed} (on any engine of the
+    same run). [stamp_key] raises [Invalid_argument] if [time] is in the
+    past. *)
+val stamp_key : t -> Time.t -> int
+
+val stamp_cidx : t -> int -> int
 
 (** [enqueue_committed t ~key ~cidx fn arg] enqueues an already-stamped
     event silently: no [Sched] emission, no creation-counter movement.

@@ -1,7 +1,7 @@
 (* Tests for deterministic intra-run parallelism (DESIGN.md §18): sharded
    conservative-window execution must be observationally invisible. The
    digest (an FNV fold over the complete event stream) and the whole
-   result record must be identical for intra_domains 1/2/4, for every
+   result record must be identical for intra_domains 1/2/3/4, for every
    flavour of run the driver parallelizes — plain gossip, the relay tier,
    a faulted plan, a routed topology, fair-lossy channels — and the
    plan-free gossip stream must still be the exact pinned digest the
@@ -60,8 +60,10 @@ let run ~spec ~env ~intra ~seed =
     ~env ~seed ()
 
 (* The workhorse: the full fingerprint — digest first — must coincide for
-   intra 1/2/4, and intra 1 must equal the plain spec (the sequential
-   path, bit for bit). *)
+   intra 1/2/3/4, and intra 1 must equal the plain spec (the sequential
+   path, bit for bit). K = 3 makes uneven shards: at n = 4 the blocks
+   are {0, 1}, {2} and {3}, so one destination drains two shard sources
+   plus the control replica. *)
 let assert_invariant ?(seed = 7L) ~name spec env =
   let seq = fingerprint (Harness.Run.run ~spec ~env ~seed ()) in
   List.iter
@@ -70,7 +72,7 @@ let assert_invariant ?(seed = 7L) ~name spec env =
       check bool_t
         (Printf.sprintf "%s: intra=%d matches sequential" name intra)
         true (par = seq))
-    [ 1; 2; 4 ]
+    [ 1; 2; 3; 4 ]
 
 let test_gossip () = assert_invariant ~name:"gossip" base env
 
@@ -84,7 +86,7 @@ let test_gossip_pin () =
         "d04e0b6bb1a89956"
         (Obs.Digest.to_hex
            (Option.get (run ~spec:base ~env ~intra ~seed:7L).Harness.Run.digest)))
-    [ 2; 4 ]
+    [ 2; 3; 4 ]
 
 let test_relay () =
   assert_invariant ~name:"relay"
@@ -146,9 +148,13 @@ let test_start_refuses_intra () =
    loudly, naming the lookahead, rather than queue it for a later fire. *)
 let test_undercut_commit_raises () =
   let e = Sim.Engine.create ~seed:1L () in
-  let early_key, early_cidx = Sim.Engine.stamp e (ms 5) in
-  let key, cidx = Sim.Engine.stamp e (ms 5) in
-  let later_key, later_cidx = Sim.Engine.stamp e (ms 5) in
+  let stamp () =
+    let key = Sim.Engine.stamp_key e (ms 5) in
+    (key, Sim.Engine.stamp_cidx e key)
+  in
+  let early_key, early_cidx = stamp () in
+  let key, cidx = stamp () in
+  let later_key, later_cidx = stamp () in
   let ran = ref [] in
   let note i = ran := i :: !ran in
   Sim.Engine.enqueue_committed e ~key ~cidx note 1;
@@ -176,6 +182,163 @@ let test_undercut_commit_raises () =
   ignore (Sim.Engine.run_until_idle e);
   check (Alcotest.list int_t) "accepted commits ran in order" [ 1; 2 ]
     (List.rev !ran)
+
+(* ------------------------------------------------ barrier *)
+
+(* The window barrier through [Net.Network]'s sharding API alone: n = 4
+   split {0, 1} | {2, 3} over two sharded replicas, next to one
+   sequential network. The oracle's delay is constant, so a broadcast's
+   cross-shard fan-out shares one key and only the drain's creation
+   order can order those ties. *)
+let bdelay_us = 1_000
+let bshard_of = [| 0; 0; 1; 1 |]
+let rb = Sim.Engine.rank_bits
+
+let bnet () =
+  let e = Sim.Engine.create ~seed:1L () in
+  let spec =
+    Net.Network.Spec.(
+      default
+      |> with_oracle_us (fun ~now:_ ~seq:_ ~at:_ ~src:_ ~dst:_ (_ : int) ->
+             bdelay_us))
+  in
+  (e, Net.Network.of_spec spec e ~n:4)
+
+let sharded_pair () =
+  let pair = Array.init 2 (fun _ -> bnet ()) in
+  let nets = Array.map snd pair in
+  Array.iteri
+    (fun s nt ->
+      Net.Network.set_sharding nt ~my_shard:s ~shard_of:bshard_of ~shards:2)
+    nets;
+  Net.Network.link_siblings nets;
+  pair
+
+(* -1 = empty, as in [Engine.next_pending_key]. *)
+let min_key a b = if a < 0 || (b >= 0 && b < a) then b else a
+
+(* Each process floods: every delivery of [m < 3] is re-broadcast as
+   [m + 1]. The log entry is the delivery's canonical identity. *)
+let flood (e, nt) log =
+  for p = 0 to 3 do
+    Net.Network.set_handler nt p (fun ~src m ->
+        log :=
+          (Sim.Engine.executing_key e, Sim.Engine.executing_cidx e, src, p, m)
+          :: !log;
+        if m < 3 then Net.Network.broadcast nt ~src:p (m + 1))
+  done
+
+let test_barrier_log () =
+  let seq_log = ref [] and par_log = ref [] in
+  let ((es, ns) as seq) = bnet () in
+  flood seq seq_log;
+  for p = 0 to 3 do
+    Sim.Engine.set_rank es p;
+    Net.Network.broadcast ns ~src:p 0
+  done;
+  ignore (Sim.Engine.run_until_idle es);
+  let pair = sharded_pair () in
+  Array.iter (fun r -> flood r par_log) pair;
+  for p = 0 to 3 do
+    let e, nt = pair.(bshard_of.(p)) in
+    Sim.Engine.set_rank e p;
+    Net.Network.broadcast nt ~src:p 0
+  done;
+  (* The driver's protocol on one domain: seal, bound the window by every
+     pending and sealed key, then per shard drain and run. *)
+  let rec windows count =
+    Array.iter (fun (_, nt) -> Net.Network.seal nt) pair;
+    let sk =
+      Array.fold_left
+        (fun acc (e, nt) ->
+          min_key acc
+            (min_key
+               (Sim.Engine.next_pending_key e)
+               (Net.Network.sealed_min_key nt)))
+        (-1) pair
+    in
+    if sk < 0 then count
+    else begin
+      let lim = ((sk asr rb) + bdelay_us) lsl rb in
+      Array.iter
+        (fun (e, nt) ->
+          Net.Network.drain_sealed nt;
+          Sim.Engine.run_window_key e ~limit_key:lim)
+        pair;
+      windows (count + 1)
+    end
+  in
+  let count = windows 0 in
+  check bool_t "several windows ran" true (count >= 4);
+  let seq = List.rev !seq_log in
+  check int_t "the flood delivers 4*3 + 12*3 + 36*3 + 108*3 messages" 480
+    (List.length seq);
+  check bool_t "sealed-then-drained arrivals give the sequential log" true
+    (List.sort compare !par_log = seq)
+
+let test_sealed_min () =
+  let pair = sharded_pair () in
+  let e0, n0 = pair.(0) and e1, n1 = pair.(1) in
+  let send p dst =
+    Sim.Engine.set_rank e0 p;
+    Net.Network.send n0 ~src:p ~dst 0
+  in
+  let key p = (bdelay_us lsl rb) lor (p + 1) in
+  send 1 2;
+  send 1 3;
+  check int_t "an open outbox is not sealed" (-1)
+    (Net.Network.sealed_min_key n1);
+  Net.Network.seal n0;
+  check int_t "sealed minimum after the swap" (key 1)
+    (Net.Network.sealed_min_key n1);
+  send 0 3;
+  send 1 2;
+  Net.Network.seal n0;
+  check int_t "a second seal appends and lowers the minimum" (key 0)
+    (Net.Network.sealed_min_key n1);
+  check int_t "nothing sealed for the sender's own shard" (-1)
+    (Net.Network.sealed_min_key n0);
+  Net.Network.drain_sealed n1;
+  check int_t "drain resets the minimum" (-1) (Net.Network.sealed_min_key n1);
+  check int_t "every sealed arrival is pending" 4 (Sim.Engine.pending e1);
+  check int_t "the earliest is the sealed minimum" (key 0)
+    (Sim.Engine.next_pending_key e1);
+  ignore (Sim.Engine.run_until_idle e1);
+  check int_t "all delivered" 4 (Net.Network.delivered_count n1)
+
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  int_of_float (Gc.minor_words () -. before)
+
+(* Stamping, appending, sealing and draining allocate nothing once the
+   outbox columns (two per pair: sealing swaps them), the flight pool
+   and the engine's slot store have grown. *)
+let test_barrier_alloc () =
+  let pair = sharded_pair () in
+  let e0, n0 = pair.(0) and e1, n1 = pair.(1) in
+  let m = 10_000 in
+  let cycle at =
+    Sim.Engine.fast_forward e0 (ms at);
+    for i = 1 to m do
+      let p = i land 1 in
+      Sim.Engine.set_rank e0 p;
+      Net.Network.send n0 ~src:p ~dst:(2 + p) i
+    done;
+    Net.Network.seal n0;
+    Net.Network.drain_sealed n1
+  in
+  cycle 0;
+  ignore (Sim.Engine.run_until_idle e1);
+  cycle 10;
+  ignore (Sim.Engine.run_until_idle e1);
+  let words = minor_words_of (fun () -> cycle 20) in
+  check int_t "every measured send is pending" m (Sim.Engine.pending e1);
+  check bool_t
+    (Printf.sprintf "%d cross-shard sends, seal and drain allocated %d minor \
+                     words (budget: under 1 per message)"
+       m words)
+    true (words < m)
 
 (* ------------------------------------------------ lookahead safety *)
 
@@ -252,6 +415,14 @@ let () =
             test_start_refuses_intra;
           Alcotest.test_case "undercut commit raises (wheel)" `Quick
             test_undercut_commit_raises;
+        ] );
+      ( "barrier",
+        [
+          Alcotest.test_case "drain replays the sequential log"
+            `Quick test_barrier_log;
+          Alcotest.test_case "sealed minimum" `Quick test_sealed_min;
+          Alcotest.test_case "seal and drain allocate nothing" `Quick
+            test_barrier_alloc;
         ] );
       ( "lookahead",
         [ QCheck_alcotest.to_alcotest lookahead_safety ] );
