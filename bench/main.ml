@@ -12,7 +12,7 @@ open Toolkit
 
 (* Run one complete small simulation: n processes, rotating star, given
    horizon; returns the message count so the work cannot be optimized out. *)
-let sim_run ?(digest = false) ?(algo = `Gossip) ?(topology = Net.Topology.Complete) ?(intra = 1) ~variant
+let sim_run ?(digest = false) ?(algo = `Gossip) ?(topology = Net.Topology.Complete) ~variant
     ~n ~horizon_ms () =
   let t = (n - 1) / 2 in
   let config = Omega.Config.default ~n ~t variant in
@@ -25,7 +25,6 @@ let sim_run ?(digest = false) ?(algo = `Gossip) ?(topology = Net.Topology.Comple
       default |> with_check false |> with_digest digest
       |> with_algo algo
       |> with_topology topology
-      |> with_intra_domains intra
       |> with_horizon (Sim.Time.of_ms horizon_ms))
   in
   let result = Harness.Run.run ~spec ~env ~seed:7L () in
@@ -120,15 +119,6 @@ let micro_tests =
     Test.make ~name:"micro:sim-1s-n64-fig1"
       (Staged.stage (fun () ->
            ignore (sim_run ~variant:Omega.Config.Fig1 ~n:64 ~horizon_ms:1000 ())));
-    (* Intra-run parallelism off (DESIGN.md §18): with_intra_domains 1 must
-       take the sequential path through the one added dispatch branch —
-       this row pins, under the strict-alloc gate, that a build carrying
-       the sharded driver costs the plain run nothing. *)
-    Test.make ~name:"micro:sim-1s-n64-fig1-intra1"
-      (Staged.stage (fun () ->
-           ignore
-             (sim_run ~intra:1 ~variant:Omega.Config.Fig1 ~n:64
-                ~horizon_ms:1000 ())));
     Test.make ~name:"micro:sim-1s-n128-fig1"
       (Staged.stage (fun () ->
            ignore

@@ -34,7 +34,6 @@ type result = {
 module Spec = struct
   type t = {
     horizon : Sim.Time.t;
-    sample_every : Sim.Time.t;
     min_stable : Sim.Time.t option;
     crashes : (pid * Sim.Time.t) list;
     plan : Fault.Plan.t;
@@ -52,7 +51,6 @@ module Spec = struct
   let default =
     {
       horizon = Sim.Time.of_sec 30;
-      sample_every = Sim.Time.of_ms 100;
       min_stable = None;
       crashes = [];
       plan = Fault.Plan.empty;
@@ -68,7 +66,6 @@ module Spec = struct
     }
 
   let with_horizon horizon t = { t with horizon }
-  let with_sample_every sample_every t = { t with sample_every }
   let with_min_stable w t = { t with min_stable = Some w }
   let with_crashes crashes t = { t with crashes }
   let with_plan plan t = { t with plan }
@@ -169,12 +166,13 @@ type sampler_state = {
   st_iface : Omega.Iface.t;
   st_net : Omega.Message.t Net.Network.t;
   st_horizon : Sim.Time.t;
-  st_sample_every : Sim.Time.t;
   st_fig3 : bool;
   mutable st_samples : sample list;  (* newest first *)
   mutable st_lattice_violations : int;
   mutable st_max_round_state : int;
 }
+
+let sample_every = Sim.Time.of_ms 100
 
 let observe_nodes st =
   List.iter
@@ -203,9 +201,97 @@ let rec sample_task st =
     :: st.st_samples;
   if st.st_fig3 then observe_nodes st else ignore (observe_nodes st);
   if Sim.Time.(Sim.Engine.now st.st_engine < st.st_horizon) then
-    Sim.Engine.call_after st.st_engine st.st_sample_every sample_task st
+    Sim.Engine.call_after st.st_engine sample_every sample_task st
 
 let () = Sim.Checkpoint.register ~id:12 sample_task
+
+(* A per-shard emission buffer: every event a shard's replica emits during
+   a window, tagged with the canonical identity of the event that emitted
+   it. Within one buffer tags are nondecreasing (execution order), so the
+   barrier replay is a smallest-head merge of sorted streams. Three
+   parallel arrays — a tuple per emission would box. *)
+type ebuf = {
+  mutable eb_key : int array;
+  mutable eb_cidx : int array;
+  mutable eb_ev : Obs.Event.t array;
+  mutable eb_len : int;
+}
+
+let eb_dummy_ev = Obs.Event.Fire { now = 0 }
+
+let eb_create () =
+  {
+    eb_key = Array.make 256 0;
+    eb_cidx = Array.make 256 0;
+    eb_ev = Array.make 256 eb_dummy_ev;
+    eb_len = 0;
+  }
+
+let eb_push b ~key ~cidx ev =
+  let n = b.eb_len in
+  if n = Array.length b.eb_key then begin
+    let cap = 2 * n in
+    let k = Array.make cap 0
+    and c = Array.make cap 0
+    and e = Array.make cap eb_dummy_ev in
+    Array.blit b.eb_key 0 k 0 n;
+    Array.blit b.eb_cidx 0 c 0 n;
+    Array.blit b.eb_ev 0 e 0 n;
+    b.eb_key <- k;
+    b.eb_cidx <- c;
+    b.eb_ev <- e
+  end;
+  b.eb_key.(n) <- key;
+  b.eb_cidx.(n) <- cidx;
+  b.eb_ev.(n) <- ev;
+  b.eb_len <- n + 1
+
+let eb_clear b =
+  Array.fill b.eb_ev 0 b.eb_len eb_dummy_ev;
+  b.eb_len <- 0
+
+(* One shard of a sharded run (DESIGN.md §18): a full replica of the
+   simulation stack that executes only its owned pids' events, plus the
+   buffer its window emissions are recorded into. [sh_record] tags each
+   emission with the executing event's canonical identity; between
+   windows the engine's sink is the run's real tee instead. *)
+type shard = {
+  sh_engine : Sim.Engine.t;
+  sh_net : Omega.Message.t Net.Network.t;
+  sh_buf : ebuf;
+  sh_record : Obs.Sink.t;
+}
+
+(* Replay one window's emissions into [sink] in canonical order. A tag
+   names the executing event, which ran on exactly one shard, so tags
+   never tie across buffers and the merge is a total order: the replayed
+   stream is the sequential stream, whatever the domains interleaved. *)
+let eb_merge_replay shards sink =
+  let k = Array.length shards in
+  let pos = Array.make k 0 in
+  let rec loop () =
+    let best = ref (-1) and bk = ref max_int and bc = ref max_int in
+    for i = 0 to k - 1 do
+      let b = shards.(i).sh_buf in
+      let p = pos.(i) in
+      if p < b.eb_len then begin
+        let key = b.eb_key.(p) and cidx = b.eb_cidx.(p) in
+        if key < !bk || (key = !bk && cidx < !bc) then begin
+          best := i;
+          bk := key;
+          bc := cidx
+        end
+      end
+    done;
+    if !best >= 0 then begin
+      let b = shards.(!best).sh_buf in
+      Obs.Sink.emit sink b.eb_ev.(pos.(!best));
+      pos.(!best) <- pos.(!best) + 1;
+      loop ()
+    end
+  in
+  loop ();
+  Array.iter (fun sh -> eb_clear sh.sh_buf) shards
 
 type live = {
   l_spec : Spec.t;
@@ -221,12 +307,59 @@ type live = {
   l_metrics : Obs.Metrics.t option;
   l_digest : Obs.Digest.t option;
   l_sampler : sampler_state;
+  l_shards : shard array;  (* empty when sequential *)
+  l_lookahead_us : int;  (* λ of a sharded run; unused when sequential *)
 }
 
+(* Whether a spec needs mid-window observability the barrier replay cannot
+   provide: an external sink (tracing wants events as they happen) or an
+   adaptive-adversary plan (its sink feeds back into oracle state between
+   events). Such runs silently take the sequential path — same stream,
+   same result. *)
+let intra_fallback spec =
+  Option.is_some spec.Spec.sink
+  || Fault.Injector.adaptive_in_plan spec.Spec.plan
+
+(* The composite interface of a sharded run: per-pid queries route to the
+   owning shard's replica; [net] is the control replica, so
+   [Iface.engine] — where the injector and crash closures schedule — is
+   the control (rank-0) engine, and fault mutators fan out over the
+   sibling link. [pairs] holds each shard's own interface and its
+   owned-subset starter. *)
+let sharded_iface ~config ~net ~shard_of pairs =
+  let owner p = fst pairs.(shard_of.(p)) in
+  {
+    Omega.Iface.config;
+    net;
+    start =
+      (fun () ->
+        Array.iteri (fun i (_, st) -> st (fun p -> shard_of.(p) = i)) pairs);
+    leader_of = (fun p -> (owner p).Omega.Iface.leader_of p);
+    recover = (fun p -> (owner p).Omega.Iface.recover p);
+    resync = (fun p -> (owner p).Omega.Iface.resync p);
+    sending_round = (fun p -> (owner p).Omega.Iface.sending_round p);
+    receiving_round = (fun p -> (owner p).Omega.Iface.receiving_round p);
+    susp_level_get = (fun p q -> (owner p).Omega.Iface.susp_level_get p q);
+    max_susp_level_seen =
+      (fun p -> (owner p).Omega.Iface.max_susp_level_seen p);
+    max_timeout_armed = (fun p -> (owner p).Omega.Iface.max_timeout_armed p);
+    lattice_invariant_holds =
+      (fun p -> (owner p).Omega.Iface.lattice_invariant_holds p);
+    round_state_cardinal =
+      (fun p -> (owner p).Omega.Iface.round_state_cardinal p);
+  }
+
+(* The control replica is the whole run when sequential. A sharded run
+   (K = [min intra_domains n] > 1, DESIGN.md §18) adds K shard replicas
+   owning contiguous pid blocks; every replica is built from the same
+   seed, so every derived RNG stream coincides and a shard reproduces
+   exactly the draws the sequential engine would have made for the
+   processes it owns. The control replica then carries only the
+   harness-side rank-0 state: fault injector, scheduled crashes, the
+   sampler. Observers are built once, for both modes. *)
 let start ?(spec = Spec.default) ~env ~seed () =
   let {
     Spec.horizon;
-    sample_every;
     min_stable = _;
     crashes;
     plan;
@@ -242,14 +375,65 @@ let start ?(spec = Spec.default) ~env ~seed () =
   } =
     spec
   in
-  if intra_domains > 1 then
-    invalid_arg
-      "Run.start: intra-run parallel execution covers whole runs only \
-       (Run.run); the incremental start/advance/snapshot API is sequential";
   let config = Scenarios.Env.config env in
-  let engine = Sim.Engine.create ~seed () in
-  let scenario, net =
-    Scenarios.Env.build ~topology ~channel:link_channel env engine
+  let n = config.Omega.Config.n in
+  let k = if intra_fallback spec then 1 else min intra_domains n in
+  let replica () =
+    let engine = Sim.Engine.create ~seed () in
+    let scenario, net =
+      Scenarios.Env.build ~topology ~channel:link_channel env engine
+    in
+    (engine, scenario, net)
+  in
+  let cluster net =
+    match algo with
+    | `Gossip ->
+        let c = Omega.Cluster.create config net in
+        (Omega.Cluster.iface c, fun owned -> Omega.Cluster.start ~owned c)
+    | `Relay ->
+        let c = Omega.Lean.create config net in
+        (Omega.Lean.iface c, fun owned -> Omega.Lean.start ~owned c)
+  in
+  let engine, scenario, net = replica () in
+  (* The cluster exists before the sink is installed (creation emits
+     nothing, it only splits RNG streams) because the fault injector needs
+     it; the injector's action scheduling likewise pre-dates the sink, so
+     plan-free digests see exactly the event stream they always did. The
+     algorithm behind the interface is the spec's choice; Iface
+     construction is observationally free. A sharded run's control
+     replica builds its cluster too — skipping it would desync the control
+     stream from the shards' — but its nodes never start. *)
+  let local_iface, (_ : (pid -> bool) -> unit) = cluster net in
+  let replicas, iface, lookahead_us =
+    if k = 1 then ([||], local_iface, 0)
+    else begin
+      (* λ: the smallest delay any event created in a window can put
+         between itself and a cross-shard arrival — the scenario's delay
+         floor, capped by the tightest eventually-timely channel clamp. *)
+      let lookahead_us =
+        min
+          (Scenarios.Scenario.lookahead_us scenario)
+          (Net.Network.channel_floor_us net)
+      in
+      if lookahead_us < 1 then
+        invalid_arg
+          "Run.start: intra-run parallelism needs a positive delay floor";
+      let shard_of = Array.init n (fun p -> p * k / n) in
+      let replicas =
+        Array.init k (fun _ ->
+            let e, (_ : Scenarios.Scenario.t), nt = replica () in
+            (e, nt))
+      in
+      let pairs = Array.map (fun (_, nt) -> cluster nt) replicas in
+      Array.iteri
+        (fun i (_, nt) ->
+          Net.Network.set_sharding nt ~my_shard:i ~shard_of ~shards:k)
+        replicas;
+      Net.Network.set_sharding net ~my_shard:(-1) ~shard_of ~shards:k;
+      Net.Network.link_siblings
+        (Array.append [| net |] (Array.map snd replicas));
+      (replicas, sharded_iface ~config ~net ~shard_of pairs, lookahead_us)
+    end
   in
   let checker =
     if check && Option.is_some (Scenarios.Scenario.center scenario) then
@@ -277,41 +461,53 @@ let start ?(spec = Spec.default) ~env ~seed () =
   in
   let metrics_agg = if metrics then Some (Obs.Metrics.create ()) else None in
   let digest_st = if digest then Some (Obs.Digest.create ()) else None in
-  (* The cluster exists before the sink is installed (creation emits
-     nothing, it only splits RNG streams) because the fault injector needs
-     it; the injector's action scheduling likewise pre-dates the sink, so
-     plan-free digests see exactly the event stream they always did. The
-     algorithm behind the interface is the spec's choice, exactly like the
-     scheduler backend; Iface construction is observationally free. *)
-  let iface =
-    match algo with
-    | `Gossip -> Omega.Cluster.iface (Omega.Cluster.create config net)
-    | `Relay -> Omega.Lean.iface (Omega.Lean.create config net)
-  in
   let injector =
     if Fault.Plan.is_empty plan then None
     else Some (Fault.Injector.attach plan ~iface ~scenario)
   in
-  Sim.Engine.set_sink engine
-    (Obs.Sink.tee
-       (List.concat
-          [
-            bytes_sink;
-            (match checker with
-            | Some c -> [ Scenarios.Checker.sink c ]
-            | None -> []);
-            (match metrics_agg with
-            | Some m -> [ Obs.Metrics.sink m ]
-            | None -> []);
-            (match digest_st with
-            | Some d -> [ Obs.Digest.sink d ]
-            | None -> []);
-            (match injector with
-            | Some inj when Fault.Injector.adaptive_in_plan plan ->
-                [ Fault.Injector.sink inj ]
-            | Some _ | None -> []);
-            (match sink with Some s -> [ s ] | None -> []);
-          ]));
+  let tee =
+    Obs.Sink.tee
+      (List.concat
+         [
+           bytes_sink;
+           (match checker with
+           | Some c -> [ Scenarios.Checker.sink c ]
+           | None -> []);
+           (match metrics_agg with
+           | Some m -> [ Obs.Metrics.sink m ]
+           | None -> []);
+           (match digest_st with
+           | Some d -> [ Obs.Digest.sink d ]
+           | None -> []);
+           (match injector with
+           | Some inj when Fault.Injector.adaptive_in_plan plan ->
+               [ Fault.Injector.sink inj ]
+           | Some _ | None -> []);
+           (match sink with Some s -> [ s ] | None -> []);
+         ])
+  in
+  (* Setup emissions (crash-schedule Scheds, node starts) go straight to
+     the tee from every replica: setup runs in the sequential order, so
+     nothing needs tagging yet. *)
+  Sim.Engine.set_sink engine tee;
+  let mask = Obs.Sink.mask tee in
+  let shards =
+    Array.map
+      (fun (e, nt) ->
+        Sim.Engine.set_sink e tee;
+        let buf = eb_create () in
+        let record =
+          if mask = 0 then Obs.Sink.null
+          else
+            Obs.Sink.make ~mask (fun ev ->
+                eb_push buf
+                  ~key:(Sim.Engine.executing_key e)
+                  ~cidx:(Sim.Engine.executing_cidx e)
+                  ev)
+        in
+        { sh_engine = e; sh_net = nt; sh_buf = buf; sh_record = record })
+      replicas
+  in
   List.iter (fun (p, time) -> Omega.Iface.crash_at iface p time) crashes;
   let fig3 = Omega.Config.has_bounded_condition config.Omega.Config.variant in
   let sampler =
@@ -320,7 +516,6 @@ let start ?(spec = Spec.default) ~env ~seed () =
       st_iface = iface;
       st_net = net;
       st_horizon = horizon;
-      st_sample_every = sample_every;
       st_fig3 = fig3;
       st_samples = [];
       st_lattice_violations = 0;
@@ -329,8 +524,10 @@ let start ?(spec = Spec.default) ~env ~seed () =
   in
   Omega.Iface.start iface;
   (* The sampler chain is harness work: its own reserved rank keeps it
-     sorting after process events at a shared instant and its creation
-     counter off every pid's (the sharded driver depends on that split). *)
+     sorting after process events at a shared instant, and its creation
+     counter — drawn only by the control replica — off every pid's, so a
+     sharded run's (key, cidx) stamps coincide with the sequential
+     engine's exactly. *)
   Sim.Engine.set_harness_rank engine;
   Sim.Engine.call_after engine sample_every sample_task sampler;
   {
@@ -347,19 +544,154 @@ let start ?(spec = Spec.default) ~env ~seed () =
     l_metrics = metrics_agg;
     l_digest = digest_st;
     l_sampler = sampler;
+    l_shards = shards;
+    l_lookahead_us = lookahead_us;
   }
 
 let now live = Sim.Engine.now live.l_engine
 let horizon live = live.l_spec.Spec.horizon
 
+(* Conservative-window execution of a sharded run up to [until]
+   (DESIGN.md §18). Windows [t, t+λ) run in parallel — λ is the certified
+   minimum cross-shard latency, so nothing created in a window can land
+   inside it — and barriers seal cross-shard messages (each shard drains
+   its inbox as its next window starts), replay buffered emissions in
+   canonical order, and run rank-0 work. The pool lives for this call
+   only, so a live run holds no domains between slices. *)
+let advance_sharded live until =
+  let control = live.l_engine and shards = live.l_shards in
+  let k = Array.length shards in
+  let real = Sim.Engine.sink control in
+  let until_us = Sim.Time.to_us until in
+  let record_mode on =
+    Array.iter
+      (fun sh ->
+        Sim.Engine.set_sink sh.sh_engine (if on then sh.sh_record else real))
+      shards
+  in
+  (* The barrier only seals the outboxes; each shard drains its own inbox
+     on its own domain as its window starts. *)
+  let seal_all () =
+    Net.Network.seal live.l_net;
+    Array.iter (fun sh -> Net.Network.seal sh.sh_net) shards
+  in
+  let wstart = ref 0 and wlim = ref 0 in
+  let tasks =
+    Array.mapi
+      (fun i sh () ->
+        let e = sh.sh_engine in
+        Net.Network.drain_sealed sh.sh_net;
+        (* A window bound that missed a sealed arrival would run it out of
+           order; refuse rather than reorder. *)
+        let first = Sim.Engine.next_pending_key e in
+        if first >= 0 && first < !wstart then
+          invalid_arg
+            (Printf.sprintf
+               "Run: shard %d holds key %d below the window start %d after \
+                draining its inbox"
+               i first !wstart);
+        Sim.Engine.run_window_key e ~limit_key:!wlim)
+      shards
+  in
+  let rb = Sim.Engine.rank_bits in
+  (* -1 = empty, like [next_pending_key]. Sealed arrivals are pending
+     shard events too, so the window bound and the root phase see them. *)
+  let min_key a b = if a < 0 || (b >= 0 && b < a) then b else a in
+  let shard_min_key () =
+    let acc = ref (-1) in
+    for i = 0 to k - 1 do
+      let sh = shards.(i) in
+      acc :=
+        min_key !acc
+          (min_key
+             (Sim.Engine.next_pending_key sh.sh_engine)
+             (Net.Network.sealed_min_key sh.sh_net))
+    done;
+    !acc
+  in
+  Parallel.Pool.with_pool ~jobs:k (fun pool ->
+      record_mode true;
+      (* Control (rank-0/harness) work — fault appliers, crashes, the
+         sampler — runs between windows, one pending key at a time, for
+         as long as it sorts before every shard event. Key order is the
+         sequential order: a control event keyed at rank 0 precedes the
+         shard events at its instant, the harness-ranked sampler follows
+         them — [rk = sk] cannot happen because the control replica's
+         chains draw only ranks the shards never do. Shards are
+         fast-forwarded so barrier-time relative delays are computed from
+         the barrier instant, and their sinks swap to the real tee so
+         recovery/resync emissions land live, in place. *)
+      let rec root () =
+        let rk = Sim.Engine.next_pending_key control in
+        if rk >= 0 && rk asr rb <= until_us then begin
+          let sk = shard_min_key () in
+          if sk < 0 || rk < sk then begin
+            let at = Sim.Time.of_us (rk asr rb) in
+            Array.iter
+              (fun sh -> Sim.Engine.fast_forward sh.sh_engine at)
+              shards;
+            record_mode false;
+            Sim.Engine.run_window_key control ~limit_key:(rk + 1);
+            record_mode true;
+            seal_all ();
+            root ()
+          end
+        end
+      in
+      let rec loop () =
+        let sk = shard_min_key () in
+        let rk = Sim.Engine.next_pending_key control in
+        let next_us =
+          let a = if sk >= 0 then sk asr rb else max_int in
+          let b = if rk >= 0 then rk asr rb else max_int in
+          min a b
+        in
+        if next_us <= until_us then begin
+          (if sk >= 0 && sk asr rb <= until_us then begin
+             (* One parallel window: up to the lookahead bound, cut short
+                at the control replica's next key — nothing sent in the
+                window can arrive below the bound, so every shard event
+                in [sk, lim) is causally closed under the arrivals already
+                sealed. *)
+             let look =
+               min ((sk asr rb) + live.l_lookahead_us) (until_us + 1) lsl rb
+             in
+             let lim = if rk >= 0 && rk < look then rk else look in
+             if sk < lim then begin
+               wstart := sk;
+               wlim := lim;
+               ignore (Parallel.Pool.run pool tasks);
+               eb_merge_replay shards real;
+               seal_all ()
+             end
+           end);
+          root ();
+          loop ()
+        end
+      in
+      loop ();
+      record_mode false);
+  (* Everything left pends beyond [until] — in the engines or still
+     sealed — so bringing the clocks there executes nothing. *)
+  Array.iter (fun sh -> Sim.Engine.run_until sh.sh_engine until) shards;
+  Sim.Engine.run_until control until
+
 (* Slicing is observationally invisible: [run_until] only advances the
    clock, and an [advance ~until] below the horizon leaves every pending
-   event in place — the digest of sliced and straight runs is identical. *)
+   event in place — the digest of sliced and straight runs is identical.
+   A sharded run's windows are cut at [until] too; a shorter window is
+   still a conservative one, and the barrier replay keeps the stream in
+   canonical order across the cut. *)
 let advance live ~until =
-  Sim.Engine.run_until live.l_engine
-    (Sim.Time.min until live.l_spec.Spec.horizon)
+  let until = Sim.Time.min until live.l_spec.Spec.horizon in
+  if Array.length live.l_shards = 0 then
+    Sim.Engine.run_until live.l_engine until
+  else advance_sharded live until
 
 let snapshot live =
+  if Array.length live.l_shards > 0 then
+    invalid_arg
+      "Run.snapshot: a sharded run (intra_domains > 1) cannot be snapshotted";
   (match live.l_spec.Spec.sink with
   | Some _ ->
       invalid_arg
@@ -372,16 +704,26 @@ let restore bytes =
   let (_ : Sim.Engine.t), (live : live) = Sim.Engine.restore bytes in
   live
 
-(* Result assembly shared by the sequential [finish] and the intra-run
-   parallel driver: everything after the clock has reached the horizon.
-   [net] provides liveness/topology state (the control replica on a
-   sharded run — its crash state is kept in lockstep); the message
-   counters are passed in because a sharded run must sum them over the
-   shard replicas (each send and each delivery executes on exactly one). *)
-let assemble ~spec ~config ~scenario ~net ~iface ~injector ~checker
-    ~alive_bytes ~suspicion_bytes ~metrics_agg ~digest_st ~sampler ~sent
-    ~delivered =
-  let { Spec.horizon; min_stable; plan; _ } = spec in
+(* [net] provides liveness/topology state (the control replica on a
+   sharded run — its crash state is kept in lockstep); a sharded run sums
+   the message counters over the shard replicas, since each send and each
+   delivery executes on exactly one. *)
+let finish live =
+  advance live ~until:live.l_spec.Spec.horizon;
+  let {
+    l_spec = { Spec.horizon; min_stable; plan; _ };
+    l_config = config;
+    l_scenario = scenario;
+    l_net = net;
+    l_iface = iface;
+    l_injector = injector;
+    l_checker = checker;
+    l_sampler = sampler;
+    l_shards = shards;
+    _;
+  } =
+    live
+  in
   let min_stable =
     match min_stable with
     | Some w -> w
@@ -431,14 +773,18 @@ let assemble ~spec ~config ~scenario ~net ~iface ~injector ~checker
       checker
   in
   let leadership_epochs, re_elections = leadership_stats samples in
+  let count f =
+    if Array.length shards = 0 then f net
+    else Array.fold_left (fun a sh -> a + f sh.sh_net) 0 shards
+  in
   {
     stabilized_at;
     final_leader;
     samples;
-    messages_sent = sent;
-    messages_delivered = delivered;
-    alive_bytes = !alive_bytes;
-    suspicion_bytes = !suspicion_bytes;
+    messages_sent = count Net.Network.sent_count;
+    messages_delivered = count Net.Network.delivered_count;
+    alive_bytes = !(live.l_alive_bytes);
+    suspicion_bytes = !(live.l_suspicion_bytes);
     max_susp_level;
     max_timeout;
     lattice_violations = sampler.st_lattice_violations;
@@ -446,8 +792,8 @@ let assemble ~spec ~config ~scenario ~net ~iface ~injector ~checker
     min_sending_round;
     checker = checker_report;
     horizon;
-    digest = Option.map Obs.Digest.value digest_st;
-    metrics = metrics_agg;
+    digest = Option.map Obs.Digest.value live.l_digest;
+    metrics = live.l_metrics;
     re_elections;
     leadership_epochs;
     partition_downtime = Fault.Plan.partition_downtime ~horizon plan;
@@ -457,432 +803,7 @@ let assemble ~spec ~config ~scenario ~net ~iface ~injector ~checker
       (match injector with Some i -> Fault.Injector.recoveries i | None -> 0);
   }
 
-let finish live =
-  let {
-    l_spec = spec;
-    l_config = config;
-    l_engine = engine;
-    l_scenario = scenario;
-    l_net = net;
-    l_iface = iface;
-    l_injector = injector;
-    l_checker = checker;
-    l_alive_bytes = alive_bytes;
-    l_suspicion_bytes = suspicion_bytes;
-    l_metrics = metrics_agg;
-    l_digest = digest_st;
-    l_sampler = sampler;
-  } =
-    live
-  in
-  Sim.Engine.run_until engine spec.Spec.horizon;
-  assemble ~spec ~config ~scenario ~net ~iface ~injector ~checker
-    ~alive_bytes ~suspicion_bytes ~metrics_agg ~digest_st ~sampler
-    ~sent:(Net.Network.sent_count net)
-    ~delivered:(Net.Network.delivered_count net)
-
-(* ------------------------- intra-run parallel execution (DESIGN.md §18) *)
-
-(* A per-shard emission buffer: every event a shard's replica emits during
-   a window, tagged with the canonical identity of the event that emitted
-   it. Within one buffer tags are nondecreasing (execution order), so the
-   barrier replay is a smallest-head merge of sorted streams. Three
-   parallel arrays — a tuple per emission would box. *)
-type ebuf = {
-  mutable eb_key : int array;
-  mutable eb_cidx : int array;
-  mutable eb_ev : Obs.Event.t array;
-  mutable eb_len : int;
-}
-
-let eb_dummy_ev = Obs.Event.Fire { now = 0 }
-
-let eb_create () =
-  {
-    eb_key = Array.make 256 0;
-    eb_cidx = Array.make 256 0;
-    eb_ev = Array.make 256 eb_dummy_ev;
-    eb_len = 0;
-  }
-
-let eb_push b ~key ~cidx ev =
-  let n = b.eb_len in
-  if n = Array.length b.eb_key then begin
-    let cap = 2 * n in
-    let k = Array.make cap 0
-    and c = Array.make cap 0
-    and e = Array.make cap eb_dummy_ev in
-    Array.blit b.eb_key 0 k 0 n;
-    Array.blit b.eb_cidx 0 c 0 n;
-    Array.blit b.eb_ev 0 e 0 n;
-    b.eb_key <- k;
-    b.eb_cidx <- c;
-    b.eb_ev <- e
-  end;
-  b.eb_key.(n) <- key;
-  b.eb_cidx.(n) <- cidx;
-  b.eb_ev.(n) <- ev;
-  b.eb_len <- n + 1
-
-let eb_clear b =
-  Array.fill b.eb_ev 0 b.eb_len eb_dummy_ev;
-  b.eb_len <- 0
-
-(* Replay one window's emissions into [sink] in canonical order. A tag
-   names the executing event, which ran on exactly one shard, so tags
-   never tie across buffers and the merge is a total order: the replayed
-   stream is the sequential stream, whatever the domains interleaved. *)
-let eb_merge_replay bufs sink =
-  let k = Array.length bufs in
-  let pos = Array.make k 0 in
-  let rec loop () =
-    let best = ref (-1) and bk = ref max_int and bc = ref max_int in
-    for i = 0 to k - 1 do
-      let b = bufs.(i) in
-      let p = pos.(i) in
-      if p < b.eb_len then begin
-        let key = b.eb_key.(p) and cidx = b.eb_cidx.(p) in
-        if key < !bk || (key = !bk && cidx < !bc) then begin
-          best := i;
-          bk := key;
-          bc := cidx
-        end
-      end
-    done;
-    if !best >= 0 then begin
-      let b = bufs.(!best) in
-      Obs.Sink.emit sink b.eb_ev.(pos.(!best));
-      pos.(!best) <- pos.(!best) + 1;
-      loop ()
-    end
-  in
-  loop ();
-  Array.iter eb_clear bufs
-
-(* Whether a spec needs mid-window observability the barrier replay cannot
-   provide: an external sink (tracing wants events as they happen) or an
-   adaptive-adversary plan (its sink feeds back into oracle state between
-   events). Such runs silently take the sequential path — same stream,
-   same result. *)
-let intra_fallback spec =
-  Option.is_some spec.Spec.sink
-  || Fault.Injector.adaptive_in_plan spec.Spec.plan
-
-(* One conservative-window parallel run (DESIGN.md §18). [k] shards own
-   contiguous pid blocks; each owns a full replica of the simulation
-   stack (engine, scenario, network, cluster) built from the same seed,
-   so every derived RNG stream coincides and a replica reproduces exactly
-   the draws the sequential engine would have made for the processes it
-   owns. A control replica carries the harness-side rank-0 state: fault
-   injector, scheduled crashes, the sampler. Windows [t, t+λ) run in
-   parallel — λ is the certified minimum cross-shard latency, so nothing
-   created in a window can land inside it — and barriers seal
-   cross-shard messages (each shard drains its inbox as its next window
-   starts), replay buffered emissions in canonical order, and run rank-0
-   work. *)
-let run_intra ~spec ~env ~seed () =
-  let {
-    Spec.horizon;
-    sample_every;
-    crashes;
-    plan;
-    check;
-    wire_stats;
-    metrics;
-    digest;
-    algo;
-    topology;
-    link_channel;
-    intra_domains;
-    _;
-  } =
-    spec
-  in
-  let config = Scenarios.Env.config env in
-  let n = config.Omega.Config.n in
-  let k = min intra_domains n in
-  let shard_of = Array.init n (fun p -> p * k / n) in
-  let mk () =
-    let engine = Sim.Engine.create ~seed () in
-    let scenario, net =
-      Scenarios.Env.build ~topology ~channel:link_channel env engine
-    in
-    (engine, scenario, net)
-  in
-  let control_engine, scenario, control_net = mk () in
-  let shards = Array.init k (fun _ -> mk ()) in
-  let shard_engines = Array.map (fun (e, _, _) -> e) shards in
-  let shard_nets = Array.map (fun (_, _, nt) -> nt) shards in
-  let mk_iface nt =
-    match algo with
-    | `Gossip ->
-        let c = Omega.Cluster.create config nt in
-        (Omega.Cluster.iface c, fun owned -> Omega.Cluster.start ~owned c)
-    | `Relay ->
-        let c = Omega.Lean.create config nt in
-        (Omega.Lean.iface c, fun owned -> Omega.Lean.start ~owned c)
-  in
-  (* The control replica builds its cluster too: construction splits the
-     per-node RNG streams off the engine, so skipping it would desync the
-     control stream from the shards'. Its nodes never start. *)
-  let (_ : Omega.Iface.t), (_ : (pid -> bool) -> unit) =
-    mk_iface control_net
-  in
-  let pairs = Array.map mk_iface shard_nets in
-  Array.iteri
-    (fun i nt -> Net.Network.set_sharding nt ~my_shard:i ~shard_of ~shards:k)
-    shard_nets;
-  Net.Network.set_sharding control_net ~my_shard:(-1) ~shard_of ~shards:k;
-  let all_nets = Array.append [| control_net |] shard_nets in
-  Net.Network.link_siblings all_nets;
-  let owner p = fst pairs.(shard_of.(p)) in
-  (* The composite interface: per-pid queries route to the owning shard's
-     replica; [net] is the control replica, so [Iface.engine] — where the
-     injector and crash closures schedule — is the control (rank-0)
-     engine, and fault mutators fan out over the sibling link. *)
-  let iface =
-    {
-      Omega.Iface.config;
-      net = control_net;
-      start =
-        (fun () ->
-          Array.iteri
-            (fun i (_, st) -> st (fun p -> shard_of.(p) = i))
-            pairs);
-      leader_of = (fun p -> (owner p).Omega.Iface.leader_of p);
-      recover = (fun p -> (owner p).Omega.Iface.recover p);
-      resync = (fun p -> (owner p).Omega.Iface.resync p);
-      sending_round = (fun p -> (owner p).Omega.Iface.sending_round p);
-      receiving_round = (fun p -> (owner p).Omega.Iface.receiving_round p);
-      susp_level_get = (fun p q -> (owner p).Omega.Iface.susp_level_get p q);
-      max_susp_level_seen =
-        (fun p -> (owner p).Omega.Iface.max_susp_level_seen p);
-      max_timeout_armed =
-        (fun p -> (owner p).Omega.Iface.max_timeout_armed p);
-      lattice_invariant_holds =
-        (fun p -> (owner p).Omega.Iface.lattice_invariant_holds p);
-      round_state_cardinal =
-        (fun p -> (owner p).Omega.Iface.round_state_cardinal p);
-    }
-  in
-  let checker =
-    if check && Option.is_some (Scenarios.Scenario.center scenario) then
-      Some (Scenarios.Checker.create scenario)
-    else None
-  in
-  let alive_bytes = ref 0 and suspicion_bytes = ref 0 in
-  let bytes_sink =
-    if not wire_stats then []
-    else
-      [
-        Obs.Sink.make ~mask:Obs.Event.c_net (function
-          | Obs.Event.Send { kind; bytes; _ } ->
-              if String.equal kind "alive" then
-                alive_bytes := !alive_bytes + bytes
-              else if String.equal kind "susp" then
-                suspicion_bytes := !suspicion_bytes + bytes
-          | _ -> ());
-      ]
-  in
-  let metrics_agg = if metrics then Some (Obs.Metrics.create ()) else None in
-  let digest_st = if digest then Some (Obs.Digest.create ()) else None in
-  let injector =
-    if Fault.Plan.is_empty plan then None
-    else Some (Fault.Injector.attach plan ~iface ~scenario)
-  in
-  let real =
-    Obs.Sink.tee
-      (List.concat
-         [
-           bytes_sink;
-           (match checker with
-           | Some c -> [ Scenarios.Checker.sink c ]
-           | None -> []);
-           (match metrics_agg with
-           | Some m -> [ Obs.Metrics.sink m ]
-           | None -> []);
-           (match digest_st with
-           | Some d -> [ Obs.Digest.sink d ]
-           | None -> []);
-         ])
-  in
-  (* Setup emissions (crash-schedule Scheds, node starts) go straight to
-     the real tee from every replica: the driver performs setup in the
-     sequential order, so no tagging is needed yet. *)
-  Sim.Engine.set_sink control_engine real;
-  Array.iter (fun e -> Sim.Engine.set_sink e real) shard_engines;
-  List.iter (fun (p, time) -> Omega.Iface.crash_at iface p time) crashes;
-  let fig3 = Omega.Config.has_bounded_condition config.Omega.Config.variant in
-  let sampler =
-    {
-      st_engine = control_engine;
-      st_iface = iface;
-      st_net = control_net;
-      st_horizon = horizon;
-      st_sample_every = sample_every;
-      st_fig3 = fig3;
-      st_samples = [];
-      st_lattice_violations = 0;
-      st_max_round_state = 0;
-    }
-  in
-  Omega.Iface.start iface;
-  (* As in the sequential [start]: the sampler chain lives on the reserved
-     harness rank, whose creation counter only the control replica draws
-     from — so its (key, cidx) stamps coincide with the sequential
-     engine's exactly. *)
-  Sim.Engine.set_harness_rank control_engine;
-  Sim.Engine.call_after control_engine sample_every sample_task sampler;
-  let mask = Obs.Sink.mask real in
-  let bufs = Array.init k (fun _ -> eb_create ()) in
-  let rec_sinks =
-    Array.init k (fun i ->
-        if mask = 0 then Obs.Sink.null
-        else begin
-          let e = shard_engines.(i) and b = bufs.(i) in
-          Obs.Sink.make ~mask (fun ev ->
-              eb_push b
-                ~key:(Sim.Engine.executing_key e)
-                ~cidx:(Sim.Engine.executing_cidx e)
-                ev)
-        end)
-  in
-  let record_mode on =
-    Array.iteri
-      (fun i e -> Sim.Engine.set_sink e (if on then rec_sinks.(i) else real))
-      shard_engines
-  in
-  (* λ: the smallest delay any event created in a window can put between
-     itself and a cross-shard arrival — the scenario's delay floor, capped
-     by the tightest eventually-timely channel clamp. *)
-  let lookahead_us =
-    min
-      (Scenarios.Scenario.lookahead_us scenario)
-      (Net.Network.channel_floor_us control_net)
-  in
-  if lookahead_us < 1 then
-    invalid_arg "Run: intra-run parallelism needs a positive delay floor";
-  let horizon_us = Sim.Time.to_us horizon in
-  (* The barrier only seals the outboxes; each shard drains its own inbox
-     on its own domain as its window starts. *)
-  let seal_all () = Array.iter Net.Network.seal all_nets in
-  let wstart = ref 0 and wlim = ref 0 in
-  let tasks =
-    Array.init k (fun i () ->
-        let e = shard_engines.(i) in
-        Net.Network.drain_sealed shard_nets.(i);
-        (* A window bound that missed a sealed arrival would run it out of
-           order; refuse rather than reorder. *)
-        let first = Sim.Engine.next_pending_key e in
-        if first >= 0 && first < !wstart then
-          invalid_arg
-            (Printf.sprintf
-               "Run: shard %d holds key %d below the window start %d after \
-                draining its inbox"
-               i first !wstart);
-        Sim.Engine.run_window_key e ~limit_key:!wlim)
-  in
-  let rb = Sim.Engine.rank_bits in
-  (* -1 = empty, like [next_pending_key]. Sealed arrivals are pending
-     shard events too, so the window bound and the root phase see them. *)
-  let min_key a b = if a < 0 || (b >= 0 && b < a) then b else a in
-  let shard_min_key () =
-    let acc = ref (-1) in
-    for i = 0 to k - 1 do
-      acc :=
-        min_key !acc
-          (min_key
-             (Sim.Engine.next_pending_key shard_engines.(i))
-             (Net.Network.sealed_min_key shard_nets.(i)))
-    done;
-    !acc
-  in
-  let pool = Parallel.Pool.create ~jobs:k () in
-  Fun.protect
-    ~finally:(fun () -> Parallel.Pool.shutdown pool)
-    (fun () ->
-      record_mode true;
-      (* Control (rank-0/harness) work — fault appliers, crashes, the
-         sampler — runs between windows, one pending key at a time, for
-         as long as it sorts before every shard event. Key order is the
-         sequential order: a control event keyed at rank 0 precedes the
-         shard events at its instant, the harness-ranked sampler follows
-         them — [rk = sk] cannot happen because the control replica's
-         chains draw only ranks the shards never do. Shards are
-         fast-forwarded so barrier-time relative delays are computed from
-         the barrier instant, and their sinks swap to the real tee so
-         recovery/resync emissions land live, in place. *)
-      let rec root () =
-        let rk = Sim.Engine.next_pending_key control_engine in
-        if rk >= 0 && rk asr rb <= horizon_us then begin
-          let sk = shard_min_key () in
-          if sk < 0 || rk < sk then begin
-            let at = Sim.Time.of_us (rk asr rb) in
-            Array.iter (fun e -> Sim.Engine.fast_forward e at) shard_engines;
-            record_mode false;
-            Sim.Engine.run_window_key control_engine ~limit_key:(rk + 1);
-            record_mode true;
-            seal_all ();
-            root ()
-          end
-        end
-      in
-      let rec loop () =
-        let sk = shard_min_key () in
-        let rk = Sim.Engine.next_pending_key control_engine in
-        let next_us =
-          let a = if sk >= 0 then sk asr rb else max_int in
-          let b = if rk >= 0 then rk asr rb else max_int in
-          min a b
-        in
-        if next_us <= horizon_us then begin
-          (if sk >= 0 && sk asr rb <= horizon_us then begin
-             (* One parallel window: up to the lookahead bound, cut short
-                at the control replica's next key — nothing sent in the
-                window can arrive below the bound, so every shard event
-                in [sk, lim) is causally closed under the arrivals already
-                sealed. *)
-             let look =
-               min ((sk asr rb) + lookahead_us) (horizon_us + 1) lsl rb
-             in
-             let lim = if rk >= 0 && rk < look then rk else look in
-             if sk < lim then begin
-               wstart := sk;
-               wlim := lim;
-               ignore (Parallel.Pool.run pool tasks);
-               eb_merge_replay bufs real;
-               seal_all ()
-             end
-           end);
-          root ();
-          loop ()
-        end
-      in
-      loop ();
-      record_mode false);
-  (* Everything left pends beyond the horizon — in the engines or still
-     sealed — so nothing observable differs from sequential [finish];
-     advance the clocks and assemble. *)
-  Array.iter (fun e -> Sim.Engine.run_until e horizon) shard_engines;
-  Sim.Engine.run_until control_engine horizon;
-  eb_merge_replay bufs real;
-  assemble ~spec ~config ~scenario ~net:control_net ~iface ~injector ~checker
-    ~alive_bytes ~suspicion_bytes ~metrics_agg ~digest_st ~sampler
-    ~sent:
-      (Array.fold_left
-         (fun a nt -> a + Net.Network.sent_count nt)
-         0 shard_nets)
-    ~delivered:
-      (Array.fold_left
-         (fun a nt -> a + Net.Network.delivered_count nt)
-         0 shard_nets)
-
-let run ?spec ~env ~seed () =
-  let spec = match spec with Some s -> s | None -> Spec.default in
-  let n = (Scenarios.Env.config env).Omega.Config.n in
-  if min spec.Spec.intra_domains n > 1 && not (intra_fallback spec) then
-    run_intra ~spec ~env ~seed ()
-  else finish (start ~spec:{ spec with Spec.intra_domains = 1 } ~env ~seed ())
+let run ?spec ~env ~seed () = finish (start ?spec ~env ~seed ())
 
 let stabilization_ms result =
   match result.stabilized_at with

@@ -68,7 +68,6 @@ type result = {
 module Spec : sig
   type t = {
     horizon : Sim.Time.t;  (** default 30 sim-s *)
-    sample_every : Sim.Time.t;  (** default 100 sim-ms *)
     min_stable : Sim.Time.t option;  (** default [horizon / 5] *)
     crashes : (pid * Sim.Time.t) list;  (** permanent process failures *)
     plan : Fault.Plan.t;  (** default {!Fault.Plan.empty} — zero cost *)
@@ -96,15 +95,16 @@ module Spec : sig
         (** shard one run's event execution over this many domains under
             conservative windows (default 1 = the sequential engine, the
             only path with zero overhead; DESIGN.md §18). The event
-            stream, digest and result are byte-identical for every value.
-            Runs that need mid-window observability — an external [sink],
-            an adaptive-adversary plan — silently fall back to sequential
-            execution; {!start} (and so snapshots) rejects values > 1. *)
+            stream, digest and result are byte-identical for every value,
+            however the run is sliced into {!advance} calls. Runs that
+            need mid-window observability — an external [sink], an
+            adaptive-adversary plan — silently fall back to sequential
+            execution, as {!start} decides. A sharded run cannot be
+            {!snapshot}ted. *)
   }
 
   val default : t
   val with_horizon : Sim.Time.t -> t -> t
-  val with_sample_every : Sim.Time.t -> t -> t
   val with_min_stable : Sim.Time.t -> t -> t
   val with_crashes : (pid * Sim.Time.t) list -> t -> t
   val with_plan : Fault.Plan.t -> t -> t
@@ -138,32 +138,39 @@ val run : ?spec:Spec.t -> env:Scenarios.Env.t -> seed:int64 -> unit -> result
 
 (** {2 Sliced execution and snapshots (DESIGN.md §16)}
 
-    [run] is [finish (start ())]. The sliced form exists for checkpointed
-    sweeps: build the stack, advance in simulated-time slices, snapshot
-    between slices, and resume a snapshot in a later process. Slicing is
-    observationally invisible — however a run is cut into [advance] calls,
-    the event stream, digest and result are bit-identical to the
-    uninterrupted [run]. *)
+    [run] is [finish (start ())], for every [intra_domains]. The sliced
+    form exists for checkpointed sweeps: build the stack, advance in
+    simulated-time slices, snapshot between slices, and resume a snapshot
+    in a later process. Slicing is observationally invisible — however a
+    run is cut into [advance] calls, and whatever its [intra_domains], the
+    event stream, digest and result are bit-identical to the
+    uninterrupted sequential [run]. *)
 
 (** A started, resumable run: the whole simulation stack plus the
-    accumulating observers. *)
+    accumulating observers. A sharded run (DESIGN.md §18) also holds its
+    shard replicas, but no domains (see {!advance}). *)
 type live
 
 (** Build the stack and schedule the first events, without executing any:
-    the returned run sits at time zero. *)
+    the returned run sits at time zero. With [intra_domains] > 1 (and no
+    fallback) this builds the shard replicas too, and raises
+    [Invalid_argument] if the scenario's delay floor leaves no positive
+    lookahead. *)
 val start : ?spec:Spec.t -> env:Scenarios.Env.t -> seed:int64 -> unit -> live
 
 val now : live -> Sim.Time.t
 val horizon : live -> Sim.Time.t
 
-(** Execute every event up to [min until horizon]. *)
+(** Execute every event up to [min until horizon]. A sharded run
+    executes them in conservative windows on a pool of one domain per
+    shard, created and shut down within this call. *)
 val advance : live -> until:Sim.Time.t -> unit
 
 (** Marshal the whole run (engine, pending events, nodes, observers) to
-    bytes via {!Sim.Engine.snapshot}. Raises [Invalid_argument] if the
-    spec carries an external [sink] (a trace writer holds an out-channel)
-    or a broadcast batch is mid-commit (impossible between events). The
-    live run is unperturbed. *)
+    bytes via {!Sim.Engine.snapshot}. Raises [Invalid_argument] if the run
+    is sharded, if the spec carries an external [sink] (a trace writer
+    holds an out-channel) or if a broadcast batch is mid-commit
+    (impossible between events). The live run is unperturbed. *)
 val snapshot : live -> Bytes.t
 
 (** Rebuild a run from {!snapshot} bytes: a disjoint stack that continues

@@ -112,10 +112,7 @@ let test_faulted_digest_jobs_invariant () =
      same seeds over 1, 2 or 4 domains must produce identical digests. *)
   let seeds = [ 3L; 5L; 7L; 11L ] in
   let sweep pool =
-    (Harness.Sweep.run ~pool ~spec:(spec_with busy_plan) ~seeds
-       ~env_of:(fun _ -> env)
-       ())
-      .Harness.Sweep.digests
+    Parallel.Pool.map pool (fun seed -> digest_of ~plan:busy_plan ~seed) seeds
   in
   let sequential = sweep Parallel.Pool.sequential in
   check int_t "one digest per seed" 4 (List.length sequential);

@@ -1,5 +1,5 @@
 (* Tests for the harness: the stability judgment (a pure function with
-   subtle cases), the table renderer, and the multi-seed sweep. *)
+   subtle cases), the table renderer, and whole runs over several seeds. *)
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
@@ -97,29 +97,39 @@ let test_table_cells () =
   check Alcotest.string "yes" "yes" (Harness.Table.yesno true);
   check Alcotest.string "int" "42" (Harness.Table.intc 42)
 
-(* ------------------------------------------------------------- Sweep *)
+(* ------------------------------------------------------------- Seeds *)
 
-let test_sweep_aggregates () =
+(* A crash at 3 s, then a rotating star around process 3, under three
+   seeds — each with its own adversary plan, since the scenario seed
+   follows the engine seed. Every run must stabilize on the center, and
+   the assumption checker must report no violation. *)
+let test_three_seeds () =
   let n = 5 and t = 2 in
   let config = Omega.Config.default ~n ~t Omega.Config.Fig3 in
-  let agg =
-    Harness.Sweep.run
-      ~spec:
-        Harness.Run.Spec.(
-          default |> with_horizon (sec 15) |> with_crashes [ (0, sec 3) ])
-      ~seeds:[ 1L; 2L; 3L ]
-      ~env_of:(fun seed ->
-        Scenarios.Env.make ~scenario_seed:seed config
-          (Scenarios.Scenario.Rotating_star { center = 3 }))
-      ()
+  let spec =
+    Harness.Run.Spec.(
+      default |> with_horizon (sec 15) |> with_crashes [ (0, sec 3) ])
   in
-  check Alcotest.int "three runs" 3 agg.Harness.Sweep.runs;
-  check Alcotest.int "all stabilized" 3 agg.Harness.Sweep.stabilized;
-  check Alcotest.int "all elected the center" 3 agg.Harness.Sweep.elected_center;
-  check Alcotest.int "no violations" 0 agg.Harness.Sweep.violations;
-  check Alcotest.string "cell" "3/3" (Harness.Sweep.stabilized_cell agg);
-  check bool_t "latency cell present" true
-    (Harness.Sweep.latency_cell agg <> "-")
+  List.iter
+    (fun seed ->
+      let env =
+        Scenarios.Env.make ~scenario_seed:seed config
+          (Scenarios.Scenario.Rotating_star { center = 3 })
+      in
+      let r = Harness.Run.run ~spec ~env ~seed () in
+      let name = Printf.sprintf "seed %Ld" seed in
+      check bool_t (name ^ ": stabilized") true
+        (Option.is_some r.Harness.Run.stabilized_at);
+      check
+        Alcotest.(option int)
+        (name ^ ": elected the center") (Some 3) r.Harness.Run.final_leader;
+      check
+        Alcotest.(option int)
+        (name ^ ": no checker violations") (Some 0)
+        (Option.map
+           (fun rep -> List.length rep.Scenarios.Checker.violations)
+           r.Harness.Run.checker))
+    [ 1L; 2L; 3L ]
 
 let () =
   Alcotest.run "harness"
@@ -138,5 +148,9 @@ let () =
           Alcotest.test_case "empty" `Quick test_empty_samples;
         ] );
       ("table", [ Alcotest.test_case "cells" `Quick test_table_cells ]);
-      ("sweep", [ Alcotest.test_case "aggregates" `Slow test_sweep_aggregates ]);
+      ( "seeds",
+        [
+          Alcotest.test_case "three seeds elect the center" `Slow
+            test_three_seeds;
+        ] );
     ]

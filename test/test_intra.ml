@@ -3,8 +3,9 @@
    digest (an FNV fold over the complete event stream) and the whole
    result record must be identical for intra_domains 1/2/3/4, for every
    flavour of run the driver parallelizes — plain gossip, the relay tier,
-   a faulted plan, a routed topology, fair-lossy channels — and the
-   plan-free gossip stream must still be the exact pinned digest the
+   a faulted plan, a routed topology, fair-lossy channels — whether the
+   run goes through [Run.run] or is cut into [Run.advance] slices, and
+   the plan-free gossip stream must still be the exact pinned digest the
    sequential engine produces. The qcheck property at the bottom is the
    window-safety certificate: no scenario oracle can return a delay below
    [Scenario.lookahead_us], so nothing sent inside a window [t, t+λ) can
@@ -59,11 +60,42 @@ let run ~spec ~env ~intra ~seed =
     ~spec:(Harness.Run.Spec.with_intra_domains intra spec)
     ~env ~seed ()
 
+(* Cut points of the sliced leg, uneven on purpose: two before the first
+   window (nothing is scheduled at time zero), one on [busy_plan]'s
+   partition instant, and the horizon itself — after which [finish] only
+   folds the observers. *)
+let cuts =
+  [
+    Sim.Time.zero;
+    Sim.Time.of_us 1;
+    ms 97;
+    ms 500;
+    Sim.Time.of_us 1_203_457;
+    sec 2;
+  ]
+
+let sliced ~name ~spec ~env ~intra ~seed =
+  let live =
+    Harness.Run.start
+      ~spec:(Harness.Run.Spec.with_intra_domains intra spec)
+      ~env ~seed ()
+  in
+  List.iter
+    (fun until ->
+      Harness.Run.advance live ~until;
+      check int_t
+        (Printf.sprintf "%s: intra=%d clock at the cut" name intra)
+        (Sim.Time.to_us until)
+        (Sim.Time.to_us (Harness.Run.now live)))
+    cuts;
+  Harness.Run.finish live
+
 (* The workhorse: the full fingerprint — digest first — must coincide for
    intra 1/2/3/4, and intra 1 must equal the plain spec (the sequential
    path, bit for bit). K = 3 makes uneven shards: at n = 4 the blocks
    are {0, 1}, {2} and {3}, so one destination drains two shard sources
-   plus the control replica. *)
+   plus the control replica. The sliced leg drives the same runs through
+   [start], [advance] at every cut and [finish]. *)
 let assert_invariant ?(seed = 7L) ~name spec env =
   let seq = fingerprint (Harness.Run.run ~spec ~env ~seed ()) in
   List.iter
@@ -72,7 +104,14 @@ let assert_invariant ?(seed = 7L) ~name spec env =
       check bool_t
         (Printf.sprintf "%s: intra=%d matches sequential" name intra)
         true (par = seq))
-    [ 1; 2; 3; 4 ]
+    [ 1; 2; 3; 4 ];
+  List.iter
+    (fun intra ->
+      let par = fingerprint (sliced ~name ~spec ~env ~intra ~seed) in
+      check bool_t
+        (Printf.sprintf "%s: intra=%d sliced matches sequential" name intra)
+        true (par = seq))
+    [ 1; 2; 3 ]
 
 let test_gossip () = assert_invariant ~name:"gossip" base env
 
@@ -128,20 +167,58 @@ let test_seed_spread () =
   check int_t "three seeds, three digests" 3
     (List.length (List.sort_uniq Int64.compare [ d 3L; d 7L; d 11L ]))
 
-let test_start_refuses_intra () =
-  check bool_t "Run.start refuses intra_domains > 1" true
-    (try
-       ignore
-         (Harness.Run.start
-            ~spec:(Harness.Run.Spec.with_intra_domains 2 base)
-            ~env ~seed:7L ());
-       false
-     with Invalid_argument _ -> true);
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+let contains msg s =
+  let n = String.length s in
+  let rec at i =
+    i + n <= String.length msg && (String.sub msg i n = s || at (i + 1))
+  in
+  at 0
+
+(* Sharded snapshots are out of reach: a started and advanced K = 2 run
+   refuses loudly, and the refusal leaves it unperturbed. *)
+let test_sharded_snapshot_refused () =
+  let spec = Harness.Run.Spec.with_intra_domains 2 base in
+  let live = Harness.Run.start ~spec ~env ~seed:7L () in
+  Harness.Run.advance live ~until:(ms 300);
+  check bool_t "snapshot of a sharded run raises" true
+    (raises_invalid (fun () -> Harness.Run.snapshot live));
+  check bool_t "the refused run still matches sequential" true
+    (fingerprint (Harness.Run.finish live)
+    = fingerprint (Harness.Run.run ~spec:base ~env ~seed:7L ()))
+
+let test_intra_domains_zero () =
   check bool_t "with_intra_domains rejects 0" true
-    (try
-       ignore (Harness.Run.Spec.with_intra_domains 0 base);
-       false
-     with Invalid_argument _ -> true)
+    (raises_invalid (fun () -> Harness.Run.Spec.with_intra_domains 0 base))
+
+(* A zero delay floor leaves no lookahead: a sharded [start] refuses it
+   before any event runs, while the sequential run needs no lookahead and
+   reaches the horizon. *)
+let test_zero_delay_floor () =
+  let env =
+    Scenarios.Env.make
+      ~params:
+        { (Scenarios.Env.params env) with
+          Scenarios.Scenario.min_delay = Sim.Time.zero }
+      config
+      (Scenarios.Scenario.Rotating_star { center = 2 })
+  in
+  check bool_t "K = 2 start raises the delay-floor error" true
+    (match
+       Harness.Run.start
+         ~spec:(Harness.Run.Spec.with_intra_domains 2 base)
+         ~env ~seed:7L ()
+     with
+    | _ -> false
+    | exception Invalid_argument msg -> contains msg "delay floor");
+  let live = Harness.Run.start ~spec:base ~env ~seed:7L () in
+  let r = Harness.Run.finish live in
+  check bool_t "K = 1 reaches the horizon" true
+    (Harness.Run.now live = Harness.Run.horizon live);
+  check bool_t "K = 1 delivered messages" true
+    (r.Harness.Run.messages_delivered > 0)
 
 (* An undercut lookahead would hand a barrier commit an event that sorts
    before one the owning shard already ran. The commit must refuse it
@@ -163,15 +240,8 @@ let test_undercut_commit_raises () =
     match Sim.Engine.enqueue_committed e ~key ~cidx note 0 with
     | () -> Alcotest.failf "%s: commit accepted" label
     | exception Invalid_argument msg ->
-        let mentions s =
-          let n = String.length s in
-          let rec at i =
-            i + n <= String.length msg && (String.sub msg i n = s || at (i + 1))
-          in
-          at 0
-        in
         check bool_t (label ^ ": message names the lookahead") true
-          (mentions "lookahead")
+          (contains msg "lookahead")
   in
   refused "same key, lower creation index" early_key early_cidx;
   refused "the executed event itself" key cidx;
@@ -411,8 +481,11 @@ let () =
         ] );
       ( "guards",
         [
-          Alcotest.test_case "start refuses intra" `Quick
-            test_start_refuses_intra;
+          Alcotest.test_case "sharded snapshot raises" `Quick
+            test_sharded_snapshot_refused;
+          Alcotest.test_case "with_intra_domains rejects 0" `Quick
+            test_intra_domains_zero;
+          Alcotest.test_case "zero delay floor" `Quick test_zero_delay_floor;
           Alcotest.test_case "undercut commit raises (wheel)" `Quick
             test_undercut_commit_raises;
         ] );

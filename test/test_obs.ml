@@ -116,10 +116,7 @@ let test_digest_jobs_invariant () =
   (* The determinism oracle behind the CI gate: fanning the same seeds over
      1 or 2 domains must produce identical digest lists. *)
   let seeds = [ 3L; 5L; 7L; 11L ] in
-  let sweep pool =
-    (Harness.Sweep.run ~pool ~spec:digest_spec ~seeds ~env_of:(fun _ -> env) ())
-      .Harness.Sweep.digests
-  in
+  let sweep pool = Parallel.Pool.map pool (fun seed -> digest_of ~seed) seeds in
   let sequential = sweep Parallel.Pool.sequential in
   let parallel = Parallel.Pool.with_pool ~jobs:2 sweep in
   check int_t "one digest per seed" 4 (List.length sequential);

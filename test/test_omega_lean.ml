@@ -155,10 +155,12 @@ let test_digest_pinned () =
 let test_digest_jobs_invariant () =
   let seeds = [ 3L; 5L; 7L; 11L ] in
   let sweep pool =
-    (Harness.Sweep.run ~pool ~spec:digest_spec ~seeds
-       ~env_of:(fun _ -> digest_env)
-       ())
-      .Harness.Sweep.digests
+    Parallel.Pool.map pool
+      (fun seed ->
+        Option.get
+          (Harness.Run.run ~spec:digest_spec ~env:digest_env ~seed ())
+            .Harness.Run.digest)
+      seeds
   in
   let sequential = sweep Parallel.Pool.sequential in
   check int_t "one digest per seed" 4 (List.length sequential);

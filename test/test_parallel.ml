@@ -1,6 +1,7 @@
-(* Tests for the parallel run farm: submission-order results, aggregate
-   equality between sequential and multi-domain sweeps, and the O(1)
-   [Engine.pending] counter under schedule/cancel/step interleavings. *)
+(* Tests for the parallel run farm: submission-order results, per-seed
+   result equality between sequential and multi-domain pools, and the
+   O(1) [Engine.pending] counter under schedule/cancel/step
+   interleavings. *)
 
 let check = Alcotest.check
 let int_t = Alcotest.int
@@ -61,43 +62,52 @@ let test_pool_first_exception () =
       | exception Boom i ->
           check int_t "first failing index wins" 1 i)
 
-(* ------------------------------------------------------------- Sweep *)
+(* ------------------------------------------------------------- Seeds *)
 
-let sweep ?pool () =
+(* Everything deterministic in a result, digest first: a pooled run that
+   shared mutable state with another task would move some of it. *)
+let fingerprint (r : Harness.Run.result) =
+  ( r.Harness.Run.digest,
+    ( r.Harness.Run.stabilized_at,
+      r.Harness.Run.final_leader,
+      r.Harness.Run.messages_sent,
+      r.Harness.Run.messages_delivered,
+      r.Harness.Run.max_susp_level ),
+    ( r.Harness.Run.re_elections,
+      List.length r.Harness.Run.samples,
+      Option.map
+        (fun rep -> List.length rep.Scenarios.Checker.violations)
+        r.Harness.Run.checker ) )
+
+(* Six seeds, each with its own adversary plan, fanned over [pool];
+   results come back in seed order. *)
+let seed_runs pool =
   let n = 5 and t = 2 in
   let config = Omega.Config.default ~n ~t Omega.Config.Fig3 in
-  Harness.Sweep.run ?pool
-    ~spec:
-      Harness.Run.Spec.(
-        default |> with_horizon (sec 15) |> with_crashes [ (0, sec 3) ])
-    ~seeds:[ 1L; 2L; 3L; 4L; 5L; 6L ]
-    ~env_of:(fun seed ->
-      Scenarios.Env.make ~scenario_seed:seed config
-        (Scenarios.Scenario.Rotating_star { center = 3 }))
-    ()
+  let spec =
+    Harness.Run.Spec.(
+      default |> with_horizon (sec 15)
+      |> with_crashes [ (0, sec 3) ]
+      |> with_digest true)
+  in
+  Parallel.Pool.map pool
+    (fun seed ->
+      let env =
+        Scenarios.Env.make ~scenario_seed:seed config
+          (Scenarios.Scenario.Rotating_star { center = 3 })
+      in
+      fingerprint (Harness.Run.run ~spec ~env ~seed ()))
+    [ 1L; 2L; 3L; 4L; 5L; 6L ]
 
-let check_stats name a b =
-  check int_t (name ^ " count") (Dstruct.Stats.count a) (Dstruct.Stats.count b);
-  if not (Dstruct.Stats.is_empty a) then begin
-    check (Alcotest.float 0.) (name ^ " mean") (Dstruct.Stats.mean a)
-      (Dstruct.Stats.mean b);
-    check (Alcotest.float 0.) (name ^ " stddev") (Dstruct.Stats.stddev a)
-      (Dstruct.Stats.stddev b)
-  end
-
-let test_sweep_pool_equals_sequential () =
-  let seq = sweep () in
-  let par = Parallel.Pool.with_pool ~jobs:4 (fun pool -> sweep ~pool ()) in
-  let open Harness.Sweep in
-  check int_t "runs" seq.runs par.runs;
-  check int_t "stabilized" seq.stabilized par.stabilized;
-  check int_t "elected_center" seq.elected_center par.elected_center;
-  check int_t "violations" seq.violations par.violations;
-  (* Exact float equality: the fold replays Stats.add in seed order, so the
-     accumulations must be bit-identical, not merely close. *)
-  check_stats "stabilization_ms" seq.stabilization_ms par.stabilization_ms;
-  check_stats "messages" seq.messages par.messages;
-  check_stats "max_susp_level" seq.max_susp_level par.max_susp_level
+let test_pool_results_equal_sequential () =
+  let seq = seed_runs Parallel.Pool.sequential in
+  List.iter
+    (fun jobs ->
+      check Alcotest.bool
+        (Printf.sprintf "jobs=%d matches sequential, seed by seed" jobs)
+        true
+        (Parallel.Pool.with_pool ~jobs seed_runs = seq))
+    [ 2; 4 ]
 
 (* ----------------------------------------------------- Engine.pending *)
 
@@ -167,10 +177,10 @@ let () =
           Alcotest.test_case "first exception wins" `Quick
             test_pool_first_exception;
         ] );
-      ( "sweep",
+      ( "seeds",
         [
-          Alcotest.test_case "pool aggregate = sequential" `Slow
-            test_sweep_pool_equals_sequential;
+          Alcotest.test_case "pool results = sequential" `Slow
+            test_pool_results_equal_sequential;
         ] );
       ( "engine",
         [
