@@ -549,10 +549,6 @@ let e3 ~pool ~quick ~obs =
 
 (* ------------------------------------------------------------------ E4 *)
 
-(* E4 compares against baseline oracles through Compare.run (its own minimal
-   stack) — no Run.run underneath, so the obs layer has nothing to attach
-   to; the matrix stays observability-free (its cells still ride the farm
-   for LPT and sharding). *)
 let e4 ~pool ~quick ~obs =
   let n = 8 and t = 3 and center = 6 in
   let horizon = if quick then sec 12 else sec 45 in
@@ -569,39 +565,71 @@ let e4 ~pool ~quick ~obs =
       Scenario.Chaos;
     ]
   in
-  let algos = Baselines.Registry.all in
+  (* The paper's three algorithms, the two single-mechanism detectors its
+     assumption decomposes into (DESIGN.md §5: timer-only is the t-source
+     family's mechanism, count-only the message pattern's), and the
+     classic per-link heartbeat detector, which reads only [n], [beta] and
+     [initial_timeout] of the config. *)
+  let algos =
+    Omega.Config.
+      [
+        ("fig1", Fig1, Conjunction, `Gossip);
+        ("fig2", Fig2, Conjunction, `Gossip);
+        ("fig3", Fig3, Conjunction, `Gossip);
+        ("timer-only", Fig1, Timer_only, `Gossip);
+        ("count-only", Fig1, Count_only, `Gossip);
+        ("heartbeat", Fig1, Conjunction, `Heartbeat);
+      ]
+  in
   (* One thunk per (regime, algo) cell — the finest-grained table, so the
-     pool can overlap all |regimes| x |algos| simulations. *)
+     pool can overlap all |regimes| x |algos| simulations. A cell returns
+     its table entry, then its digest under [metrics]. *)
   let cells =
-    List.map (function [ s ] -> s | _ -> "-")
-    @@ on ~obs pool
+    on ~obs pool
     @@ List.concat_map
          (fun regime ->
            List.map
-             (fun algo ->
+             (fun (name, variant, closure, algo) ->
                let label =
-                 Printf.sprintf "e4 %s %s"
-                   (Scenario.regime_name regime)
-                   algo.Baselines.Registry.name
+                 Printf.sprintf "e4 %s %s" (Scenario.regime_name regime) name
                in
                {
                  label;
                  cost = cost_of ~n horizon;
                  exec =
                    (fun () ->
-                     let outcome =
-                       Compare.run algo
-                         ~scenario:(scenario ~n ~t regime)
-                         ~seed:7L ~horizon ~crashes
+                     let env =
+                       Scenarios.Env.make
+                         { (config ~n ~t variant) with Omega.Config.closure }
+                         regime
                      in
-                     [
-                       (if Float.is_nan outcome.Compare.stabilized_ms then "-"
-                        else
-                          Printf.sprintf "%.1fs%s"
-                            (outcome.Compare.stabilized_ms /. 1000.)
-                            (if outcome.Compare.elected_center then "*"
-                             else ""));
-                     ]);
+                     let result =
+                       obs_run ~obs ~label
+                         ~spec:
+                           Run.Spec.(
+                             default |> with_horizon horizon
+                             |> with_crashes crashes |> with_check false
+                             |> with_algo algo)
+                         ~env ~seed:7L ()
+                     in
+                     (* Did the run settle on the center the adversary
+                        protects at its end (failover switches)? *)
+                     let elected_center =
+                       match
+                         ( result.Run.final_leader,
+                           Scenarios.Env.center_at env max_int )
+                       with
+                       | Some l, Some c -> l = c
+                       | _ -> false
+                     in
+                     let stab = Run.stabilization_ms result in
+                     obs_cells obs result
+                       [
+                         (if Float.is_nan stab then "-"
+                          else
+                            Printf.sprintf "%.1fs%s" (stab /. 1000.)
+                              (if elected_center then "*" else ""));
+                       ]);
                })
              algos)
          regimes
@@ -614,18 +642,26 @@ let e4 ~pool ~quick ~obs =
         let rest = List.filteri (fun i _ -> i >= width) cells in
         row :: chunk rest
   in
-  let rows =
+  (* A shard's placeholder for a cell it does not own is [[]]. *)
+  let grid column =
     List.map2
-      (fun regime cells -> Scenario.regime_name regime :: cells)
-      regimes (chunk cells)
+      (fun regime row -> Scenario.regime_name regime :: row)
+      regimes
+      (chunk
+         (List.map
+            (fun rows -> Option.value ~default:"-" (List.nth_opt rows column))
+            cells))
   in
+  let header = "regime" :: List.map (fun (name, _, _, _) -> name) algos in
   Table.print
     ~title:
       "E4: which algorithm stabilizes under which assumption (n=8, t=3, \
        crash p0@10s; cell = stabilization time, * = elected the center, - = \
        anarchy) [paper section 3]"
-    ~header:("regime" :: List.map (fun a -> a.Baselines.Registry.name) algos)
-    rows
+    ~header (grid 0);
+  if obs.metrics then
+    Table.print ~title:"E4 digests: event-stream digest of each cell above"
+      ~header (grid 1)
 
 (* ------------------------------------------------------------------ E5 *)
 
@@ -799,8 +835,8 @@ let broadcast_run ~n ~t ~d ~commands ~horizon ~seed =
   (delivered, all_equal)
 
 (* E6's consensus/broadcast runs assemble their own two-network stacks
-   above (no Run.run), so like E4 they stay observability-free (but still
-   farm cells). *)
+   above (no Run.run), so they stay observability-free (but still farm
+   cells). *)
 let e6 ~pool ~quick ~obs =
   let n = 8 and t = 3 in
   let ds = if quick then [ 4 ] else [ 4; 16 ] in

@@ -16,10 +16,11 @@
     [--metrics] flags): with [no_obs] every run keeps the null sink and the
     tables are byte-identical to the pre-observability output; with
     [metrics = true] each Run.run-backed table gains a digest column (the
-    per-run {!Obs.Digest} — the determinism oracle); with [trace = Some j]
-    every run streams its typed events into [j] as JSONL, prefixed by a
-    note naming the run. E4 and E6 build their own stacks and ignore
-    [obs]. *)
+    per-run {!Obs.Digest} — the determinism oracle; E4, whose cells are
+    single runs, prints a second grid of digests instead); with
+    [trace = Some j] every run streams its typed events into [j] as
+    JSONL, prefixed by a note naming the run. E6 builds its own stacks
+    and ignores [obs]. *)
 
 (** Farm mode (DESIGN.md §16). Every table row is a costed cell with a
     globally increasing id in declaration order; the id is the cell's
@@ -109,7 +110,10 @@ val e2 : pool:Parallel.Pool.t -> quick:bool -> obs:obs -> unit
     suspicion levels, timeout values and the lattice invariant. *)
 val e3 : pool:Parallel.Pool.t -> quick:bool -> obs:obs -> unit
 
-(** E4 — §3 containment: every algorithm under every assumption regime. *)
+(** E4 — §3 containment: every algorithm under every assumption regime,
+    each cell one {!Harness.Run.run} ([`Gossip] configs for the paper's
+    figures and the closure-rule detectors, [`Heartbeat] for the per-link
+    baseline). *)
 val e4 : pool:Parallel.Pool.t -> quick:bool -> obs:obs -> unit
 
 (** E5 — §1.3/§8 cost: message counts, wire bytes, state growth vs n. *)

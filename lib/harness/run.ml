@@ -42,7 +42,7 @@ module Spec = struct
     metrics : bool;
     digest : bool;
     sink : Obs.Sink.t option;
-    algo : [ `Gossip | `Relay ];
+    algo : [ `Gossip | `Relay | `Heartbeat ];
     topology : Net.Topology.kind;
     link_channel : Net.Topology.channel;
     intra_domains : int;
@@ -74,7 +74,8 @@ module Spec = struct
   let with_metrics metrics t = { t with metrics }
   let with_digest digest t = { t with digest }
   let with_sink sink t = { t with sink = Some sink }
-  let with_algo algo t = { t with algo }
+  let with_algo (algo : [< `Gossip | `Relay | `Heartbeat ]) t =
+    { t with algo = (algo :> [ `Gossip | `Relay | `Heartbeat ]) }
   let with_topology topology t = { t with topology }
   let with_link_channel link_channel t = { t with link_channel }
 
@@ -339,7 +340,6 @@ let sharded_iface ~config ~net ~shard_of pairs =
     resync = (fun p -> (owner p).Omega.Iface.resync p);
     sending_round = (fun p -> (owner p).Omega.Iface.sending_round p);
     receiving_round = (fun p -> (owner p).Omega.Iface.receiving_round p);
-    susp_level_get = (fun p q -> (owner p).Omega.Iface.susp_level_get p q);
     max_susp_level_seen =
       (fun p -> (owner p).Omega.Iface.max_susp_level_seen p);
     max_timeout_armed = (fun p -> (owner p).Omega.Iface.max_timeout_armed p);
@@ -393,6 +393,9 @@ let start ?(spec = Spec.default) ~env ~seed () =
     | `Relay ->
         let c = Omega.Lean.create config net in
         (Omega.Lean.iface c, fun owned -> Omega.Lean.start ~owned c)
+    | `Heartbeat ->
+        let c = Omega.Heartbeat.create config net in
+        (Omega.Heartbeat.iface c, fun owned -> Omega.Heartbeat.start ~owned c)
   in
   let engine, scenario, net = replica () in
   (* The cluster exists before the sink is installed (creation emits

@@ -77,12 +77,15 @@ module Spec : sig
     digest : bool;  (** attach an {!Obs.Digest} over the event stream *)
     sink : Obs.Sink.t option;
         (** extra consumer (e.g. an {!Obs.Jsonl} writer for [--trace]) *)
-    algo : [ `Gossip | `Relay ];
+    algo : [ `Gossip | `Relay | `Heartbeat ];
         (** Ω algorithm behind the {!Omega.Iface} surface (default
             [`Gossip], the Figure-1/2/3 family selected by
-            {!Omega.Config.variant}); [`Relay] is the
-            communication-efficient {!Omega.Lean} variant — O(n) messages
-            per round instead of Θ(n²) (DESIGN.md §15) *)
+            {!Omega.Config.variant} and {!Omega.Config.closure}); [`Relay]
+            is the communication-efficient {!Omega.Lean} variant — O(n)
+            messages per round instead of Θ(n²) (DESIGN.md §15);
+            [`Heartbeat] is the classic per-link timeout baseline
+            {!Omega.Heartbeat} (experiment E4), which cannot recover a
+            crashed process *)
     topology : Net.Topology.kind;
         (** network graph (default [Complete]); any other kind routes every
             message hop by hop over precomputed shortest paths and scales
@@ -113,7 +116,7 @@ module Spec : sig
   val with_metrics : bool -> t -> t
   val with_digest : bool -> t -> t
   val with_sink : Obs.Sink.t -> t -> t
-  val with_algo : [ `Gossip | `Relay ] -> t -> t
+  val with_algo : [< `Gossip | `Relay | `Heartbeat ] -> t -> t
   val with_topology : Net.Topology.kind -> t -> t
   val with_link_channel : Net.Topology.channel -> t -> t
 

@@ -1,6 +1,6 @@
-(** Deciding whether a sampled run stabilized — the judgment shared by
-    {!Run} and the comparison driver, extracted as a pure function so the
-    tricky cases (quadratic slow-down, one-block lulls) are unit-testable.
+(** Deciding whether a sampled run stabilized — {!Run}'s judgment,
+    extracted as a pure function so the tricky cases (quadratic
+    slow-down, one-block lulls) are unit-testable.
 
     A run counts as stabilized when its samples end in a suffix with one
     constant agreed leader that spans

@@ -1,10 +1,6 @@
 type pid = int
 
-type t = {
-  nodes : Node.t array;
-  net : Message.t Net.Network.t;
-  engine : Sim.Engine.t;
-}
+type t = { nodes : Node.t array; net : Message.t Net.Network.t }
 
 let create cfg net =
   let n = Net.Network.n net in
@@ -12,7 +8,7 @@ let create cfg net =
      lives in the same flat arrays (DESIGN.md §14). *)
   let store = Store.create ~n in
   let nodes = Array.init n (fun me -> Node.create ~store cfg net ~me) in
-  { nodes; net; engine = Net.Network.engine net }
+  { nodes; net }
 
 (* [owned] filters which nodes start — a sharded replica builds all [n]
    nodes (construction splits each node's RNG off the engine stream, so
@@ -24,22 +20,13 @@ let start ?owned t =
   | None -> Array.iter Node.start t.nodes
   | Some mine ->
       Array.iteri (fun i nd -> if mine i then Node.start nd) t.nodes
+
 let node t i = t.nodes.(i)
-let net t = t.net
-let engine t = t.engine
-let n t = Array.length t.nodes
 
 let crash_at t p time =
   ignore
-    (Sim.Engine.schedule_at t.engine time (fun () ->
+    (Sim.Engine.schedule_at (Net.Network.engine t.net) time (fun () ->
          Net.Network.crash t.net p))
-
-let recover t p =
-  Net.Network.recover t.net p;
-  Node.recover t.nodes.(p)
-
-let recover_at t p time =
-  ignore (Sim.Engine.schedule_at t.engine time (fun () -> recover t p))
 
 let leaders t =
   List.map
@@ -60,7 +47,6 @@ let iface t : Iface.t =
     resync = (fun p -> Node.resync (nd p));
     sending_round = (fun p -> Node.sending_round (nd p));
     receiving_round = (fun p -> Node.receiving_round (nd p));
-    susp_level_get = (fun p k -> Node.susp_level_get (nd p) k);
     max_susp_level_seen = (fun p -> Node.max_susp_level_seen (nd p));
     max_timeout_armed = (fun p -> Node.max_timeout_armed (nd p));
     lattice_invariant_holds = (fun p -> Node.lattice_invariant_holds (nd p));

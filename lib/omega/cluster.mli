@@ -15,20 +15,9 @@ val create : Config.t -> Message.t Net.Network.t -> t
 val start : ?owned:(pid -> bool) -> t -> unit
 
 val node : t -> pid -> Node.t
-val net : t -> Message.t Net.Network.t
-val engine : t -> Sim.Engine.t
-val n : t -> int
 
 (** [crash_at t p time] schedules a crash of process [p]. *)
 val crash_at : t -> pid -> Sim.Time.t -> unit
-
-(** [recover t p] rejoins crashed process [p] immediately: un-crashes the
-    network endpoint, then restarts the node with its persisted state
-    ({!Node.recover}). *)
-val recover : t -> pid -> unit
-
-(** [recover_at t p time] schedules a {!recover}. *)
-val recover_at : t -> pid -> Sim.Time.t -> unit
 
 (** The algorithm-agnostic surface consumed by {!Harness.Run} and
     {!Fault.Injector} (DESIGN.md §15). Construction draws no randomness

@@ -14,7 +14,6 @@ type t = {
   resync : pid -> unit;
   sending_round : pid -> int;
   receiving_round : pid -> int;
-  susp_level_get : pid -> pid -> int;
   max_susp_level_seen : pid -> int;
   max_timeout_armed : pid -> Sim.Time.t;
   lattice_invariant_holds : pid -> bool;
@@ -31,7 +30,6 @@ let recover t p = t.recover p
 let resync t p = t.resync p
 let sending_round t p = t.sending_round p
 let receiving_round t p = t.receiving_round p
-let susp_level_get t p k = t.susp_level_get p k
 let max_susp_level_seen t p = t.max_susp_level_seen p
 let max_timeout_armed t p = t.max_timeout_armed p
 let lattice_invariant_holds t p = t.lattice_invariant_holds p
@@ -42,9 +40,6 @@ let crash_at t p time =
   ignore
     (Sim.Engine.schedule_at (engine t) time (fun () ->
          Net.Network.crash net p))
-
-let recover_at t p time =
-  ignore (Sim.Engine.schedule_at (engine t) time (fun () -> t.recover p))
 
 let leaders t =
   List.map (fun p -> (p, t.leader_of p)) (Net.Network.correct t.net)

@@ -4,8 +4,9 @@
     {!Harness.Run} and {!Fault.Injector} select the algorithm the way the
     engine already selects its scheduler backend.
 
-    Implementations: {!Cluster.iface} (the Figure-1/2/3 gossip family)
-    and {!Lean.iface} (the communication-efficient relay variant). Both
+    Implementations: {!Cluster.iface} (the Figure-1/2/3 gossip family),
+    {!Lean.iface} (the communication-efficient relay variant) and
+    {!Heartbeat.iface} (the classic per-link timeout baseline). All three
     run over the same {!Message} network type, so networks, scenarios and
     classifiers need no algorithm plumbing.
 
@@ -22,13 +23,13 @@ type t = {
   leader_of : pid -> pid;  (** current [leader ()] output of a process *)
   recover : pid -> unit;
       (** un-crash the network endpoint and rejoin the process with its
-          persisted state (crash-recovery, paper §1.3) *)
+          persisted state (crash-recovery, paper §1.3); {!Heartbeat}'s
+          raises [Invalid_argument] *)
   resync : pid -> unit;
       (** re-seat a stranded-but-alive process past a partition gap
           (same catch-up rule as recovery; see DESIGN.md §12) *)
   sending_round : pid -> int;
   receiving_round : pid -> int;
-  susp_level_get : pid -> pid -> int;
   max_susp_level_seen : pid -> int;
   max_timeout_armed : pid -> Sim.Time.t;
   lattice_invariant_holds : pid -> bool;
@@ -49,7 +50,6 @@ val recover : t -> pid -> unit
 val resync : t -> pid -> unit
 val sending_round : t -> pid -> int
 val receiving_round : t -> pid -> int
-val susp_level_get : t -> pid -> pid -> int
 val max_susp_level_seen : t -> pid -> int
 val max_timeout_armed : t -> pid -> Sim.Time.t
 val lattice_invariant_holds : t -> pid -> bool
@@ -57,9 +57,6 @@ val round_state_cardinal : t -> pid -> int
 
 (** [crash_at t p time] schedules a permanent-unless-recovered crash. *)
 val crash_at : t -> pid -> Sim.Time.t -> unit
-
-(** [recover_at t p time] schedules a {!recover}. *)
-val recover_at : t -> pid -> Sim.Time.t -> unit
 
 (** Current [leader ()] output of every non-crashed process. *)
 val leaders : t -> (pid * pid) list

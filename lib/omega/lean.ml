@@ -449,12 +449,6 @@ let iface c : Iface.t =
        and judged in the same counter. *)
     sending_round = (fun p -> (nd p).hb_rn);
     receiving_round = (fun p -> (nd p).hb_rn);
-    susp_level_get =
-      (fun p k ->
-        let t = nd p in
-        if k < 0 || k >= t.cfg.Config.n then
-          invalid_arg "Lean.susp_level_get: pid out of range";
-        t.susp.(t.base + k));
     max_susp_level_seen = (fun p -> (nd p).max_susp_seen);
     max_timeout_armed = (fun p -> (nd p).max_timeout_armed);
     (* No bounded-condition lattice and no round-indexed state. *)

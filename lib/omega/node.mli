@@ -74,7 +74,8 @@ val start : t -> unit
     incoming ALIVE exhibits; (2) the previous incarnation's sending task is
     retired by an epoch counter, so a pre-crash pending event cannot
     duplicate the loop this call restarts. The caller must un-crash the
-    transport first ({!Net.Network.recover}); see {!Cluster.recover}. *)
+    transport first ({!Net.Network.recover}), as {!Cluster.iface}'s
+    [recover] does. *)
 val recover : t -> unit
 
 (** [resync t] applies recovery rule (1) alone — re-seat the receiving round

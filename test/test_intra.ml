@@ -3,7 +3,7 @@
    digest (an FNV fold over the complete event stream) and the whole
    result record must be identical for intra_domains 1/2/3/4, for every
    flavour of run the driver parallelizes — plain gossip, the relay tier,
-   a faulted plan, a routed topology, fair-lossy channels — whether the
+   the heartbeat baseline, a faulted plan, a routed topology, fair-lossy channels — whether the
    run goes through [Run.run] or is cut into [Run.advance] slices, and
    the plan-free gossip stream must still be the exact pinned digest the
    sequential engine produces. The qcheck property at the bottom is the
@@ -130,6 +130,16 @@ let test_gossip_pin () =
 let test_relay () =
   assert_invariant ~name:"relay"
     Harness.Run.Spec.(base |> with_algo `Relay)
+    relay_env
+
+(* The per-link heartbeat baseline starts each node under its own rank
+   like the Ω producers, so its shards draw the sequential keys; the crash
+   exercises its halted-node paths across a shard boundary. *)
+let test_heartbeat () =
+  assert_invariant ~name:"heartbeat"
+    Harness.Run.Spec.(
+      base |> with_check false |> with_algo `Heartbeat
+      |> with_crashes [ (0, ms 400) ])
     relay_env
 
 let test_faulted () =
@@ -473,6 +483,7 @@ let () =
           Alcotest.test_case "gossip" `Quick test_gossip;
           Alcotest.test_case "gossip matches the pin" `Quick test_gossip_pin;
           Alcotest.test_case "relay" `Quick test_relay;
+          Alcotest.test_case "heartbeat" `Quick test_heartbeat;
           Alcotest.test_case "faulted plan" `Quick test_faulted;
           Alcotest.test_case "scheduled crashes" `Quick test_crashes;
           Alcotest.test_case "routed topology" `Quick test_routed;

@@ -196,7 +196,9 @@ let test_leader_lexicographic () =
 
 (* Cluster-level tests run through the shared algorithm interface
    (DESIGN.md §15) — the same surface the harness and the fault injector
-   consume — so they pin the Iface contract, not Cluster internals. *)
+   consume — so they pin the Iface contract, not Cluster internals. The
+   cluster itself comes along for the tests that read a node's level row,
+   which the interface does not expose. *)
 let cluster ?(n = 4) ?(t = 1) ?(closure = Omega.Config.Conjunction)
     ?(oracle = instant) variant =
   let engine = Sim.Engine.create ~seed:2L () in
@@ -206,9 +208,10 @@ let cluster ?(n = 4) ?(t = 1) ?(closure = Omega.Config.Conjunction)
       engine ~n
   in
   let config = { (Omega.Config.default ~n ~t variant) with closure } in
-  let i = Omega.Cluster.iface (Omega.Cluster.create config net) in
+  let cl = Omega.Cluster.create config net in
+  let i = Omega.Cluster.iface cl in
   Omega.Iface.start i;
-  (engine, net, i)
+  (engine, cl, i)
 
 let test_conjunction_rounds_advance () =
   let engine, _, c = cluster Omega.Config.Fig3 in
@@ -228,10 +231,10 @@ let test_timely_cluster_elects_min_id () =
 let test_crashed_process_level_grows () =
   (* Lemma 1 / Lemma 3: a crashed process's suspicion level keeps growing at
      every correct process (Fig2: growth is unbounded). *)
-  let engine, _, c = cluster Omega.Config.Fig2 in
+  let engine, cl, c = cluster Omega.Config.Fig2 in
   Omega.Iface.crash_at c 3 (Sim.Time.of_ms 500);
   Sim.Engine.run_until engine (Sim.Time.of_sec 3);
-  let level_at p = Omega.Iface.susp_level_get c p 3 in
+  let level_at p = Omega.Node.susp_level_get (Omega.Cluster.node cl p) 3 in
   check bool_t "crashed suspected" true (level_at 0 > 5);
   let mid = level_at 0 in
   Sim.Engine.run_until engine (Sim.Time.of_sec 6);
@@ -241,12 +244,13 @@ let test_crashed_process_level_grows () =
 
 let test_fig3_crashed_level_bounded () =
   (* Theorem 4: with Fig3 even a crashed process's level stops at B+1. *)
-  let engine, _, c = cluster Omega.Config.Fig3 in
+  let engine, cl, c = cluster Omega.Config.Fig3 in
   Omega.Iface.crash_at c 3 (Sim.Time.of_ms 500);
   Sim.Engine.run_until engine (Sim.Time.of_sec 3);
-  let level_at_3s = Omega.Iface.susp_level_get c 0 3 in
+  let level () = Omega.Node.susp_level_get (Omega.Cluster.node cl 0) 3 in
+  let level_at_3s = level () in
   Sim.Engine.run_until engine (Sim.Time.of_sec 10);
-  let level_at_10s = Omega.Iface.susp_level_get c 0 3 in
+  let level_at_10s = level () in
   check int_t "bounded (stopped growing)" level_at_3s level_at_10s;
   check bool_t "small" true (level_at_10s <= 2)
 
@@ -328,12 +332,12 @@ let test_variant_flags () =
        (Omega.Config.Fig3_fg { f = (fun _ -> 0); g = (fun _ -> 0) }))
 
 let test_cluster_agreed_leader_semantics () =
-  let engine, net, c = cluster Omega.Config.Fig3 in
+  let engine, _, c = cluster Omega.Config.Fig3 in
   Sim.Engine.run_until engine (Sim.Time.of_sec 2);
   check (Alcotest.option int_t) "agreed on 0" (Some 0)
     (Omega.Iface.agreed_leader c);
   (* Crash the leader: agreement on a crashed process does not count. *)
-  Net.Network.crash net 0;
+  Net.Network.crash (Omega.Iface.net c) 0;
   check (Alcotest.option int_t) "crashed leader is no agreement" None
     (Omega.Iface.agreed_leader c);
   check (Alcotest.list (Alcotest.pair int_t int_t)) "leaders excludes crashed"

@@ -1,7 +1,7 @@
 (* Tests for snapshot/restore (DESIGN.md §16): a run cut by a mid-run
    snapshot and continued from the restored copy must be bit-identical —
    same digest, same aggregate results — to the uninterrupted run, for
-   both algorithms and faulted plans; and snapshotting must never perturb
+   all three algorithms and faulted plans; and snapshotting must never perturb
    the run it copies. Also the failure modes: a staged broadcast batch, an
    unregistered packed function, and a trace sink all refuse to snapshot
    with a clean error and leave the live run usable. The farm's shard
@@ -84,7 +84,13 @@ let test_matrix () =
       differential
         ~msg:(Printf.sprintf "n=%d relay" n)
         ~spec:Harness.Run.Spec.(spec |> with_algo `Relay)
-        ~env:(relay_env ~n) ~seed:7L ~cut)
+        ~env:(relay_env ~n) ~seed:7L ~cut;
+      (* The heartbeat's self-reposting task is checkpoint id 16 and its
+         deadline timers ride Sim.Timer's id 2. *)
+      differential
+        ~msg:(Printf.sprintf "n=%d heartbeat" n)
+        ~spec:Harness.Run.Spec.(spec |> with_algo `Heartbeat)
+        ~env:(matrix_env ~n Omega.Config.Fig1) ~seed:7L ~cut)
     [ 8; 64 ]
 
 let test_faulted () =
