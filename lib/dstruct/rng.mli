@@ -43,6 +43,11 @@ val pick : t -> 'a list -> 'a
 (** [shuffle t xs] is a uniform permutation of [xs]. *)
 val shuffle : t -> 'a list -> 'a list
 
-(** [sample t k xs] is a uniform [k]-subset of [xs] (in shuffled order).
-    Requires [k <= List.length xs]. *)
+(** [shuffle_in_place t a] permutes [a] uniformly, with the draws of
+    [shuffle] on the same elements. *)
+val shuffle_in_place : t -> 'a array -> unit
+
+(** [sample t k xs] is a uniform [k]-subset of [xs] (in shuffled order):
+    the first [k] elements of [shuffle t xs]. Requires
+    [k <= List.length xs]. *)
 val sample : t -> int -> 'a list -> 'a list

@@ -3,7 +3,6 @@ type pid = int
 type sample = {
   time : Sim.Time.t;
   round : int;  (* slowest correct process's receiving round *)
-  leaders : (pid * pid) list;
   agreed : pid option;
 }
 
@@ -167,7 +166,6 @@ type sampler_state = {
   st_iface : Omega.Iface.t;
   st_net : Omega.Message.t Net.Network.t;
   st_horizon : Sim.Time.t;
-  st_fig3 : bool;
   mutable st_samples : sample list;  (* newest first *)
   mutable st_lattice_violations : int;
   mutable st_max_round_state : int;
@@ -175,32 +173,32 @@ type sampler_state = {
 
 let sample_every = Sim.Time.of_ms 100
 
-let observe_nodes st =
-  List.iter
-    (fun p ->
-      if not (Omega.Iface.lattice_invariant_holds st.st_iface p) then
-        st.st_lattice_violations <- st.st_lattice_violations + 1;
-      let cardinal = Omega.Iface.round_state_cardinal st.st_iface p in
-      if cardinal > st.st_max_round_state then
-        st.st_max_round_state <- cardinal)
-    (Net.Network.correct st.st_net)
-
-let min_receiving_round st =
-  List.fold_left
-    (fun acc p -> min acc (Omega.Iface.receiving_round st.st_iface p))
-    max_int
-    (Net.Network.correct st.st_net)
-
+(* One pass over the correct processes per sample: the slowest receiving
+   round, leader agreement, and the lattice and round-state probes. *)
 let rec sample_task st =
+  let iface = st.st_iface and net = st.st_net in
+  let round = ref max_int and leader = ref (-1) and agree = ref true in
+  for p = 0 to Net.Network.n net - 1 do
+    if not (Net.Network.is_crashed net p) then begin
+      let r = Omega.Iface.receiving_round iface p in
+      if r < !round then round := r;
+      let l = Omega.Iface.leader_of iface p in
+      if !leader < 0 then leader := l else if l <> !leader then agree := false;
+      if not (Omega.Iface.lattice_invariant_holds iface p) then
+        st.st_lattice_violations <- st.st_lattice_violations + 1;
+      let cardinal = Omega.Iface.round_state_cardinal iface p in
+      if cardinal > st.st_max_round_state then
+        st.st_max_round_state <- cardinal
+    end
+  done;
+  let agreed =
+    if !leader >= 0 && !agree && not (Net.Network.is_crashed net !leader)
+    then Some !leader
+    else None
+  in
   st.st_samples <-
-    {
-      time = Sim.Engine.now st.st_engine;
-      round = min_receiving_round st;
-      leaders = Omega.Iface.leaders st.st_iface;
-      agreed = Omega.Iface.agreed_leader st.st_iface;
-    }
+    { time = Sim.Engine.now st.st_engine; round = !round; agreed }
     :: st.st_samples;
-  if st.st_fig3 then observe_nodes st else ignore (observe_nodes st);
   if Sim.Time.(Sim.Engine.now st.st_engine < st.st_horizon) then
     Sim.Engine.call_after st.st_engine sample_every sample_task st
 
@@ -512,14 +510,12 @@ let start ?(spec = Spec.default) ~env ~seed () =
       replicas
   in
   List.iter (fun (p, time) -> Omega.Iface.crash_at iface p time) crashes;
-  let fig3 = Omega.Config.has_bounded_condition config.Omega.Config.variant in
   let sampler =
     {
       st_engine = engine;
       st_iface = iface;
       st_net = net;
       st_horizon = horizon;
-      st_fig3 = fig3;
       st_samples = [];
       st_lattice_violations = 0;
       st_max_round_state = 0;

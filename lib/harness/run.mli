@@ -12,7 +12,6 @@ type pid = int
 type sample = {
   time : Sim.Time.t;
   round : int;  (** slowest correct process's receiving round *)
-  leaders : (pid * pid) list;  (** non-crashed process -> its leader () *)
   agreed : pid option;  (** all agree on one correct leader? *)
 }
 

@@ -57,9 +57,6 @@ type t = {
   mutable payload : int array;
   mutable payload_clean : bool;
   last_merged : int array array;
-  (* Leader estimate cache: recomputed on demand after a level rose. *)
-  mutable cur_leader : pid;
-  mutable leader_dirty : bool;
   (* Monitor state: which relay it watches, whether that relay aggregated
      since the last tick, and how many silent ticks accumulated. *)
   mutable monitored : pid;
@@ -102,17 +99,11 @@ let halted t = Net.Network.is_crashed t.net t.me
 
 let note_level t level = if level > t.max_susp_seen then t.max_susp_seen <- level
 
-(* Sole write path to this process's level row; same extrema and payload
+(* Sole write path to this process's level row; same store and payload
    bookkeeping as {!Node.raise_level}, same guarded Suspicion emission. *)
 let raise_level t k level =
-  let st = t.store in
-  if t.susp.(t.base + k) = st.Store.cached_min.(t.me) then
-    st.Store.min_stale.(t.me) <- true;
-  t.susp.(t.base + k) <- level;
-  if level > st.Store.cached_max.(t.me) then
-    st.Store.cached_max.(t.me) <- level;
+  Store.raise_level t.store t.me k level;
   t.payload_clean <- false;
-  t.leader_dirty <- true;
   note_level t level;
   let sink = Sim.Engine.sink t.engine in
   if Obs.Sink.wants sink Obs.Event.c_omega then
@@ -126,18 +117,8 @@ let raise_level t k level =
          })
 
 (* Lexicographic minimum of (level, pid) over this process's row, cached
-   until a level rises. *)
-let leader t =
-  if t.leader_dirty then begin
-    let susp = t.susp and base = t.base in
-    let best = ref 0 in
-    for j = 1 to t.cfg.Config.n - 1 do
-      if susp.(base + j) < susp.(base + best.contents) then best := j
-    done;
-    t.cur_leader <- best.contents;
-    t.leader_dirty <- false
-  end;
-  t.cur_leader
+   in the store until the leader's own level rises. *)
+let leader t = Store.leader t.store t.me
 
 let maybe_leader_change t =
   let sink = Sim.Engine.sink t.engine in
@@ -351,7 +332,7 @@ let create_node cfg net ~store ~me =
       hb_rn = 0;
       hop_slack = 4 * max 0 (Net.Network.diameter net - 1);
       store;
-      susp = store.Store.susp;
+      susp = Store.susp store;
       base = me * n;
       fresh = Array.make n 0;
       last_fresh_round = Array.make n 0;
@@ -360,8 +341,6 @@ let create_node cfg net ~store ~me =
       (* [ [||] ] is never physically equal to a length-n payload (n >= 2),
          so the first AGGREGATE from each relay always merges. *)
       last_merged = Array.make n [||];
-      cur_leader = 0;
-      leader_dirty = false;
       monitored = 0;
       agg_seen = false;
       misses = 0;

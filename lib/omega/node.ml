@@ -29,11 +29,12 @@ type t = {
   mutable r_rn : int;  (* current receiving round *)
   (* Struct-of-arrays hot state (DESIGN.md §14): this node's [susp_level]
      vector is the row of [store.susp] at [base = me * n], and the cached
-     extrema live in the store's per-process slots. [susp]/[base] are
-     latched here so the gossip merge and the leader scan index one flat
+     extrema and leader live in the store's per-process slots.
+     [susp]/[base] are latched here so the gossip merge indexes one flat
      array directly. Levels only ever increase, so the max is maintained
-     exactly on every write; the min is recomputed lazily, and only when an
-     entry that sat at the cached minimum was raised. [arm_timer], [prune]
+     exactly on every write; the min and the leader are recomputed lazily:
+     the min only after an entry at the cached minimum rose, the leader
+     only after the leader's own entry rose. [arm_timer], [prune]
      and Fig3's bounded condition (line 16) consult the extrema on every
      round closure / SUSPICION. *)
   store : Store.t;
@@ -76,7 +77,8 @@ type t = {
   mutable bcast_others : Message.t -> unit;
   mutable bcast_all : Message.t -> unit;
   (* Last leader estimate reported on the obs sink. Only consulted (and only
-     kept current) while a sink wants omega events; [leader] stays pure. *)
+     kept current) while a sink wants omega events; [leader] itself only
+     refreshes the store's cache. *)
   mutable last_leader : pid;
   (* Crash–recovery state (inert unless [recover] is called). [catch_up]
      marks a freshly recovered process whose [r_rn] is stale: rec_from for
@@ -118,31 +120,14 @@ let halted t = t.tr.halted ()
 
 let note_level t level = if level > t.max_susp_seen then t.max_susp_seen <- level
 
-let max_susp t = t.store.Store.cached_max.(t.me)
+let max_susp t = Store.max_level t.store t.me
+let min_susp t = Store.min_level t.store t.me
 
-let min_susp t =
-  let st = t.store in
-  if st.Store.min_stale.(t.me) then begin
-    let susp = t.susp and base = t.base in
-    let m = ref susp.(base) in
-    for k = 1 to t.cfg.Config.n - 1 do
-      if susp.(base + k) < !m then m := susp.(base + k)
-    done;
-    st.Store.cached_min.(t.me) <- !m;
-    st.Store.min_stale.(t.me) <- false
-  end;
-  st.Store.cached_min.(t.me)
-
-(* Sole write path to [susp_level]; keeps the cached extrema honest and
-   marks the interned ALIVE payload dirty. Requires [level >
-   susp_level.(k)] (levels are monotone). *)
+(* Sole write path to [susp_level]; the store keeps the cached extrema and
+   leader honest, and the interned ALIVE payload goes dirty. Requires
+   [level > susp_level.(k)] (levels are monotone). *)
 let raise_level t k level =
-  let st = t.store in
-  if t.susp.(t.base + k) = st.Store.cached_min.(t.me) then
-    st.Store.min_stale.(t.me) <- true;
-  t.susp.(t.base + k) <- level;
-  if level > st.Store.cached_max.(t.me) then
-    st.Store.cached_max.(t.me) <- level;
+  Store.raise_level t.store t.me k level;
   t.payload_clean <- false;
   note_level t level;
   let sink = Sim.Engine.sink t.engine in
@@ -171,15 +156,9 @@ let arm_timer t =
     t.max_timeout_armed <- duration;
   Sim.Timer.set (timer_exn t) duration
 
-(* Lines 19-21: lexicographic minimum of (susp_level.(j), j) — one strided
-   pass over this node's row of the store. *)
-let leader t =
-  let susp = t.susp and base = t.base in
-  let best = ref 0 in
-  for j = 1 to t.cfg.Config.n - 1 do
-    if susp.(base + j) < susp.(base + !best) then best := j
-  done;
-  !best
+(* Lines 19-21: lexicographic minimum of (susp_level.(j), j), cached in
+   the store until the leader's own level rises. *)
+let leader t = Store.leader t.store t.me
 
 (* Leadership is a pure function of [susp_level] (lines 19-21), so there is
    no code point where it "changes"; instead, re-derive it after every
@@ -558,7 +537,7 @@ let create_with_transport ?store cfg (tr : transport) ~me =
       r_rn = 1;
       full_upto = 1;
       store;
-      susp = store.Store.susp;
+      susp = Store.susp store;
       base = me * n;
       rec_from = Dstruct.Rounds.create ();
       suspicions = Dstruct.Rounds.create ();

@@ -40,7 +40,7 @@ let center t = Scenario.center_of_regime t.regime
 let center_at t rn = Scenario.center_at_round t.regime rn
 
 (* Fresh per engine: scenarios and networks hold run-local mutable state
-   (plan memoization, counters, fault surfaces), so a pool task must build
+   (plan rows, counters, fault surfaces), so a pool task must build
    its own from the shared immutable [t]. A [build] over the default
    topology draws nothing from the engine, so it leaves the engine's
    stream exactly where hand-wiring left it — which keeps plan-free

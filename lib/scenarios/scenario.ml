@@ -59,28 +59,14 @@ let default_params ~n ~t ~beta =
     victim_delay = Sim.Time.of_sec 3600;
   }
 
-(* Per-round plan entry, generated lazily and memoized so oracle, witness
-   accessors and checker all see the same pseudo-random draw. [points] is
-   [q] re-indexed by destination pid (0 = not a point, 1 = timely,
-   2 = winning): the oracle consults the star set for every single message,
-   and a linear scan of [q] — t tuple dereferences — was the hottest
-   compute loop in the whole simulator at large t. One byte table per
-   round, O(1) per message. *)
-type round_plan = { in_s : bool; q : (pid * mode) array; points : Bytes.t }
-
-(* Shared by every round with no star point: plans are immutable, so rounds
-   outside S (and rounds before rn0) all alias this one record instead of
-   allocating fresh copies on the oracle path. Its [points] is never read
-   ([mode_of_point] is only reached when [in_s]). *)
-let empty_plan = { in_s = false; q = [||]; points = Bytes.empty }
-
-let plan_of_q ~n ~in_s q =
-  let points = Bytes.make n '\000' in
-  Array.iter
-    (fun (p, m) ->
-      Bytes.set points p (match m with Timely -> '\001' | Winning -> '\002'))
-    q;
-  { in_s; q; points }
+(* Star plans as flat byte rows: [n] point codes indexed by destination
+   pid (0 = not a point, 1 = timely, 2 = winning), so the oracle's
+   per-message lookup is one byte load. The fixed-set regimes (Full_timely's
+   Q is empty) read the one row [create] builds and are in S from rn0 on.
+   Rotating and intermittent regimes keep a round-major table: row [rn] at
+   byte [rn * (n + 1)], its last byte the S flag, drawn in round order. *)
+let point_timely = 1
+let point_winning = 2
 
 type t = {
   p : params;
@@ -95,12 +81,13 @@ type t = {
      rests on; plans ([plan_rng]) stay a single stream because their
      draws are forced into round order by the high-water marks below. *)
   delay_rngs : Dstruct.Rng.t array;
-  fixed_q : (pid * mode) array;  (* for fixed-set regimes *)
-  plans : (int, round_plan) Hashtbl.t;
-  mutable memo_rn : int;  (* round of [memo_plan]; 0 = the rn < 1 plan *)
-  mutable memo_plan : round_plan;
-  mutable s_generated_upto : int;  (* rounds < this have plans (intermittent) *)
+  stride : int;  (* n + 1: a row's point codes, then its S flag *)
+  (* The fixed set's row, or the round-major table, allocated on first
+     use and grown by doubling. *)
+  mutable rows : Bytes.t;
+  mutable rows_upto : int;  (* rounds < this have rows (table regimes) *)
   mutable s_next : int;  (* next round to be put in S (intermittent) *)
+  draw : int array;  (* scratch: the non-center pids a row shuffles *)
   mutable block_starts : int array;  (* block_starts.(k) = first rn of block k *)
   mutable blocks : int;  (* number of valid entries in block_starts *)
   mutable memo_block_rn : int;  (* round of [memo_block]; -1 = empty *)
@@ -146,7 +133,36 @@ let regime_center_pid regime rn =
 
 let center_of_regime regime = center_at_round regime 1
 
-let others ~n ~center = List.filter (fun j -> j <> center) (List.init n Fun.id)
+(* The draws of [Rng.sample plan_rng t others], [others] being the n - 1
+   non-center pids listed ascending: one Fisher-Yates shuffle of them all,
+   whose first [t] entries are the star's points in draw order. *)
+let shuffle_others ~n ~center rng draw =
+  let k = ref 0 in
+  for j = 0 to n - 1 do
+    if j <> center then begin
+      draw.(!k) <- j;
+      incr k
+    end
+  done;
+  Dstruct.Rng.shuffle_in_place rng draw
+
+(* Point modes, drawn once per point in draw order. The mixed regimes
+   flip a coin; the moving source flips it too — its rows draw what the
+   rotating star's do — but keeps every point timely. *)
+let timely_point _ = point_timely
+let winning_point _ = point_winning
+let coin_point rng = if Dstruct.Rng.bool rng then point_timely else point_winning
+
+let coin_timely_point rng =
+  ignore (Dstruct.Rng.bool rng);
+  point_timely
+
+(* Draw one star's point codes into [rows] at byte [off]. *)
+let draw_row ~n ~t ~center ~mode rng draw rows off =
+  shuffle_others ~n ~center rng draw;
+  for i = 0 to t - 1 do
+    Bytes.set rows (off + draw.(i)) (Char.chr (mode rng))
+  done
 
 let create p regime ~seed =
   if p.n < 2 then invalid_arg "Scenario.create: n < 2";
@@ -172,25 +188,25 @@ let create p regime ~seed =
     done;
     a
   in
-  let fixed_q =
+  let draw = Array.make (p.n - 1) 0 in
+  let fixed mode center =
+    let row = Bytes.make p.n '\000' in
+    draw_row ~n:p.n ~t:p.t ~center ~mode plan_rng draw row 0;
+    row
+  in
+  let rows =
     match regime with
-    | T_source { center } | Moving_source { center } ->
-        Array.of_list
-          (List.map
-             (fun q -> (q, Timely))
-             (Dstruct.Rng.sample plan_rng p.t (others ~n:p.n ~center)))
-    | Message_pattern { center } ->
-        Array.of_list
-          (List.map
-             (fun q -> (q, Winning))
-             (Dstruct.Rng.sample plan_rng p.t (others ~n:p.n ~center)))
-    | Combined { center } ->
-        Array.of_list
-          (List.map
-             (fun q -> (q, if Dstruct.Rng.bool plan_rng then Timely else Winning))
-             (Dstruct.Rng.sample plan_rng p.t (others ~n:p.n ~center)))
-    | Full_timely | Rotating_star _ | Intermittent_star _ | Growing_star _
-    | Growing_gaps _ | Failover _ | Chaos -> [||]
+    | T_source { center } -> fixed timely_point center
+    | Message_pattern { center } -> fixed winning_point center
+    | Combined { center } -> fixed coin_point center
+    | Full_timely -> Bytes.make p.n '\000'
+    | Moving_source { center } ->
+        (* A fixed set drawn as for T_source and never read: the pinned
+           plan streams begin with it. *)
+        shuffle_others ~n:p.n ~center plan_rng draw;
+        Bytes.empty
+    | Rotating_star _ | Intermittent_star _ | Growing_star _ | Growing_gaps _
+    | Failover _ | Chaos -> Bytes.empty
   in
   let block_starts = Array.make 64 0 in
   block_starts.(0) <- 1;
@@ -199,12 +215,11 @@ let create p regime ~seed =
     regime;
     plan_rng;
     delay_rngs;
-    fixed_q;
-    plans = Hashtbl.create 256;
-    memo_rn = 0;
-    memo_plan = empty_plan;
-    s_generated_upto = 1;
+    stride = p.n + 1;
+    rows;
+    rows_upto = 1;
     s_next = p.rn0;
+    draw;
     block_starts;
     blocks = 1;
     memo_block_rn = -1;
@@ -225,110 +240,81 @@ let set_victim_override t p =
 
 let victim_override t = t.victim_override
 
-let fresh_rotating_q t ~center =
-  Array.of_list
-    (List.map
-       (fun q -> (q, if Dstruct.Rng.bool t.plan_rng then Timely else Winning))
-       (Dstruct.Rng.sample t.plan_rng t.p.t (others ~n:t.p.n ~center)))
+(* One table row: the star's points, then the S flag. *)
+let table_row t ~center ~mode rn =
+  let off = rn * t.stride in
+  draw_row ~n:t.p.n ~t:t.p.t ~center ~mode t.plan_rng t.draw t.rows off;
+  Bytes.set t.rows (off + t.p.n) '\001'
 
-(* Advance the intermittent sequence S until round [rn] is covered,
-   recording a plan for every round passed over. The gap after an S round
-   [s] is uniform in [1, bound_at s] — a constant [d] for the intermittent
-   star, growing for the Growing_gaps regime. Plans must be drawn in
-   increasing round order for determinism, hence the [s_generated_upto]
-   high-water mark. *)
-let generate_intermittent_upto t ~center ~bound_at rn =
-  while t.s_generated_upto <= rn do
-    let this = t.s_generated_upto in
-    if this < t.p.rn0 then Hashtbl.replace t.plans this empty_plan
-    else if this = t.s_next then begin
-      Hashtbl.replace t.plans this
-        (plan_of_q ~n:t.p.n ~in_s:true (fresh_rotating_q t ~center));
-      t.s_next <- this + Dstruct.Rng.int_in t.plan_rng 1 (max 1 (bound_at this))
-    end
-    else Hashtbl.replace t.plans this empty_plan;
-    t.s_generated_upto <- this + 1
-  done
-
-(* Rotating regimes re-draw Q every round >= rn0; draws happen in round
-   order via the same high-water mark. [center_of] gives the round's center
-   (it changes at a failover's switch round). *)
-let generate_moving t ~center_of rn =
-  while t.s_generated_upto <= rn do
-    let this = t.s_generated_upto in
-    let plan =
-      if this < t.p.rn0 then empty_plan
-      else begin
-        let q = fresh_rotating_q t ~center:(center_of this) in
-        let q =
-          match t.regime with
-          | Moving_source _ -> Array.map (fun (j, _) -> (j, Timely)) q
-          | _ -> q
-        in
-        plan_of_q ~n:t.p.n ~in_s:true q
-      end
-    in
-    Hashtbl.replace t.plans this plan;
-    t.s_generated_upto <- this + 1
-  done
-
-(* The memo caches the last round looked up, but senders drift apart by
-   whole rounds at large n, so consecutive messages alternate between
-   distinct rounds and the memo thrashes. The table hit therefore sits on
-   the per-message path: [Hashtbl.find] with a [Not_found] handler, not
-   [find_opt], because the [Some] box of a found plan would be a
-   two-word allocation per message. *)
-let plan_for t rn =
-  if rn < 1 then empty_plan
-  else if rn = t.memo_rn then t.memo_plan
-  else begin
-    let plan =
-      match Hashtbl.find t.plans rn with
-      | plan -> plan
-      | exception Not_found ->
-        let plan =
-          match t.regime with
-          | Full_timely ->
-              if rn >= t.p.rn0 then plan_of_q ~n:t.p.n ~in_s:true [||]
-              else empty_plan
-          | Chaos -> empty_plan
-          | T_source _ | Moving_source _ | Message_pattern _ | Combined _
-            when rn < t.p.rn0 -> empty_plan
-          | T_source _ | Message_pattern _ | Combined _ ->
-              plan_of_q ~n:t.p.n ~in_s:true t.fixed_q
-          | Moving_source { center } ->
-              (* Rotating set, all points timely. The per-round draws of a
-                 moving source are order-sensitive too. *)
-              generate_moving t ~center_of:(fun _ -> center) rn;
-              Hashtbl.find t.plans rn
-          | Rotating_star { center } ->
-              generate_moving t ~center_of:(fun _ -> center) rn;
-              Hashtbl.find t.plans rn
-          | Failover _ ->
-              generate_moving t
-                ~center_of:(fun this -> regime_center_pid t.regime this)
-                rn;
-              Hashtbl.find t.plans rn
-          | Intermittent_star { center; d } | Growing_star { center; d; _ } ->
-              generate_intermittent_upto t ~center ~bound_at:(fun _ -> d) rn;
-              Hashtbl.find t.plans rn
-          | Growing_gaps { center; d; f_step } ->
-              generate_intermittent_upto t ~center
-                ~bound_at:(fun s -> d + (f_step * (s / 256)))
-                rn;
-              Hashtbl.find t.plans rn
-        in
-        Hashtbl.replace t.plans rn plan;
-        plan
-    in
-    t.memo_rn <- rn;
-    t.memo_plan <- plan;
-    plan
+(* Intermittent regimes draw a row only for rounds in S: the gap after an
+   S round [s] is uniform in [1, bound] — a constant [d], or growing for
+   Growing_gaps. *)
+let intermittent_row t ~center rn bound =
+  if rn = t.s_next then begin
+    table_row t ~center ~mode:coin_point rn;
+    t.s_next <- rn + Dstruct.Rng.int_in t.plan_rng 1 (max 1 bound)
   end
 
-let in_s t rn = (plan_for t rn).in_s
+(* Extend the table through round [rn], drawing rows in increasing round
+   order (the plan stream's draws are order-sensitive). Rotating regimes
+   draw a row for every round >= rn0, a failover's with the center in
+   charge of that round. *)
+let draw_upto t rn =
+  let need = (rn + 1) * t.stride in
+  if need > Bytes.length t.rows then begin
+    let rows = Bytes.make (max need (2 * Bytes.length t.rows)) '\000' in
+    Bytes.blit t.rows 0 rows 0 (Bytes.length t.rows);
+    t.rows <- rows
+  end;
+  while t.rows_upto <= rn do
+    let this = t.rows_upto in
+    (if this >= t.p.rn0 then
+       match t.regime with
+       | Moving_source { center } ->
+           table_row t ~center ~mode:coin_timely_point this
+       | Rotating_star { center } -> table_row t ~center ~mode:coin_point this
+       | Failover _ ->
+           table_row t
+             ~center:(regime_center_pid t.regime this)
+             ~mode:coin_point this
+       | Intermittent_star { center; d } | Growing_star { center; d; _ } ->
+           intermittent_row t ~center this d
+       | Growing_gaps { center; d; f_step } ->
+           intermittent_row t ~center this (d + (f_step * (this / 256)))
+       | Full_timely | T_source _ | Message_pattern _ | Combined _ | Chaos ->
+           ());
+    t.rows_upto <- this + 1
+  done
 
-let q_set t rn = Array.to_list (plan_for t rn).q
+(* Byte offset of round [rn]'s row in [t.rows], or [-1] when [rn] is
+   outside S. Senders drift apart by whole rounds, so the oracle's lookups
+   interleave rounds; every one is index arithmetic. *)
+let row t rn =
+  match t.regime with
+  | Chaos -> -1
+  | Full_timely | T_source _ | Message_pattern _ | Combined _ ->
+      if rn >= 1 && rn >= t.p.rn0 then 0 else -1
+  | Moving_source _ | Rotating_star _ | Failover _ | Intermittent_star _
+  | Growing_star _ | Growing_gaps _ ->
+      if rn < 1 then -1
+      else begin
+        if rn >= t.rows_upto then draw_upto t rn;
+        let off = rn * t.stride in
+        if Bytes.get t.rows (off + t.p.n) = '\000' then -1 else off
+      end
+
+let in_s t rn = row t rn >= 0
+
+let q_set t rn =
+  let off = row t rn in
+  let q = ref [] in
+  if off >= 0 then
+    for p = t.p.n - 1 downto 0 do
+      let code = Char.code (Bytes.get t.rows (off + p)) in
+      if code = point_timely then q := (p, Timely) :: !q
+      else if code = point_winning then q := (p, Winning) :: !q
+    done;
+  !q
 
 (* The window-widening function f of the A_{f,g} model: the algorithm that
    knows it passes it to [Fig3_fg]. Conservative: at least the gap bound. *)
@@ -483,14 +469,6 @@ let winning_competitor_delay t rng ~now ~base rn =
   in
   max base (target - us now)
 
-(* Unboxed point code (0 = not a point, 1 = timely, 2 = winning) straight
-   from the plan's byte table: one bounds-checked byte load per message,
-   where the previous [q] scan chased t tuples per destination — the
-   hottest compute loop in the simulator at large t. *)
-let point_timely = 1
-let point_winning = 2
-let mode_of_point plan dst = Char.code (Bytes.get plan.points dst)
-
 (* Unconstrained ALIVE(rn): victims look crashed, everyone else is merely
    asynchronous. [center] is [-1] for the center-less regimes (the option
    box would cost two words per message on the oracle path). *)
@@ -518,9 +496,9 @@ let alive_delay t rng ~now ~src ~dst rn =
   | Rotating_star _ | Intermittent_star _ | Growing_star _ | Growing_gaps _
   | Failover _ -> (
       let center = regime_center_pid t.regime rn in
-      let plan = plan_for t rn in
-      if plan.in_s then begin
-        let point = mode_of_point plan dst in
+      let off = row t rn in
+      if off >= 0 then begin
+        let point = Char.code (Bytes.get t.rows (off + dst)) in
         if point = point_timely && src = center then timely_delay t rng rn
         else if point = point_winning && src = center then
           winning_center_delay t ~now rn

@@ -98,8 +98,10 @@ val default_params : n:int -> t:int -> beta:Sim.Time.t -> params
 type t
 
 (** [create params regime ~seed] fixes the whole plan (S, Q(rn), modes)
-    pseudo-randomly from [seed]. Raises [Invalid_argument] if the regime
-    names an out-of-range center or [params] are inconsistent. *)
+    pseudo-randomly from [seed]; per-round rows are drawn on first use, in
+    round order, so creating a scenario only to validate it is cheap.
+    Raises [Invalid_argument] if the regime names an out-of-range center
+    or [params] are inconsistent. *)
 val create : params -> regime -> seed:int64 -> t
 
 val params : t -> params
@@ -140,8 +142,8 @@ val victim_override : t -> pid
     [rn >= rn0] in non-intermittent regimes.) *)
 val in_s : t -> int -> bool
 
-(** The witness [Q(rn)] with per-point modes; [[]] if [rn] is outside [S] or
-    the regime has no star. *)
+(** The witness [Q(rn)] with per-point modes, in ascending pid order; [[]]
+    if [rn] is outside [S] or the regime has no star. *)
 val q_set : t -> int -> (pid * mode) list
 
 (** The [g] function of a [Growing_star] regime ([fun _ -> 0] otherwise),

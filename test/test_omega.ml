@@ -192,6 +192,70 @@ let test_leader_lexicographic () =
   inject engine net ~src:1 (alive ~rn:1 [ 2; 1; 1; 3 ]);
   check int_t "min level, then min id" 1 (Omega.Node.leader node)
 
+(* The cached leader ({!Omega.Store}) against a full scan: seeded random
+   raises through gossip rows (ALIVE merges into unstarted [Node]s) and
+   relay rows (ACCUSEs into unstarted [Lean] processes), one raise per
+   delivered message, after which every process's leader is compared
+   with a scan of its row. Steps of one or two levels keep ties common,
+   and half the raises hit the raised process's current leader — the
+   only raise that can move it. Lean's rows are not exposed, so the test
+   keeps a model of them. *)
+let scan_leader row =
+  let best = ref 0 in
+  Array.iteri (fun j level -> if level < row.(!best) then best := j) row;
+  !best
+
+let test_leader_cache_differential () =
+  let n = 6 and steps = 400 in
+  let network seed =
+    let engine = Sim.Engine.create ~seed () in
+    let net =
+      Net.Network.of_spec Net.Spec.(default |> with_oracle_us instant) engine ~n
+    in
+    let deliver ~src ~dst msg =
+      Net.Network.send net ~src ~dst msg;
+      Sim.Engine.run_until engine (Sim.Time.add (Sim.Engine.now engine) (us 2))
+    in
+    (net, deliver)
+  in
+  let config = Omega.Config.default ~n ~t:2 Omega.Config.Fig1 in
+  List.iter
+    (fun seed ->
+      let rng = Dstruct.Rng.create seed in
+      let pick ~leader =
+        if Dstruct.Rng.bool rng then leader else Dstruct.Rng.int rng n
+      in
+      let gossip_net, gossip_deliver = network seed in
+      let gossip = Omega.Cluster.create config gossip_net in
+      let relay_net, relay_deliver = network seed in
+      let relay = Omega.Lean.create config relay_net in
+      let model = Array.init n (fun _ -> Array.make n 0) in
+      for i = 1 to steps do
+        let p = Dstruct.Rng.int rng n in
+        let src = (p + 1) mod n in
+        let node = Omega.Cluster.node gossip p in
+        let row = Omega.Node.susp_level node in
+        let k = pick ~leader:(Omega.Node.leader node) in
+        row.(k) <- row.(k) + 1 + Dstruct.Rng.int rng 2;
+        gossip_deliver ~src ~dst:p (Omega.Message.Alive { rn = 1; susp_level = row });
+        let proc = Omega.Lean.node relay p in
+        let k = pick ~leader:(Omega.Lean.leader proc) in
+        let level = model.(p).(k) + 1 + Dstruct.Rng.int rng 2 in
+        model.(p).(k) <- level;
+        relay_deliver ~src ~dst:p
+          (Omega.Message.Accuse { rn = 1; target = k; level });
+        for q = 0 to n - 1 do
+          let name what = Printf.sprintf "seed %Ld step %d: %s %d" seed i what q in
+          let nd = Omega.Cluster.node gossip q in
+          check int_t (name "gossip leader of")
+            (scan_leader (Omega.Node.susp_level nd))
+            (Omega.Node.leader nd);
+          check int_t (name "relay leader of") (scan_leader model.(q))
+            (Omega.Lean.leader (Omega.Lean.node relay q))
+        done
+      done)
+    [ 1L; 2L; 3L ]
+
 (* ------------------------------------------------------- closure rules *)
 
 (* Cluster-level tests run through the shared algorithm interface
@@ -453,8 +517,11 @@ let () =
           qtest prop_fig3_lattice_invariant;
         ] );
       ( "leader",
-        [ Alcotest.test_case "lexicographic" `Quick test_leader_lexicographic ]
-      );
+        [
+          Alcotest.test_case "lexicographic" `Quick test_leader_lexicographic;
+          Alcotest.test_case "cache matches a full scan" `Quick
+            test_leader_cache_differential;
+        ] );
       ( "closure",
         [
           Alcotest.test_case "rounds advance" `Quick

@@ -128,6 +128,41 @@ let test_packets_per_round_linear () =
         (per_round <= 3 * n))
     [ 16; 64 ]
 
+(* ---------------------------------------------------------- allocation *)
+
+(* The relay tier's steady-state allocation, measured over [Run.advance]
+   alone: n = 64 on a fat-tree with eventually-timely links, 2 sim-s.
+   Heartbeats of different rounds interleave on the oracle path and
+   AGGREGATEs keep raising levels, so the scenario's star rows and the
+   store's leader cache are both on this path. The run measures ~1.5 minor
+   words per message; a boxed star plan per round puts it at ~8.5. *)
+let test_relay_advance_alloc_budget () =
+  let n = 64 in
+  let config = Omega.Config.default ~n ~t:((n - 1) / 2) Omega.Config.Fig3 in
+  let env =
+    Scenarios.Env.make config
+      (Scenarios.Scenario.Rotating_star { center = n - 2 })
+  in
+  let spec =
+    Harness.Run.Spec.(
+      relay_spec
+      |> with_topology (Net.Topology.Fat_tree { rack = 4 })
+      |> with_link_channel
+           (Net.Topology.Eventually_timely { gst = sec 1; bound = ms 2 })
+      |> with_horizon (sec 2))
+  in
+  let live = Harness.Run.start ~spec ~env ~seed:7L () in
+  let before = Gc.minor_words () in
+  Harness.Run.advance live ~until:(sec 2);
+  let words = Gc.minor_words () -. before in
+  let sent = (Harness.Run.finish live).Harness.Run.messages_sent in
+  let per_msg = words /. float_of_int sent in
+  check bool_t
+    (Printf.sprintf
+       "%.2f minor words per message over %d messages (budget 2.5)" per_msg
+       sent)
+    true (per_msg < 2.5)
+
 (* --------------------------------------------------------- determinism *)
 
 let digest_env =
@@ -189,6 +224,11 @@ let () =
         [
           Alcotest.test_case "packets/round <= 3n" `Quick
             test_packets_per_round_linear;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "relay advance words/message" `Quick
+            test_relay_advance_alloc_budget;
         ] );
       ( "determinism",
         [

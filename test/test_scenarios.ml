@@ -40,7 +40,8 @@ let test_q_set_shape () =
     check int_t "size t" 3 (List.length q);
     check bool_t "center not a point" true (not (List.mem_assoc 6 q));
     check bool_t "no duplicates" true
-      (List.length (List.sort_uniq compare (List.map fst q)) = 3)
+      (List.length (List.sort_uniq compare (List.map fst q)) = 3);
+    check bool_t "ascending pids" true (List.sort compare q = q)
   done
 
 let test_q_rotates () =
@@ -186,6 +187,95 @@ let test_g_function () =
   let plain = make (Scenario.Rotating_star { center = 6 }) in
   check int_t "plain regimes have g = 0" 0
     (Sim.Time.to_us (Scenario.g_function plain 1000))
+
+(* A list-based reference generator on the plan stream [Scenario.create]
+   splits off the seed: a [Rng.sample] over the non-center pids and one
+   [Rng.bool] per point, in round order, with the intermittent regimes'
+   gap draw after each S round. A moving source also draws one unused
+   fixed set at creation. Entry [rn] is round rn's (in S, Q). *)
+let reference_plans ~n ~t ~seed regime ~upto =
+  let rng = Dstruct.Rng.split (Dstruct.Rng.create seed) in
+  let rn0 = (params ~n ~t ()).Scenario.rn0 in
+  let others center = List.filter (( <> ) center) (List.init n Fun.id) in
+  let star center =
+    List.map
+      (fun q ->
+        (q, if Dstruct.Rng.bool rng then Scenario.Timely else Scenario.Winning))
+      (Dstruct.Rng.sample rng t (others center))
+  in
+  (match regime with
+  | Scenario.Moving_source { center } ->
+      ignore (Dstruct.Rng.sample rng t (others center))
+  | _ -> ());
+  let s_next = ref rn0 in
+  let intermittent center rn bound =
+    if rn = !s_next then begin
+      let q = star center in
+      s_next := rn + Dstruct.Rng.int_in rng 1 (max 1 bound);
+      (true, q)
+    end
+    else (false, [])
+  in
+  Array.init (upto + 1) (fun rn ->
+      if rn < max 1 rn0 then (false, [])
+      else
+        match regime with
+        | Scenario.Moving_source { center } ->
+            (true, List.map (fun (q, _) -> (q, Scenario.Timely)) (star center))
+        | Scenario.Rotating_star { center } -> (true, star center)
+        | Scenario.Failover { first; second; switch } ->
+            (true, star (if rn < switch then first else second))
+        | Scenario.Intermittent_star { center; d } -> intermittent center rn d
+        | Scenario.Growing_gaps { center; d; f_step } ->
+            intermittent center rn (d + (f_step * (rn / 256)))
+        | _ -> invalid_arg "reference_plans: not a drawn regime")
+
+let test_rows_match_reference () =
+  List.iter
+    (fun (n, t) ->
+      List.iter
+        (fun regime ->
+          List.iter
+            (fun seed ->
+              let s = make ~seed ~n ~t regime in
+              let expected = reference_plans ~n ~t ~seed regime ~upto:400 in
+              for rn = 1 to 400 do
+                let in_s, q = expected.(rn) in
+                let name =
+                  Printf.sprintf "%s n=%d seed=%Ld rn=%d"
+                    (Scenario.regime_name regime) n seed rn
+                in
+                check bool_t (name ^ " in S") in_s (Scenario.in_s s rn);
+                check bool_t (name ^ " Q") true
+                  (List.sort compare q = List.sort compare (Scenario.q_set s rn))
+              done)
+            [ 42L; 7L ])
+        [
+          Scenario.Rotating_star { center = n - 2 };
+          Scenario.Moving_source { center = n - 2 };
+          Scenario.Intermittent_star { center = n - 2; d = 4 };
+          Scenario.Growing_gaps { center = n - 2; d = 3; f_step = 2 };
+          Scenario.Failover { first = 1; second = n - 3; switch = 100 };
+        ])
+    [ (8, 3); (64, 21) ]
+
+(* Plans retain about one byte per process per round: after 2000 rounds
+   of an n = 64 rotating star the whole scenario holds ~17k words (2048
+   rows of n + 1 bytes once the table has doubled, plus the jitter
+   streams). A boxed plan per round — a record, a tuple array and a byte
+   table in a hash table, ~100 words at this n — breaks the budget. *)
+let test_rows_retention () =
+  let n = 64 and rounds = 2000 in
+  let s = make ~n ~t:21 (Scenario.Rotating_star { center = n - 2 }) in
+  for rn = 1 to rounds do
+    ignore (Scenario.q_set s rn)
+  done;
+  let words = Obj.reachable_words (Obj.repr s) in
+  let budget = ((n / 8) + 1) * rounds + 4096 in
+  check bool_t
+    (Printf.sprintf "%d words retained after %d rounds (budget %d)" words
+       rounds budget)
+    true (words <= budget)
 
 (* ------------------------------------------------------ delay policies *)
 
@@ -467,6 +557,9 @@ let () =
           Alcotest.test_case "growing gaps" `Quick test_growing_gaps_regime;
           Alcotest.test_case "describe" `Quick test_describe_strings;
           Alcotest.test_case "round_of_omega" `Quick test_round_of_omega;
+          Alcotest.test_case "rows match the reference generator" `Quick
+            test_rows_match_reference;
+          Alcotest.test_case "rows retention" `Quick test_rows_retention;
           qtest prop_intermittent_gaps;
         ] );
       ( "delays",
