@@ -173,17 +173,16 @@ type sampler_state = {
 
 let sample_every = Sim.Time.of_ms 100
 
-(* One pass over the correct processes per sample: the slowest receiving
-   round, leader agreement, and the lattice and round-state probes. *)
+(* One pass over the correct processes per sample for the slowest
+   receiving round and the lattice and round-state probes, then
+   [Iface.agreed_leader]'s own allocation-free walk. *)
 let rec sample_task st =
   let iface = st.st_iface and net = st.st_net in
-  let round = ref max_int and leader = ref (-1) and agree = ref true in
+  let round = ref max_int in
   for p = 0 to Net.Network.n net - 1 do
     if not (Net.Network.is_crashed net p) then begin
       let r = Omega.Iface.receiving_round iface p in
       if r < !round then round := r;
-      let l = Omega.Iface.leader_of iface p in
-      if !leader < 0 then leader := l else if l <> !leader then agree := false;
       if not (Omega.Iface.lattice_invariant_holds iface p) then
         st.st_lattice_violations <- st.st_lattice_violations + 1;
       let cardinal = Omega.Iface.round_state_cardinal iface p in
@@ -191,13 +190,12 @@ let rec sample_task st =
         st.st_max_round_state <- cardinal
     end
   done;
-  let agreed =
-    if !leader >= 0 && !agree && not (Net.Network.is_crashed net !leader)
-    then Some !leader
-    else None
-  in
   st.st_samples <-
-    { time = Sim.Engine.now st.st_engine; round = !round; agreed }
+    {
+      time = Sim.Engine.now st.st_engine;
+      round = !round;
+      agreed = Omega.Iface.agreed_leader iface;
+    }
     :: st.st_samples;
   if Sim.Time.(Sim.Engine.now st.st_engine < st.st_horizon) then
     Sim.Engine.call_after st.st_engine sample_every sample_task st

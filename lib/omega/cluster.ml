@@ -53,12 +53,4 @@ let iface t : Iface.t =
     round_state_cardinal = (fun p -> Node.round_state_cardinal (nd p));
   }
 
-let agreed_leader t =
-  match leaders t with
-  | [] -> None
-  | (_, l) :: rest ->
-      if
-        List.for_all (fun (_, l') -> l' = l) rest
-        && not (Net.Network.is_crashed t.net l)
-      then Some l
-      else None
+let agreed_leader t = Iface.agreed_leader (iface t)

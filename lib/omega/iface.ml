@@ -41,15 +41,24 @@ let crash_at t p time =
     (Sim.Engine.schedule_at (engine t) time (fun () ->
          Net.Network.crash net p))
 
-let leaders t =
-  List.map (fun p -> (p, t.leader_of p)) (Net.Network.correct t.net)
+(* [agreed_leader] walks the pids once and allocates only the [Some]:
+   the harness sampler calls it every 100 ms of simulated time. Top-level
+   helpers, so no closure is built per call. *)
+let rec first_correct net p =
+  if p < Net.Network.n net && Net.Network.is_crashed net p then
+    first_correct net (p + 1)
+  else p
+
+let rec all_name t l p =
+  p = Net.Network.n t.net
+  || (Net.Network.is_crashed t.net p || t.leader_of p = l)
+     && all_name t l (p + 1)
 
 let agreed_leader t =
-  match leaders t with
-  | [] -> None
-  | (_, l) :: rest ->
-      if
-        List.for_all (fun (_, l') -> l' = l) rest
-        && not (Net.Network.is_crashed t.net l)
-      then Some l
-      else None
+  let p = first_correct t.net 0 in
+  if p = Net.Network.n t.net then None
+  else
+    let l = t.leader_of p in
+    if all_name t l (p + 1) && not (Net.Network.is_crashed t.net l) then
+      Some l
+    else None

@@ -58,9 +58,6 @@ val round_state_cardinal : t -> pid -> int
 (** [crash_at t p time] schedules a permanent-unless-recovered crash. *)
 val crash_at : t -> pid -> Sim.Time.t -> unit
 
-(** Current [leader ()] output of every non-crashed process. *)
-val leaders : t -> (pid * pid) list
-
 (** [Some l] iff every non-crashed process currently outputs the same
     leader [l] and [l] has not crashed — the "good period" of §1.1. *)
 val agreed_leader : t -> pid option
