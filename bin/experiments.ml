@@ -49,10 +49,9 @@ let metrics_term =
     value & flag
     & info [ "metrics" ]
         ~doc:
-          "Attach per-run metrics and append a digest column (FNV fold over \
-           the run's full event stream) to each Run-backed table. Digests \
-           are identical for every --jobs N: the determinism oracle the CI \
-           gate diffs.")
+          "Append a per-run digest column (FNV fold over the run's full \
+           event stream) to each Run-backed table. Digests are identical \
+           for every --jobs N: the determinism oracle the CI gate diffs.")
 
 let trace_term =
   Cmdliner.Arg.(

@@ -115,6 +115,8 @@ let rec driver t =
     Sim.Engine.call_after t.engine (Sim.Time.of_us period) driver t
   end
 
+let () = Sim.Checkpoint.register ~id:18 driver
+
 let create net ~me ~oracle ~retry_every ~crash_bound ~equal =
   let t =
     {
@@ -138,6 +140,8 @@ let create net ~me ~oracle ~retry_every ~crash_bound ~equal =
   t
 
 let start t =
+  (* The driver chain is this process's code, created under its rank. *)
+  Sim.Engine.set_rank t.engine t.me;
   let offset = Dstruct.Rng.int t.rng (max 1 (Sim.Time.to_us t.retry_every)) in
   Sim.Engine.call_after t.engine (Sim.Time.of_us offset) driver t
 

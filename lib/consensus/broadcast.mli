@@ -32,6 +32,8 @@ val create :
   equal:('v -> 'v -> bool) ->
   'v t
 
+(** Start the periodic driver under this process's rank
+    ({!Sim.Engine.set_rank}). *)
 val start : 'v t -> unit
 
 (** Submit a command for total-order delivery. *)

@@ -183,6 +183,8 @@ let rec retry_task t =
     Sim.Engine.call_after t.tr.engine (Sim.Time.of_us period) retry_task t
   end
 
+let () = Sim.Checkpoint.register ~id:17 retry_task
+
 let create (tr : 'v transport) ~me ~leader_oracle ~retry_every ~crash_bound =
   let n = tr.n in
   if 2 * crash_bound >= n then
@@ -217,6 +219,8 @@ let create (tr : 'v transport) ~me ~leader_oracle ~retry_every ~crash_bound =
 let handle t ~src msg = on_message t ~src msg
 
 let start t =
+  (* The retry chain is this process's code, created under its rank. *)
+  Sim.Engine.set_rank t.tr.engine t.me;
   let offset = Dstruct.Rng.int t.rng (max 1 (Sim.Time.to_us t.retry_every)) in
   Sim.Engine.call_after t.tr.engine (Sim.Time.of_us offset) retry_task t
 

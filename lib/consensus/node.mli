@@ -48,7 +48,9 @@ val create :
 (** Deliver an incoming message to this node. *)
 val handle : 'v t -> src:pid -> 'v Message.t -> unit
 
-(** Start the retry task. *)
+(** Start the retry task under this process's rank
+    ({!Sim.Engine.set_rank}), so the task and everything it schedules are
+    created by this process. *)
 val start : 'v t -> unit
 
 (** [propose t v] submits this process's initial value. May be called once;

@@ -163,7 +163,7 @@ let checkpointed_run ~dir ~every ~label ~spec ~env ~seed =
   if Sys.file_exists path then Sys.remove path;
   result
 
-(* Run.run with the session's observability attached: [metrics] also turns
+(* Run.run with the session's observability attached: [metrics] turns
    the digest on (the table grows a digest column), [trace] prepends a
    note naming the run so the JSONL stream is self-describing. Tracing
    requires a sequential pool — the writer is shared across runs — which
@@ -177,8 +177,7 @@ let obs_run ~obs ~label ?(spec = Run.Spec.default) ~env ~seed () =
   let spec =
     {
       spec with
-      Run.Spec.metrics = obs.metrics;
-      digest = obs.metrics;
+      Run.Spec.digest = obs.metrics;
       intra_domains = obs.intra;
     }
   in

@@ -46,7 +46,7 @@ val local_farm : unit -> farm
 type obs = {
   trace : Obs.Jsonl.t option;
       (** stream every run's events here; requires a sequential pool *)
-  metrics : bool;  (** per-run metrics + digest column *)
+  metrics : bool;  (** per-run digest column *)
   checkpoint : (string * Sim.Time.t) option;
       (** [(dir, every)]: advance each run in [every]-sized simulated-time
           slices, persisting a resumable snapshot into [dir] between
@@ -66,7 +66,7 @@ type obs = {
           pool. Tables are byte-identical for every value. *)
 }
 
-(** No tracing, no metrics, local farm: the zero-cost default. *)
+(** No tracing, no digests, local farm: the zero-cost default. *)
 val no_obs : obs
 
 (** The shard file written by [--shard i/k --shard-out FILE] and read

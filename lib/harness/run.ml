@@ -22,7 +22,6 @@ type result = {
   checker : Scenarios.Checker.report option;
   horizon : Sim.Time.t;
   digest : int64 option;
-  metrics : Obs.Metrics.t option;
   re_elections : int;
   leadership_epochs : int;
   partition_downtime : Sim.Time.t;
@@ -38,7 +37,6 @@ module Spec = struct
     plan : Fault.Plan.t;
     check : bool;
     wire_stats : bool;
-    metrics : bool;
     digest : bool;
     sink : Obs.Sink.t option;
     algo : [ `Gossip | `Relay | `Heartbeat ];
@@ -55,7 +53,6 @@ module Spec = struct
       plan = Fault.Plan.empty;
       check = true;
       wire_stats = false;
-      metrics = false;
       digest = false;
       sink = None;
       algo = `Gossip;
@@ -70,7 +67,6 @@ module Spec = struct
   let with_plan plan t = { t with plan }
   let with_check check t = { t with check }
   let with_wire_stats wire_stats t = { t with wire_stats }
-  let with_metrics metrics t = { t with metrics }
   let with_digest digest t = { t with digest }
   let with_sink sink t = { t with sink = Some sink }
   let with_algo (algo : [< `Gossip | `Relay | `Heartbeat ]) t =
@@ -301,7 +297,6 @@ type live = {
   l_checker : Scenarios.Checker.t option;
   l_alive_bytes : int ref;
   l_suspicion_bytes : int ref;
-  l_metrics : Obs.Metrics.t option;
   l_digest : Obs.Digest.t option;
   l_sampler : sampler_state;
   l_shards : shard array;  (* empty when sequential *)
@@ -361,7 +356,6 @@ let start ?(spec = Spec.default) ~env ~seed () =
     plan;
     check;
     wire_stats;
-    metrics;
     digest;
     sink;
     algo;
@@ -458,7 +452,6 @@ let start ?(spec = Spec.default) ~env ~seed () =
           | _ -> ());
       ]
   in
-  let metrics_agg = if metrics then Some (Obs.Metrics.create ()) else None in
   let digest_st = if digest then Some (Obs.Digest.create ()) else None in
   let injector =
     if Fault.Plan.is_empty plan then None
@@ -471,9 +464,6 @@ let start ?(spec = Spec.default) ~env ~seed () =
            bytes_sink;
            (match checker with
            | Some c -> [ Scenarios.Checker.sink c ]
-           | None -> []);
-           (match metrics_agg with
-           | Some m -> [ Obs.Metrics.sink m ]
            | None -> []);
            (match digest_st with
            | Some d -> [ Obs.Digest.sink d ]
@@ -538,7 +528,6 @@ let start ?(spec = Spec.default) ~env ~seed () =
     l_checker = checker;
     l_alive_bytes = alive_bytes;
     l_suspicion_bytes = suspicion_bytes;
-    l_metrics = metrics_agg;
     l_digest = digest_st;
     l_sampler = sampler;
     l_shards = shards;
@@ -790,7 +779,6 @@ let finish live =
     checker = checker_report;
     horizon;
     digest = Option.map Obs.Digest.value live.l_digest;
-    metrics = live.l_metrics;
     re_elections;
     leadership_epochs;
     partition_downtime = Fault.Plan.partition_downtime ~horizon plan;
@@ -806,11 +794,3 @@ let stabilization_ms result =
   match result.stabilized_at with
   | Some t -> Sim.Time.to_ms_float t
   | None -> Float.nan
-
-let pp_summary ppf r =
-  Format.fprintf ppf "leader=%s stabilized=%s msgs=%d max_susp=%d max_to=%a"
-    (match r.final_leader with Some l -> string_of_int l | None -> "-")
-    (match r.stabilized_at with
-    | Some t -> Format.asprintf "%a" Sim.Time.pp t
-    | None -> "never")
-    r.messages_sent r.max_susp_level Sim.Time.pp r.max_timeout

@@ -44,8 +44,6 @@ type result = {
       (** FNV fold over the run's full event stream, when [digest]. Same
           seed (and same plan) ⇒ same digest, whatever the pool size — the
           determinism oracle (see {!Obs.Digest}). *)
-  metrics : Obs.Metrics.t option;
-      (** per-run counters/histograms, when [metrics] *)
   re_elections : int;
       (** changes of agreed leader over the sampled history (anarchy gaps
           between two reigns of the {e same} leader do not count) *)
@@ -72,7 +70,6 @@ module Spec : sig
     plan : Fault.Plan.t;  (** default {!Fault.Plan.empty} — zero cost *)
     check : bool;  (** attach an assumption {!Scenarios.Checker} (default) *)
     wire_stats : bool;  (** count ALIVE/SUSPICION wire bytes (E5) *)
-    metrics : bool;  (** attach an {!Obs.Metrics} aggregator *)
     digest : bool;  (** attach an {!Obs.Digest} over the event stream *)
     sink : Obs.Sink.t option;
         (** extra consumer (e.g. an {!Obs.Jsonl} writer for [--trace]) *)
@@ -112,7 +109,6 @@ module Spec : sig
   val with_plan : Fault.Plan.t -> t -> t
   val with_check : bool -> t -> t
   val with_wire_stats : bool -> t -> t
-  val with_metrics : bool -> t -> t
   val with_digest : bool -> t -> t
   val with_sink : Obs.Sink.t -> t -> t
   val with_algo : [< `Gossip | `Relay | `Heartbeat ] -> t -> t
@@ -130,8 +126,8 @@ end
     The run owns its whole stack: a fresh engine seeded with [seed], the
     scenario and network built by {!Scenarios.Env.build}, the cluster, and
     — when [spec.plan] is non-empty — a {!Fault.Injector} compiled onto
-    the engine. All observers ([wire_stats], [check], [metrics], [digest],
-    [sink], the adaptive adversary's sink) compose under one
+    the engine. All observers ([wire_stats], [check], [digest], [sink],
+    the adaptive adversary's sink) compose under one
     {!Obs.Sink.tee}; none perturbs the simulation, and with all off the
     engine keeps its null sink (the whole layer costs one branch per event
     site). An empty plan adds nothing to the event stream: digests of
@@ -186,5 +182,3 @@ val finish : live -> result
 
 (** Stabilization latency [stabilized_at] as float ms, or [nan]. *)
 val stabilization_ms : result -> float
-
-val pp_summary : Format.formatter -> result -> unit

@@ -176,58 +176,6 @@ let time = function
   | Edge_fault { now; _ }
   | Rack_fault { now; _ } -> now
 
-let pp ppf ev =
-  match ev with
-  | Sched { now; at } -> Format.fprintf ppf "[%d] sched at=%d" now at
-  | Fire { now } -> Format.fprintf ppf "[%d] fire" now
-  | Cancel { now } -> Format.fprintf ppf "[%d] cancel" now
-  | Timer_fire { now } -> Format.fprintf ppf "[%d] timer_fire" now
-  | Send { now; seq; src; dst; kind; round; bytes } ->
-      Format.fprintf ppf "[%d] send #%d %d->%d %s rn=%d %dB" now seq src dst
-        kind round bytes
-  | Deliver { now; sent_at; seq; src; dst; kind; round; bytes } ->
-      Format.fprintf ppf "[%d] deliver #%d %d->%d %s rn=%d %dB (sent %d)" now
-        seq src dst kind round bytes sent_at
-  | Drop { now; seq; src; dst; kind; round; bytes } ->
-      Format.fprintf ppf "[%d] drop #%d %d->%d %s rn=%d %dB" now seq src dst
-        kind round bytes
-  | Duplicate { now; src; dst; seq } ->
-      Format.fprintf ppf "[%d] dup #%d %d->%d" now seq src dst
-  | Round_open { now; pid; rn } ->
-      Format.fprintf ppf "[%d] p%d round_open rn=%d" now pid rn
-  | Round_close { now; pid; rn; suspected } ->
-      Format.fprintf ppf "[%d] p%d round_close rn=%d suspected=%d" now pid rn
-        suspected
-  | Suspicion { now; pid; target; level } ->
-      Format.fprintf ppf "[%d] p%d suspicion target=%d level=%d" now pid
-        target level
-  | Leader_change { now; pid; leader } ->
-      Format.fprintf ppf "[%d] p%d leader=%d" now pid leader
-  | Ballot_open { now; pid; ballot } ->
-      Format.fprintf ppf "[%d] p%d ballot_open b=%d" now pid ballot
-  | Decided { now; pid; ballot } ->
-      Format.fprintf ppf "[%d] p%d decided b=%d" now pid ballot
-  | Partition { now; groups } ->
-      Format.fprintf ppf "[%d] partition groups=%d" now groups
-  | Recover { now; pid } -> Format.fprintf ppf "[%d] p%d recovered" now pid
-  | Adversary_move { now; target } ->
-      Format.fprintf ppf "[%d] adversary target=%d" now target
-  | Relay_round { now; pid; rn; stale } ->
-      Format.fprintf ppf "[%d] p%d relay_round rn=%d stale=%d" now pid rn stale
-  | Accusation { now; pid; target; level } ->
-      Format.fprintf ppf "[%d] p%d accusation target=%d level=%d" now pid
-        target level
-  | Hop { now; seq; src; dst; via; kind; round; bytes } ->
-      Format.fprintf ppf "[%d] hop #%d %d->%d via %d %s rn=%d %dB" now seq
-        src dst via kind round bytes
-  | Link_drop { now; seq; src; dst; hop_src; hop_dst; kind; round; bytes } ->
-      Format.fprintf ppf "[%d] link_drop #%d %d->%d at %d->%d %s rn=%d %dB"
-        now seq src dst hop_src hop_dst kind round bytes
-  | Edge_fault { now; a; b; state } ->
-      Format.fprintf ppf "[%d] edge_fault %d<->%d state=%d" now a b state
-  | Rack_fault { now; rack; state } ->
-      Format.fprintf ppf "[%d] rack_fault rack=%d state=%d" now rack state
-
 (* One JSON object per event, written without a trailing newline. All field
    values are ints or static ASCII kind strings, so no escaping is needed. *)
 let to_json buf ev =

@@ -146,7 +146,5 @@ val tag_link_drop : int
 (** The [now] field, whichever constructor. *)
 val time : t -> int
 
-val pp : Format.formatter -> t -> unit
-
 (** Append the event as one JSON object (no trailing newline). *)
 val to_json : Buffer.t -> t -> unit

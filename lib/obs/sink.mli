@@ -18,8 +18,8 @@
     checker) can declare a {!scalar} implementation; producers that emit
     through {!emit_send} / {!emit_deliver} / {!emit_drop} then pass the
     fields directly and never allocate the event record. Sinks without a
-    scalar lane (JSONL, ring, metrics) observe the exact same stream as
-    before — the helpers build the event for them on demand. *)
+    scalar lane (JSONL, the harness's wire-byte counter) observe the
+    exact same stream — the helpers build the event for them on demand. *)
 
 type t
 

@@ -13,22 +13,25 @@
     the on-disk checkpoint format. Current assignments:
 
     {v
-      0  Sim.Engine        ignore_obj (free slots)
-      1  Sim.Engine        call_thunk (schedule_at closure trampoline)
-      2  Sim.Timer         fire
-      3  Net.Network       deliver
-      4  Omega.Node        sending_task
-      5  Omega.Lean        heartbeat_task
-      6  Omega.Lean        monitor_task
-      7  Fault.Injector    apply_partition
-      8  Fault.Injector    apply_crash
-      9  Fault.Injector    apply_recover
-      10 Fault.Injector    apply_dup
-      11 Fault.Injector    activate
-      12 Harness.Run       sample_task
-      13 Net.Network       hop_arrive
-      14 Fault.Injector    apply_edge
-      15 Fault.Injector    apply_rack
+      0  Sim.Engine           ignore_obj (free slots)
+      1  Sim.Engine           call_thunk (schedule_at closure trampoline)
+      2  Sim.Timer            fire
+      3  Net.Network          deliver
+      4  Omega.Node           sending_task
+      5  Omega.Lean           heartbeat_task
+      6  Omega.Lean           monitor_task
+      7  Fault.Injector       apply_partition
+      8  Fault.Injector       apply_crash
+      9  Fault.Injector       apply_recover
+      10 Fault.Injector       apply_dup
+      11 Fault.Injector       activate
+      12 Harness.Run          sample_task
+      13 Net.Network          hop_arrive
+      14 Fault.Injector       apply_edge
+      15 Fault.Injector       apply_rack
+      16 Omega.Heartbeat      heartbeat_task
+      17 Consensus.Node       retry_task
+      18 Consensus.Broadcast  driver
     v}
 
     New entries take the next free id and are recorded in this list. *)

@@ -357,6 +357,60 @@ let test_ballots_started_counted () =
   check int_t "non-leader started none" 0
     (Consensus.Node.ballots_started (Consensus.Single.node c 3))
 
+(* ---------------------------------------------------------------- ranks *)
+
+(* A consensus process's periodic work is its own code: node p's oracle,
+   called from its retry task (and a broadcast process's from its driver),
+   runs under rank p + 1 — the rank [Sim.Engine.set_rank] gives pid p — so
+   a sharded run could own each chain with its process. The oracle names
+   the next process as leader, so nobody ever decides and every task keeps
+   asking. *)
+let test_chains_under_own_rank () =
+  let n = 5 in
+  (* The ranks each pid's oracle saw while [build]'s stack ran 300 ms. *)
+  let ranks_seen build =
+    let seen = Array.make n [] in
+    let engine = Sim.Engine.create ~seed:9L () in
+    let net =
+      Net.Network.of_spec Net.Spec.(default |> with_oracle_us instant) engine ~n
+    in
+    let oracle p () =
+      let key = Sim.Engine.executing_key engine in
+      seen.(p) <- (key land ((1 lsl Sim.Engine.rank_bits) - 1)) :: seen.(p);
+      (p + 1) mod n
+    in
+    build net oracle;
+    Sim.Engine.run_until engine (ms 300);
+    seen
+  in
+  let check_ranks what seen =
+    Array.iteri
+      (fun p ranks ->
+        check bool_t (Printf.sprintf "%s p%d asked its oracle" what p) true
+          (ranks <> []);
+        check (Alcotest.list int_t)
+          (Printf.sprintf "%s p%d under rank %d" what p (p + 1))
+          (List.map (fun _ -> p + 1) ranks)
+          ranks)
+      seen
+  in
+  check_ranks "retry task"
+    (ranks_seen (fun net oracle ->
+         let c =
+           Consensus.Single.create net ~oracle ~retry_every:(ms 30)
+             ~crash_bound:2
+         in
+         Consensus.Single.start c;
+         for p = 0 to n - 1 do
+           Consensus.Single.propose c p p
+         done));
+  check_ranks "broadcast driver"
+    (ranks_seen (fun net oracle ->
+         Array.iter Consensus.Broadcast.start
+           (Array.init n (fun me ->
+                Consensus.Broadcast.create net ~me ~oracle:(oracle me)
+                  ~retry_every:(ms 30) ~crash_bound:2 ~equal:Int.equal))))
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let () =
@@ -403,5 +457,7 @@ let () =
         [
           Alcotest.test_case "ballot_of" `Quick test_message_ballot_of;
           Alcotest.test_case "ballots counted" `Quick test_ballots_started_counted;
+          Alcotest.test_case "chains under own rank" `Quick
+            test_chains_under_own_rank;
         ] );
     ]

@@ -283,51 +283,6 @@ let prop_bitset_model =
       Dstruct.Bitset.to_list b = S.elements model
       && Dstruct.Bitset.cardinal b = S.cardinal model)
 
-(* -------------------------------------------------------------- Stats *)
-
-let test_stats_known () =
-  let s = Dstruct.Stats.create () in
-  List.iter (Dstruct.Stats.add s) [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ];
-  check int_t "count" 8 (Dstruct.Stats.count s);
-  check (Alcotest.float 1e-9) "mean" 5.0 (Dstruct.Stats.mean s);
-  check (Alcotest.float 1e-9) "min" 2.0 (Dstruct.Stats.min s);
-  check (Alcotest.float 1e-9) "max" 9.0 (Dstruct.Stats.max s);
-  (* Sample stddev of this classic series: sqrt(32/7). *)
-  check (Alcotest.float 1e-9) "stddev" (sqrt (32. /. 7.)) (Dstruct.Stats.stddev s);
-  check (Alcotest.float 1e-9) "median" 4.5 (Dstruct.Stats.median s);
-  check (Alcotest.float 1e-9) "p0=min" 2.0 (Dstruct.Stats.percentile s 0.);
-  check (Alcotest.float 1e-9) "p100=max" 9.0 (Dstruct.Stats.percentile s 100.)
-
-let test_stats_empty () =
-  let s = Dstruct.Stats.create () in
-  check bool_t "is_empty" true (Dstruct.Stats.is_empty s);
-  check (Alcotest.float 0.) "stddev 0 below 2 samples" 0.
-    (Dstruct.Stats.stddev s);
-  Alcotest.check_raises "percentile empty"
-    (Invalid_argument "Stats.percentile: empty series") (fun () ->
-      ignore (Dstruct.Stats.percentile s 50.))
-
-let prop_stats_mean_bounds =
-  QCheck.Test.make ~name:"stats mean within min..max" ~count:300
-    QCheck.(list_of_size Gen.(1 -- 50) (float_bound_inclusive 1000.))
-    (fun xs ->
-      let s = Dstruct.Stats.create () in
-      List.iter (Dstruct.Stats.add s) xs;
-      Dstruct.Stats.mean s >= Dstruct.Stats.min s -. 1e-9
-      && Dstruct.Stats.mean s <= Dstruct.Stats.max s +. 1e-9)
-
-let prop_stats_percentile_monotone =
-  QCheck.Test.make ~name:"stats percentile monotone in p" ~count:200
-    QCheck.(
-      pair
-        (list_of_size Gen.(2 -- 40) (float_bound_inclusive 100.))
-        (pair (float_bound_inclusive 100.) (float_bound_inclusive 100.)))
-    (fun (xs, (p1, p2)) ->
-      let lo = Float.min p1 p2 and hi = Float.max p1 p2 in
-      let s = Dstruct.Stats.create () in
-      List.iter (Dstruct.Stats.add s) xs;
-      Dstruct.Stats.percentile s lo <= Dstruct.Stats.percentile s hi +. 1e-9)
-
 let qtest = QCheck_alcotest.to_alcotest
 
 let () =
@@ -365,12 +320,5 @@ let () =
           Alcotest.test_case "unset scans" `Quick test_bitset_unset_scans;
           qtest prop_bitset_scan_model;
           qtest prop_bitset_model;
-        ] );
-      ( "stats",
-        [
-          Alcotest.test_case "known values" `Quick test_stats_known;
-          Alcotest.test_case "empty" `Quick test_stats_empty;
-          qtest prop_stats_mean_bounds;
-          qtest prop_stats_percentile_monotone;
         ] );
     ]

@@ -1,5 +1,5 @@
-(* Tests for the observability layer: sinks, the ring buffer, the metrics
-   aggregator, and — most importantly — the run digest as determinism
+(* Tests for the observability layer: sinks, the net events a counting
+   sink sees, and — most importantly — the run digest as determinism
    oracle: same seed must give the same digest whatever the pool size. *)
 
 let check = Alcotest.check
@@ -41,24 +41,49 @@ let test_sink_masks () =
   check bool_t "tee of nulls collapses" true
     (Obs.Sink.is_null (Obs.Sink.tee [ Obs.Sink.null; Obs.Sink.null ]))
 
-let test_ring_wraparound () =
-  let ring = Obs.Ring.create ~capacity:4 () in
-  let s = Obs.Ring.sink ring in
-  for i = 1 to 10 do
-    Obs.Sink.emit s (Obs.Event.Fire { now = i })
-  done;
-  check int_t "length capped" 4 (Obs.Ring.length ring);
-  check int_t "total counts overwritten" 10 (Obs.Ring.total ring);
-  check (Alcotest.list int_t) "last 4, oldest first" [ 7; 8; 9; 10 ]
-    (List.map
-       (function Obs.Event.Fire { now } -> now | _ -> -1)
-       (Obs.Ring.contents ring));
-  Obs.Ring.clear ring;
-  check int_t "cleared" 0 (Obs.Ring.length ring)
-
 (* ---------------------------------------------------------- metrics *)
 
 type msg = Ping of int
+
+(* A sink that counts what the network, the Ω layer and the timers emit,
+   built the way any consumer would build one: [Sink.make] over the event
+   record. *)
+type counts = {
+  mutable sent : int;
+  mutable sent_bytes : int;
+  mutable delivered : int;
+  mutable dropped : int;
+  mutable delays_us : int list;  (* transfer delay of every delivery *)
+  mutable rounds_closed : int;
+  mutable timer_fires : int;
+}
+
+let counting_sink () =
+  let c =
+    {
+      sent = 0;
+      sent_bytes = 0;
+      delivered = 0;
+      dropped = 0;
+      delays_us = [];
+      rounds_closed = 0;
+      timer_fires = 0;
+    }
+  in
+  let sink =
+    Obs.Sink.make ~mask:Obs.Event.(c_net lor c_omega lor c_timer) (function
+      | Obs.Event.Send { bytes; _ } ->
+          c.sent <- c.sent + 1;
+          c.sent_bytes <- c.sent_bytes + bytes
+      | Obs.Event.Deliver { now; sent_at; _ } ->
+          c.delivered <- c.delivered + 1;
+          c.delays_us <- (now - sent_at) :: c.delays_us
+      | Obs.Event.Drop _ -> c.dropped <- c.dropped + 1
+      | Obs.Event.Round_close _ -> c.rounds_closed <- c.rounds_closed + 1
+      | Obs.Event.Timer_fire _ -> c.timer_fires <- c.timer_fires + 1
+      | _ -> ())
+  in
+  (c, sink)
 
 let test_metrics_counts () =
   (* Hand-counted network run: 5 pings sent, 1 dropped (dst 2), so 4
@@ -71,8 +96,8 @@ let test_metrics_counts () =
       Net.Spec.(default |> with_classify classify |> with_oracle_us oracle)
       engine ~n:3
   in
-  let m = Obs.Metrics.create () in
-  Sim.Engine.set_sink engine (Obs.Metrics.sink m);
+  let c, sink = counting_sink () in
+  Sim.Engine.set_sink engine sink;
   Net.Network.set_handler net 1 (fun ~src:_ _ -> ());
   Net.Network.set_handler net 2 (fun ~src:_ _ -> ());
   for i = 1 to 4 do
@@ -80,15 +105,12 @@ let test_metrics_counts () =
   done;
   Net.Network.send net ~src:0 ~dst:2 (Ping 5);
   Sim.Engine.run_until engine (us 100);
-  check (Alcotest.list str_t) "kinds" [ "ping" ] (Obs.Metrics.kinds m);
-  check int_t "sent" 5 (Obs.Metrics.sent m ~kind:"ping");
-  check int_t "sent bytes" 40 (Obs.Metrics.sent_bytes m ~kind:"ping");
-  check int_t "delivered" 4 (Obs.Metrics.delivered m ~kind:"ping");
-  check int_t "dropped" 1 (Obs.Metrics.dropped m ~kind:"ping");
-  check int_t "total sent" 5 (Obs.Metrics.total_sent m);
-  let delays = Obs.Metrics.delivery_delay_us m in
-  check int_t "delay samples" 4 (Dstruct.Stats.count delays);
-  check bool_t "delay mean 10us" true (Dstruct.Stats.mean delays = 10.)
+  check int_t "sent" 5 c.sent;
+  check int_t "sent bytes" 40 c.sent_bytes;
+  check int_t "delivered" 4 c.delivered;
+  check int_t "dropped" 1 c.dropped;
+  check (Alcotest.list int_t) "every delivery took 10us" [ 10; 10; 10; 10 ]
+    c.delays_us
 
 (* ----------------------------------------------------------- digest *)
 
@@ -156,27 +178,23 @@ let test_digest_scalar_matches_record () =
     (Obs.Digest.events record > 0)
 
 let test_metrics_on_run () =
-  (* Metrics ride a full harness run without perturbing it: the same run
-     with and without metrics yields the same digest, and the aggregator's
-     totals match the network's own counters. *)
-  let with_metrics =
+  (* A counting sink rides a full harness run without perturbing it: the
+     digest under the tee still matches the pin, and the counted events
+     match the network's own counters. *)
+  let c, sink = counting_sink () in
+  let result =
     Harness.Run.run
-      ~spec:Harness.Run.Spec.(digest_spec |> with_metrics true)
+      ~spec:Harness.Run.Spec.(digest_spec |> with_sink sink)
       ~env ~seed:7L ()
   in
-  let m = Option.get with_metrics.Harness.Run.metrics in
-  check bool_t "observation does not perturb" true
-    (Int64.equal
-       (Option.get with_metrics.Harness.Run.digest)
-       (digest_of ~seed:7L));
-  check int_t "metrics sent = net counter"
-    with_metrics.Harness.Run.messages_sent
-    (Obs.Metrics.total_sent m);
-  check int_t "metrics delivered = net counter"
-    with_metrics.Harness.Run.messages_delivered
-    (Obs.Metrics.total_delivered m);
-  check bool_t "rounds closed" true (Obs.Metrics.rounds_closed m > 0);
-  check bool_t "timers fired" true (Obs.Metrics.timer_fires m > 0)
+  check str_t "observation does not perturb" "d04e0b6bb1a89956"
+    (Obs.Digest.to_hex (Option.get result.Harness.Run.digest));
+  check int_t "counted sends = net counter" result.Harness.Run.messages_sent
+    c.sent;
+  check int_t "counted deliveries = net counter"
+    result.Harness.Run.messages_delivered c.delivered;
+  check bool_t "rounds closed" true (c.rounds_closed > 0);
+  check bool_t "timers fired" true (c.timer_fires > 0)
 
 let () =
   Alcotest.run "obs"
@@ -186,7 +204,6 @@ let () =
           Alcotest.test_case "null" `Quick test_null_sink;
           Alcotest.test_case "masks and tee" `Quick test_sink_masks;
         ] );
-      ("ring", [ Alcotest.test_case "wraparound" `Quick test_ring_wraparound ]);
       ( "metrics",
         [
           Alcotest.test_case "hand-counted net run" `Quick test_metrics_counts;

@@ -117,6 +117,119 @@ let test_faulted () =
         |> with_plan busy_plan)
     ~env ~seed:7L ~cut:(ms 700)
 
+(* ------------------------------------------------------- consensus *)
+
+(* E6's two stacks in miniature: Ω (Figure 3) on one network and a
+   consensus layer on a second network over the same scenario, each
+   process's consensus oracle reading its own Ω leader; p0 crashes on both
+   at 200 ms. The layers' self-reposting tasks are packed events
+   (checkpoint ids 17 and 18), so a cut must carry them. [layer] starts
+   the consensus layer and returns a renderer of its outcome. The stack's
+   probe returns the digest and that outcome; it is the snapshot root, so
+   after a restore it reads the restored stack. *)
+let consensus_stack layer =
+  let n = 5 and t = 2 in
+  let engine = Sim.Engine.create ~seed:11L () in
+  let digest = Obs.Digest.create () in
+  Sim.Engine.set_sink engine (Obs.Digest.sink digest);
+  let config = Omega.Config.default ~n ~t Omega.Config.Fig3 in
+  let scenario =
+    Scenarios.Scenario.create
+      (Scenarios.Scenario.default_params ~n ~t ~beta:config.Omega.Config.beta)
+      (Scenarios.Scenario.Intermittent_star { center = n - 2; d = 4 })
+      ~seed:42L
+  in
+  let net_over round_of =
+    Net.Network.of_spec
+      Net.Spec.(
+        default
+        |> with_oracle_us (Scenarios.Scenario.oracle_us scenario ~round_of))
+      engine ~n
+  in
+  let omega =
+    Omega.Cluster.create config (net_over Scenarios.Scenario.round_rn_of_omega)
+  in
+  let cons_net = net_over (fun _ -> -1) in
+  Omega.Cluster.start omega;
+  let outcome =
+    layer engine cons_net (fun p () ->
+        Omega.Node.leader (Omega.Cluster.node omega p))
+  in
+  Omega.Cluster.crash_at omega 0 (ms 200);
+  ignore
+    (Sim.Engine.schedule_at engine (ms 200) (fun () ->
+         Net.Network.crash cons_net 0));
+  (engine, fun () -> (Obs.Digest.to_hex (Obs.Digest.value digest), outcome ()))
+
+(* One decree, proposed by p1..p4 at 500 ms: the decision and its time. *)
+let single_layer engine net leader =
+  let single =
+    Consensus.Single.create net ~oracle:leader ~retry_every:(ms 50)
+      ~crash_bound:2
+  in
+  Consensus.Single.start single;
+  ignore
+    (Sim.Engine.schedule_at engine (ms 500) (fun () ->
+         for p = 1 to 4 do
+           Consensus.Single.propose single p (100 + p)
+         done));
+  fun () ->
+    Printf.sprintf "%s at %s"
+      (Option.fold ~none:"-" ~some:string_of_int
+         (Consensus.Single.uniform_decision single))
+      (Option.fold ~none:"-"
+         ~some:(fun at -> string_of_int (Sim.Time.to_us at))
+         (Consensus.Single.last_decision_time single))
+
+(* Ten commands, one every 100 ms, from p1, p2 and p3 in turn: every
+   correct process's delivery sequence. *)
+let broadcast_layer engine net leader =
+  let nodes =
+    Array.init 5 (fun me ->
+        Consensus.Broadcast.create net ~me ~oracle:(leader me)
+          ~retry_every:(ms 50) ~crash_bound:2 ~equal:Int.equal)
+  in
+  Array.iter Consensus.Broadcast.start nodes;
+  for c = 0 to 9 do
+    ignore
+      (Sim.Engine.schedule_at engine
+         (ms (100 * c))
+         (fun () -> Consensus.Broadcast.submit nodes.(1 + (c mod 3)) c))
+  done;
+  fun () ->
+    String.concat " / "
+      (List.map
+         (fun p ->
+           String.concat ","
+             (List.map string_of_int (Consensus.Broadcast.delivered nodes.(p))))
+         (Net.Network.correct net))
+
+(* The cut at 550 ms falls after the proposals and before the decision. *)
+let consensus_differential ~msg build =
+  let horizon = sec 3 and cut = ms 550 in
+  let engine, probe = build () in
+  let nothing = snd (probe ()) in
+  Sim.Engine.run_until engine horizon;
+  let straight = probe () in
+  check bool_t (msg ^ ": the straight run decides") true
+    (snd straight <> nothing);
+  let engine, probe = build () in
+  Sim.Engine.run_until engine cut;
+  let engine', probe' =
+    (Sim.Engine.restore (Sim.Engine.snapshot engine probe)
+      : Sim.Engine.t * (unit -> string * string))
+  in
+  Sim.Engine.run_until engine' horizon;
+  Sim.Engine.run_until engine horizon;
+  let outcome = Alcotest.pair str_t str_t in
+  check outcome (msg ^ ": restored continuation") straight (probe' ());
+  check outcome (msg ^ ": snapshotted original") straight (probe ())
+
+let test_consensus_stacks () =
+  consensus_differential ~msg:"single" (fun () -> consensus_stack single_layer);
+  consensus_differential ~msg:"broadcast" (fun () ->
+      consensus_stack broadcast_layer)
+
 (* ------------------------------------------------------- pinned runs *)
 
 (* The acceptance contract: snapshot -> restore -> continue reproduces the
@@ -347,6 +460,8 @@ let () =
         [
           Alcotest.test_case "n x algo x sched matrix" `Quick test_matrix;
           Alcotest.test_case "faulted plan" `Quick test_faulted;
+          Alcotest.test_case "consensus and broadcast stacks" `Quick
+            test_consensus_stacks;
         ] );
       ( "pinned",
         [
