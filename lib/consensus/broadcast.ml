@@ -4,6 +4,12 @@ type 'v msg =
   | Cons of { instance : int; m : 'v list Message.t }
   | Forward of { cmd : 'v }
 
+let info = function
+  | Cons { m; _ } ->
+      let i = Message.info m in
+      { i with Obs.Event.bytes = i.Obs.Event.bytes + 4 }
+  | Forward _ -> { Obs.Event.kind = "forward"; round = -1; bytes = 5 }
+
 type 'v t = {
   net : 'v msg Net.Network.t;
   engine : Sim.Engine.t;
@@ -43,8 +49,11 @@ let instance t k =
           halted = (fun () -> halted t);
         }
       in
+      (* Instances appear at run time, inside this process's handlers and
+         driver, so they split off this process's own stream: a draw from
+         the engine root here would diverge across shards. *)
       let node =
-        Node.create transport ~me:t.me ~leader_oracle:t.oracle
+        Node.create transport ~me:t.me ~rng:t.rng ~leader_oracle:t.oracle
           ~retry_every:t.retry_every ~crash_bound:t.crash_bound
       in
       Hashtbl.add t.instances k node;

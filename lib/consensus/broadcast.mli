@@ -19,6 +19,11 @@ type pid = int
 (** Commands must be comparable for de-duplication. *)
 type 'v msg
 
+(** Observability classifier for {!Net.Spec.with_classify}: an instance's
+    ballot messages classify as {!Message.info} does (the instance tag
+    adds 4 bytes), a forwarded command as ["forward"]. *)
+val info : 'v msg -> Obs.Event.msg_info
+
 type 'v t
 
 (** One process of the broadcast service. As with {!Single}, [oracle] is the

@@ -185,14 +185,15 @@ let rec retry_task t =
 
 let () = Sim.Checkpoint.register ~id:17 retry_task
 
-let create (tr : 'v transport) ~me ~leader_oracle ~retry_every ~crash_bound =
+let create (tr : 'v transport) ~me ~rng ~leader_oracle ~retry_every
+    ~crash_bound =
   let n = tr.n in
   if 2 * crash_bound >= n then
     invalid_arg "Consensus.Node.create: needs a majority of correct processes";
   let t =
     {
       tr;
-      rng = Dstruct.Rng.split (Sim.Engine.rng tr.engine);
+      rng = Dstruct.Rng.split rng;
       me;
       leader_oracle;
       retry_every;

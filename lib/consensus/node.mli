@@ -34,12 +34,17 @@ val network_transport :
 
 type 'v t
 
-(** [create transport ~me ~leader_oracle ~retry_every ~crash_bound]
-    allocates the node. The caller must route incoming messages to
-    {!handle}. Requires [crash_bound < n/2]. *)
+(** [create transport ~me ~rng ~leader_oracle ~retry_every ~crash_bound]
+    allocates the node, splitting its own stream off [rng]. [rng] must be
+    a stream only this process draws from after setup (or the engine's
+    root, {!Sim.Engine.rng}, during setup): on a sharded run a replica
+    executes only its own processes' code, so a draw from a shared stream
+    at run time would diverge from the sequential run. The caller must
+    route incoming messages to {!handle}. Requires [crash_bound < n/2]. *)
 val create :
   'v transport ->
   me:pid ->
+  rng:Dstruct.Rng.t ->
   leader_oracle:(unit -> pid) ->
   retry_every:Sim.Time.t ->
   crash_bound:int ->

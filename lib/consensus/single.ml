@@ -8,7 +8,8 @@ let create net ~oracle ~retry_every ~crash_bound =
     Array.init n (fun me ->
         Node.create
           (Node.network_transport net ~me)
-          ~me ~leader_oracle:(oracle me) ~retry_every ~crash_bound)
+          ~me ~rng:(Sim.Engine.rng (Net.Network.engine net))
+          ~leader_oracle:(oracle me) ~retry_every ~crash_bound)
   in
   Array.iteri
     (fun me node ->
@@ -25,19 +26,27 @@ let decisions t =
     (fun p -> (p, Node.decision t.nodes.(p)))
     (Net.Network.correct t.net)
 
-let uniform_decision t =
-  match decisions t with
-  | [] -> None
-  | (_, first) :: rest ->
-      if
-        Option.is_some first
-        && List.for_all (fun (_, d) -> d = first) rest
-      then first
-      else None
+let agreement decided =
+  let value =
+    match decided with
+    | ((Some _ as first), _) :: rest
+      when List.for_all (fun (d, _) -> d = first) rest ->
+        first
+    | _ -> None
+  in
+  let times = List.filter_map snd decided in
+  let latest =
+    if times <> [] && List.length times = List.length decided then
+      Some (List.fold_left Sim.Time.max Sim.Time.zero times)
+    else None
+  in
+  (value, latest)
 
-let last_decision_time t =
-  let correct = Net.Network.correct t.net in
-  let times = List.filter_map (fun p -> Node.decided_at t.nodes.(p)) correct in
-  if List.length times = List.length correct && times <> [] then
-    Some (List.fold_left Sim.Time.max Sim.Time.zero times)
-  else None
+let agreement_of t =
+  agreement
+    (List.map
+       (fun p -> (Node.decision t.nodes.(p), Node.decided_at t.nodes.(p)))
+       (Net.Network.correct t.net))
+
+let uniform_decision t = fst (agreement_of t)
+let last_decision_time t = snd (agreement_of t)

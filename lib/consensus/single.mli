@@ -1,5 +1,6 @@
 (** Convenience wiring of one consensus instance per process over a
-    dedicated network — used by tests, examples and experiment E6. *)
+    dedicated network — used by tests, examples and {!Harness.Run}'s
+    consensus layer (experiment E6). *)
 
 type pid = int
 
@@ -22,9 +23,16 @@ val node : 'v t -> pid -> 'v Node.t
 (** Decisions of all non-crashed processes. *)
 val decisions : 'v t -> (pid * 'v option) list
 
-(** True when every non-crashed process has decided the same value. *)
+(** [agreement decided], over each correct process's
+    [(decision, decided_at)]: the value every one decided, if they all
+    decided the same, and the latest decision time (the consensus
+    latency), if they all decided. Experiment E6 applies it to
+    {!Harness.Run}'s layer outcomes. *)
+val agreement :
+  ('v option * Sim.Time.t option) list -> 'v option * Sim.Time.t option
+
+(** [agreement]'s value over the non-crashed processes. *)
 val uniform_decision : 'v t -> 'v option
 
-(** Latest local decision time among correct processes (the consensus
-    latency), if all have decided. *)
+(** [agreement]'s decision time over the non-crashed processes. *)
 val last_decision_time : 'v t -> Sim.Time.t option

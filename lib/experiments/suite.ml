@@ -215,7 +215,7 @@ let obs_cells obs result cells =
    family, ~3n for the relay tier — doubled when the assumption checker
    rides along (it processes every event again). Only the ordering
    matters, not the unit. *)
-let cost_of ?(algo = `Gossip) ?(check = true) ?(stacks = 1) ~n horizon =
+let cost_of ?(algo = `Gossip) ?(check = true) ~n horizon =
   let traffic =
     match algo with
     | `Gossip -> float_of_int (n * n)
@@ -223,7 +223,6 @@ let cost_of ?(algo = `Gossip) ?(check = true) ?(stacks = 1) ~n horizon =
   in
   Sim.Time.to_ms_float horizon /. 1000.
   *. traffic
-  *. float_of_int stacks
   *. (if check then 2. else 1.)
 
 let lpt_disabled () = Option.is_some (Sys.getenv_opt "OMEGA_NO_LPT")
@@ -735,150 +734,134 @@ let e5 ~pool ~quick ~obs =
 
 (* ------------------------------------------------------------------ E6 *)
 
-(* E6 wires its two networks by hand over ONE shared scenario: the Ω
-   network and the consensus/broadcast network draw jitter from the same
-   per-executor streams. Two [Env.build] calls would give each network
-   its own scenario (and so its own streams) and change the table. *)
-let consensus_run ~n ~t ~d ~horizon ~seed =
-  let engine = Sim.Engine.create ~seed () in
-  let center = n - 2 in
-  let cfg = config ~n ~t Omega.Config.Fig3 in
-  let scen = scenario ~n ~t (Scenario.Intermittent_star { center; d }) in
-  let net_for oracle =
-    Net.Spec.(default |> with_oracle_us oracle) |> fun spec ->
-    Net.Network.of_spec spec engine ~n
-  in
-  let omega_net =
-    net_for (Scenario.oracle_us scen ~round_of:Scenario.round_rn_of_omega)
-  in
-  let omega = Omega.Cluster.create cfg omega_net in
-  let cons_net = net_for (Scenario.oracle_us scen ~round_of:(fun _ -> -1)) in
-  let cluster =
-    Consensus.Single.create cons_net
-      ~oracle:(fun p () -> Omega.Node.leader (Omega.Cluster.node omega p))
-      ~retry_every:(ms 50) ~crash_bound:t
-  in
-  Omega.Cluster.start omega;
-  Consensus.Single.start cluster;
-  (* Crash the initial minimum-id process (everyone's first leader estimate)
-     before any proposal exists, so consensus cannot be decided by a lucky
-     pre-crash ballot and must ride the oracle's re-election. *)
-  Omega.Cluster.crash_at omega 0 (ms 200);
-  ignore
-    (Sim.Engine.schedule_at engine (ms 200) (fun () ->
-         Net.Network.crash cons_net 0));
-  let propose_at = ms 500 in
-  ignore
-    (Sim.Engine.schedule_at engine propose_at (fun () ->
-         for p = 1 to n - 1 do
-           Consensus.Single.propose cluster p (100 + p)
-         done));
-  Sim.Engine.run_until engine horizon;
-  let ballots = ref 0 in
-  for p = 0 to n - 1 do
-    ballots :=
-      !ballots + Consensus.Node.ballots_started (Consensus.Single.node cluster p)
-  done;
-  let latency =
-    Option.map
-      (fun at -> Sim.Time.sub at propose_at)
-      (Consensus.Single.last_decision_time cluster)
-  in
-  (Consensus.Single.uniform_decision cluster, latency, !ballots)
-
-let broadcast_run ~n ~t ~d ~commands ~horizon ~seed =
-  let engine = Sim.Engine.create ~seed () in
-  let center = n - 2 in
-  let cfg = config ~n ~t Omega.Config.Fig3 in
-  let scen = scenario ~n ~t (Scenario.Intermittent_star { center; d }) in
-  let net_for oracle =
-    Net.Spec.(default |> with_oracle_us oracle) |> fun spec ->
-    Net.Network.of_spec spec engine ~n
-  in
-  let omega_net =
-    net_for (Scenario.oracle_us scen ~round_of:Scenario.round_rn_of_omega)
-  in
-  let omega = Omega.Cluster.create cfg omega_net in
-  let bc_net = net_for (Scenario.oracle_us scen ~round_of:(fun _ -> -1)) in
-  let nodes =
-    Array.init n (fun me ->
-        Consensus.Broadcast.create bc_net ~me
-          ~oracle:(fun () -> Omega.Node.leader (Omega.Cluster.node omega me))
-          ~retry_every:(ms 50) ~crash_bound:t ~equal:Int.equal)
-  in
-  Omega.Cluster.start omega;
-  Array.iter Consensus.Broadcast.start nodes;
-  (* Commands submitted over time from three different processes. *)
-  for c = 0 to commands - 1 do
-    let submitter = 1 + (c mod 3) in
-    ignore
-      (Sim.Engine.schedule_at engine
-         (ms (100 * c))
-         (fun () -> Consensus.Broadcast.submit nodes.(submitter) (1000 + c)))
-  done;
-  Omega.Cluster.crash_at omega 0 (sec 1);
-  ignore
-    (Sim.Engine.schedule_at engine (sec 1) (fun () ->
-         Net.Network.crash bc_net 0));
-  Sim.Engine.run_until engine horizon;
-  let correct = Net.Network.correct bc_net in
-  let sequences =
-    List.map (fun p -> Consensus.Broadcast.delivered nodes.(p)) correct
-  in
-  let all_equal =
-    match sequences with
-    | [] -> true
-    | first :: rest -> List.for_all (fun s -> s = first) rest
-  in
-  let delivered = match sequences with [] -> 0 | s :: _ -> List.length s in
-  (delivered, all_equal)
-
-(* E6's consensus/broadcast runs assemble their own two-network stacks
-   above (no Run.run), so they stay observability-free (but still farm
-   cells). *)
+(* Theorem 5 as two Run layers over Fig3-Ω, one cell per (D, stack).
+   Consensus: p0 — everyone's first leader estimate — crashes at 200 ms,
+   before any proposal exists, so consensus cannot be decided by a lucky
+   pre-crash ballot and must ride the oracle's re-election; p1..p7 propose
+   at 500 ms. Broadcast: a command every 100 ms from p1, p2 and p3 in
+   turn, and p0 crashes at 1 s. *)
 let e6 ~pool ~quick ~obs =
   let n = 8 and t = 3 in
   let ds = if quick then [ 4 ] else [ 4; 16 ] in
   let horizon = if quick then sec 20 else sec 60 in
   let commands = if quick then 10 else 30 in
-  let rows =
+  let propose_at = ms 500 in
+  let correct crashes outcomes =
+    List.filteri (fun p _ -> not (List.mem_assoc p crashes))
+      (Array.to_list outcomes)
+  in
+  (* The value every correct process decided, the latency of the last
+     decision, and the ballots anyone started. *)
+  let consensus crashes outcomes =
+    let ballots =
+      Array.fold_left
+        (fun acc -> function
+          | Run.Decision d -> acc + d.ballots | Run.Delivered _ -> acc)
+        0 outcomes
+    in
+    let value, latest =
+      Consensus.Single.agreement
+        (List.filter_map
+           (function
+             | Run.Decision { value; at; _ } -> Some (value, at)
+             | Run.Delivered _ -> None)
+           (correct crashes outcomes))
+    in
+    [
+      Option.fold ~none:"-" ~some:string_of_int value;
+      Option.fold ~none:"-"
+        ~some:(fun at ->
+          Format.asprintf "%a" Sim.Time.pp (Sim.Time.sub at propose_at))
+        latest;
+      Table.intc ballots;
+    ]
+  in
+  (* How many commands the correct processes delivered, and whether in
+     one order. *)
+  let broadcast crashes outcomes =
+    match
+      List.map
+        (function Run.Delivered s -> s | Run.Decision _ -> [])
+        (correct crashes outcomes)
+    with
+    | [] -> [ Printf.sprintf "0/%d" commands; Table.yesno true ]
+    | first :: rest ->
+        [
+          Printf.sprintf "%d/%d" (List.length first) commands;
+          Table.yesno (List.for_all (( = ) first) rest);
+        ]
+  in
+  let stacks =
+    [
+      ( "consensus",
+        [ (0, ms 200) ],
+        Run.Spec.Consensus
+          (List.init (n - 1) (fun i -> (i + 1, propose_at, 101 + i))),
+        consensus );
+      ( "broadcast",
+        [ (0, sec 1) ],
+        Run.Spec.Broadcast
+          (List.init commands (fun c ->
+               (1 + (c mod 3), ms (100 * c), 1000 + c))),
+        broadcast );
+    ]
+  in
+  let cells =
     on ~obs pool
-    @@ List.map
+    @@ List.concat_map
          (fun d ->
-           {
-             label = Printf.sprintf "e6 D=%d" d;
-             (* Four networks across the two runs: omega + payload, twice. *)
-             cost = cost_of ~n ~stacks:4 horizon;
-             exec =
-               (fun () ->
-                 let decision, latency, ballots =
-                   consensus_run ~n ~t ~d ~horizon ~seed:11L
-                 in
-                 let delivered, order_ok =
-                   broadcast_run ~n ~t ~d ~commands ~horizon ~seed:11L
-                 in
-                 [
-                   Table.intc d;
-                   (match decision with
-                   | Some v -> string_of_int v
-                   | None -> "-");
-                   (match latency with
-                   | Some x -> Format.asprintf "%a" Sim.Time.pp x
-                   | None -> "-");
-                   Table.intc ballots;
-                   Printf.sprintf "%d/%d" delivered commands;
-                   Table.yesno order_ok;
-                 ]);
-           })
+           let env =
+             env ~n ~t Omega.Config.Fig3
+               (Scenario.Intermittent_star { center = n - 2; d })
+           in
+           List.map
+             (fun (name, crashes, layer, columns) ->
+               let label = Printf.sprintf "e6 D=%d %s" d name in
+               {
+                 label;
+                 cost = cost_of ~check:false ~n horizon;
+                 exec =
+                   (fun () ->
+                     let result =
+                       obs_run ~obs ~label
+                         ~spec:
+                           Run.Spec.(
+                             default |> with_horizon horizon
+                             |> with_crashes crashes |> with_check false
+                             |> with_layer layer)
+                         ~env ~seed:11L ()
+                     in
+                     obs_cells obs result
+                       (columns crashes (Option.get result.Run.outcomes)));
+               })
+             stacks)
          ds
+  in
+  (* A row is D, both stacks' columns, then both digests under --metrics.
+     A shard's placeholder for a cell it does not own is [[]]. *)
+  let split cells =
+    let k = List.length cells - if obs.metrics then 1 else 0 in
+    ( List.filteri (fun i _ -> i < k) cells,
+      List.filteri (fun i _ -> i >= k) cells )
+  in
+  let rec rows ds cells =
+    match (ds, cells) with
+    | d :: ds, cons :: bcast :: cells ->
+        let c, cd = split cons and b, bd = split bcast in
+        ((Table.intc d :: c) @ b @ cd @ bd) :: rows ds cells
+    | _ -> []
   in
   Table.print
     ~title:
       "E6: consensus + atomic broadcast over fig3-Omega (n=8, t=3, crash \
        p0; intermittent star) [Theorem 5]"
     ~header:
-      [ "D"; "decision"; "decision latency"; "ballots"; "delivered"; "same order" ]
-    rows
+      ([
+         "D"; "decision"; "decision latency"; "ballots"; "delivered";
+         "same order";
+       ]
+      @ if obs.metrics then [ "consensus digest"; "broadcast digest" ] else [])
+    (rows ds cells)
 
 (* ------------------------------------------------------------------ E7 *)
 

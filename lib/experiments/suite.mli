@@ -15,12 +15,12 @@
     [obs] is the session's observability (bin/experiments.exe [--trace] /
     [--metrics] flags): with [no_obs] every run keeps the null sink and the
     tables are byte-identical to the pre-observability output; with
-    [metrics = true] each Run.run-backed table gains a digest column (the
-    per-run {!Obs.Digest} — the determinism oracle; E4, whose cells are
-    single runs, prints a second grid of digests instead); with
-    [trace = Some j] every run streams its typed events into [j] as
-    JSONL, prefixed by a note naming the run. E6 builds its own stacks
-    and ignores [obs]. *)
+    [metrics = true] each table gains a digest column (the per-run
+    {!Obs.Digest} — the determinism oracle; E4, whose cells are single
+    runs, prints a second grid of digests instead, and E6 one column per
+    stack); with [trace = Some j] every run streams its typed events into
+    [j] as JSONL, prefixed by a note naming the run. Every table runs
+    through {!Harness.Run}. *)
 
 (** Farm mode (DESIGN.md §16). Every table row is a costed cell with a
     globally increasing id in declaration order; the id is the cell's
@@ -120,7 +120,7 @@ val e4 : pool:Parallel.Pool.t -> quick:bool -> obs:obs -> unit
 val e5 : pool:Parallel.Pool.t -> quick:bool -> obs:obs -> unit
 
 (** E6 — Theorem 5: consensus and atomic broadcast over the elected
-    leader. *)
+    leader, as {!Harness.Run.Spec.layer}s: one cell per (D, stack). *)
 val e6 : pool:Parallel.Pool.t -> quick:bool -> obs:obs -> unit
 
 (** E7 — §7: growing timeliness bounds; Figure 3 vs its A_{f,g} variant. *)

@@ -6,6 +6,14 @@ type sample = {
   agreed : pid option;
 }
 
+type outcome =
+  | Decision of {
+      value : int option;
+      at : Sim.Time.t option;
+      ballots : int;
+    }
+  | Delivered of int list
+
 type result = {
   stabilized_at : Sim.Time.t option;
   final_leader : pid option;
@@ -27,9 +35,13 @@ type result = {
   partition_downtime : Sim.Time.t;
   adversary_moves : int;
   recoveries : int;
+  outcomes : outcome array option;
 }
 
 module Spec = struct
+  type input = pid * Sim.Time.t * int
+  type layer = No_layer | Consensus of input list | Broadcast of input list
+
   type t = {
     horizon : Sim.Time.t;
     min_stable : Sim.Time.t option;
@@ -43,6 +55,7 @@ module Spec = struct
     topology : Net.Topology.kind;
     link_channel : Net.Topology.channel;
     intra_domains : int;
+    layer : layer;
   }
 
   let default =
@@ -59,6 +72,7 @@ module Spec = struct
       topology = Net.Topology.Complete;
       link_channel = Net.Topology.Reliable;
       intra_domains = 1;
+      layer = No_layer;
     }
 
   let with_horizon horizon t = { t with horizon }
@@ -78,6 +92,8 @@ module Spec = struct
     if intra_domains < 1 then
       invalid_arg "Run.Spec.with_intra_domains: must be >= 1";
     { t with intra_domains }
+
+  let with_layer layer t = { t with layer }
 end
 
 (* The largest round whose every non-victim message is guaranteed delivered
@@ -243,6 +259,20 @@ let eb_clear b =
   Array.fill b.eb_ev 0 b.eb_len eb_dummy_ev;
   b.eb_len <- 0
 
+(* A run's consensus layer ([Spec.layer]): one network per replica
+   ([nets.(0)] the control replica's), whose message type it hides, and
+   each process's entry points, routed to the replica that runs the
+   process. [input] (propose or submit) only sets state, so a rank-0
+   control event may apply it at a barrier. *)
+type layer =
+  | Layer : {
+      nets : 'm Net.Network.t array;
+      start : pid -> unit;
+      input : pid -> int -> unit;
+      outcome : pid -> outcome;
+    }
+      -> layer
+
 (* One shard of a sharded run (DESIGN.md §18): a full replica of the
    simulation stack that executes only its owned pids' events, plus the
    buffer its window emissions are recorded into. [sh_record] tags each
@@ -293,6 +323,7 @@ type live = {
   l_scenario : Scenarios.Scenario.t;
   l_net : Omega.Message.t Net.Network.t;
   l_iface : Omega.Iface.t;
+  l_layer : layer option;
   l_injector : Fault.Injector.t option;
   l_checker : Scenarios.Checker.t option;
   l_alive_bytes : int ref;
@@ -340,14 +371,102 @@ let sharded_iface ~config ~net ~shard_of pairs =
       (fun p -> (owner p).Omega.Iface.round_state_cardinal p);
   }
 
+(* Shard one network per replica of a run, [nets.(0)] being the control
+   replica's (DESIGN.md §18): sharded dispatch on, and every replica
+   linked to every other so that fault mutators act on all of them. *)
+let shard_nets ~shard_of nets =
+  let k = Array.length nets - 1 in
+  Array.iteri
+    (fun i nt ->
+      Net.Network.set_sharding nt ~my_shard:(i - 1) ~shard_of ~shards:k)
+    nets;
+  Net.Network.link_siblings nets
+
+(* The layer's constants: no caller needs other values. *)
+let layer_retry = Sim.Time.of_ms 50
+
+(* The layer over every replica, [replicas.(0)] being the control one: a
+   second network over each replica's Ω scenario (both networks draw from
+   the same per-executor delay streams; layer messages carry no round
+   tag) and one node per process whose oracle is that replica's own Ω
+   leader output for the process. Each replica builds its layer after its
+   cluster, so the nodes' streams split off the root after the Ω nodes'
+   in every replica alike. Ω's output at p goes only to p, so p's node
+   and its oracle always run in the same replica. *)
+let build_layer layer ~env ~topology ~channel ~shard_of replicas =
+  let config = Scenarios.Env.config env in
+  let n = config.Omega.Config.n in
+  let crash_bound = n - config.Omega.Config.alpha in
+  let owner p = if Array.length replicas = 1 then 0 else shard_of.(p) + 1 in
+  let nets classify =
+    let nets =
+      Array.map
+        (fun (engine, scenario, _) ->
+          Scenarios.Env.network ~topology ~channel ~classify
+            ~round_of:(fun _ -> -1)
+            env scenario engine)
+        replicas
+    in
+    if Array.length nets > 1 then shard_nets ~shard_of nets;
+    nets
+  in
+  let oracle (_, _, iface) p () = Omega.Iface.leader_of iface p in
+  match layer with
+  | Spec.No_layer -> None
+  | Spec.Consensus _ ->
+      let nets = nets Consensus.Message.info in
+      let singles =
+        Array.map2
+          (fun net r ->
+            Consensus.Single.create net ~oracle:(oracle r)
+              ~retry_every:layer_retry ~crash_bound)
+          nets replicas
+      in
+      let node p = Consensus.Single.node singles.(owner p) p in
+      Some
+        (Layer
+           {
+             nets;
+             start = (fun p -> Consensus.Node.start (node p));
+             input = (fun p v -> Consensus.Node.propose (node p) v);
+             outcome =
+               (fun p ->
+                 Decision
+                   {
+                     value = Consensus.Node.decision (node p);
+                     at = Consensus.Node.decided_at (node p);
+                     ballots = Consensus.Node.ballots_started (node p);
+                   });
+           })
+  | Spec.Broadcast _ ->
+      let nets = nets Consensus.Broadcast.info in
+      let nodes =
+        Array.map2
+          (fun net r ->
+            Array.init n (fun me ->
+                Consensus.Broadcast.create net ~me ~oracle:(oracle r me)
+                  ~retry_every:layer_retry ~crash_bound ~equal:Int.equal))
+          nets replicas
+      in
+      let node p = nodes.(owner p).(p) in
+      Some
+        (Layer
+           {
+             nets;
+             start = (fun p -> Consensus.Broadcast.start (node p));
+             input = (fun p v -> Consensus.Broadcast.submit (node p) v);
+             outcome =
+               (fun p -> Delivered (Consensus.Broadcast.delivered (node p)));
+           })
+
 (* The control replica is the whole run when sequential. A sharded run
    (K = [min intra_domains n] > 1, DESIGN.md §18) adds K shard replicas
    owning contiguous pid blocks; every replica is built from the same
    seed, so every derived RNG stream coincides and a shard reproduces
    exactly the draws the sequential engine would have made for the
    processes it owns. The control replica then carries only the
-   harness-side rank-0 state: fault injector, scheduled crashes, the
-   sampler. Observers are built once, for both modes. *)
+   harness-side rank-0 state: fault injector, scheduled crashes and
+   layer inputs, the sampler. Observers are built once, for both modes. *)
 let start ?(spec = Spec.default) ~env ~seed () =
   let {
     Spec.horizon;
@@ -362,19 +481,14 @@ let start ?(spec = Spec.default) ~env ~seed () =
     topology;
     link_channel;
     intra_domains;
+    layer = layer_spec;
   } =
     spec
   in
   let config = Scenarios.Env.config env in
   let n = config.Omega.Config.n in
   let k = if intra_fallback spec then 1 else min intra_domains n in
-  let replica () =
-    let engine = Sim.Engine.create ~seed () in
-    let scenario, net =
-      Scenarios.Env.build ~topology ~channel:link_channel env engine
-    in
-    (engine, scenario, net)
-  in
+  let shard_of = Array.init n (fun p -> p * k / n) in
   let cluster net =
     match algo with
     | `Gossip ->
@@ -387,45 +501,54 @@ let start ?(spec = Spec.default) ~env ~seed () =
         let c = Omega.Heartbeat.create config net in
         (Omega.Heartbeat.iface c, fun owned -> Omega.Heartbeat.start ~owned c)
   in
-  let engine, scenario, net = replica () in
   (* The cluster exists before the sink is installed (creation emits
      nothing, it only splits RNG streams) because the fault injector needs
      it; the injector's action scheduling likewise pre-dates the sink, so
      plan-free digests see exactly the event stream they always did. The
      algorithm behind the interface is the spec's choice; Iface
      construction is observationally free. A sharded run's control
-     replica builds its cluster too — skipping it would desync the control
-     stream from the shards' — but its nodes never start. *)
-  let local_iface, (_ : (pid -> bool) -> unit) = cluster net in
-  let replicas, iface, lookahead_us =
-    if k = 1 then ([||], local_iface, 0)
+     replica builds its cluster and layer too — skipping them would desync
+     the control stream from the shards' — but its nodes never start. *)
+  let replica () =
+    let engine = Sim.Engine.create ~seed () in
+    let scenario, net =
+      Scenarios.Env.build ~topology ~channel:link_channel env engine
+    in
+    (engine, scenario, net, cluster net)
+  in
+  let replicas =
+    Array.init (if k = 1 then 1 else k + 1) (fun _ -> replica ())
+  in
+  let engine, scenario, net, (local_iface, _) = replicas.(0) in
+  let layer =
+    build_layer layer_spec ~env ~topology ~channel:link_channel ~shard_of
+      (Array.map (fun (e, sc, _, (i, _)) -> (e, sc, i)) replicas)
+  in
+  let iface, lookahead_us =
+    if k = 1 then (local_iface, 0)
     else begin
       (* λ: the smallest delay any event created in a window can put
          between itself and a cross-shard arrival — the scenario's delay
-         floor, capped by the tightest eventually-timely channel clamp. *)
+         floor, capped by the tightest eventually-timely channel clamp of
+         either network. *)
       let lookahead_us =
         min
           (Scenarios.Scenario.lookahead_us scenario)
           (Net.Network.channel_floor_us net)
       in
+      let lookahead_us =
+        match layer with
+        | Some (Layer l) ->
+            min lookahead_us (Net.Network.channel_floor_us l.nets.(0))
+        | None -> lookahead_us
+      in
       if lookahead_us < 1 then
         invalid_arg
           "Run.start: intra-run parallelism needs a positive delay floor";
-      let shard_of = Array.init n (fun p -> p * k / n) in
-      let replicas =
-        Array.init k (fun _ ->
-            let e, (_ : Scenarios.Scenario.t), nt = replica () in
-            (e, nt))
-      in
-      let pairs = Array.map (fun (_, nt) -> cluster nt) replicas in
-      Array.iteri
-        (fun i (_, nt) ->
-          Net.Network.set_sharding nt ~my_shard:i ~shard_of ~shards:k)
-        replicas;
-      Net.Network.set_sharding net ~my_shard:(-1) ~shard_of ~shards:k;
-      Net.Network.link_siblings
-        (Array.append [| net |] (Array.map snd replicas));
-      (replicas, sharded_iface ~config ~net ~shard_of pairs, lookahead_us)
+      shard_nets ~shard_of (Array.map (fun (_, _, nt, _) -> nt) replicas);
+      let pairs = Array.map (fun (_, _, _, c) -> c) replicas in
+      ( sharded_iface ~config ~net ~shard_of (Array.sub pairs 1 k),
+        lookahead_us )
     end
   in
   let checker =
@@ -481,8 +604,8 @@ let start ?(spec = Spec.default) ~env ~seed () =
   Sim.Engine.set_sink engine tee;
   let mask = Obs.Sink.mask tee in
   let shards =
-    Array.map
-      (fun (e, nt) ->
+    Array.init (Array.length replicas - 1) (fun i ->
+        let e, _, nt, _ = replicas.(i + 1) in
         Sim.Engine.set_sink e tee;
         let buf = eb_create () in
         let record =
@@ -495,9 +618,19 @@ let start ?(spec = Spec.default) ~env ~seed () =
                   ev)
         in
         { sh_engine = e; sh_net = nt; sh_buf = buf; sh_record = record })
-      replicas
   in
   List.iter (fun (p, time) -> Omega.Iface.crash_at iface p time) crashes;
+  (* The layer's crashes and inputs are rank-0 control events too,
+     scheduled before any node starts; a crash halts the process in both
+     networks. *)
+  (match (layer_spec, layer) with
+  | (Spec.Consensus inputs | Spec.Broadcast inputs), Some (Layer l) ->
+      let at time f = ignore (Sim.Engine.schedule_at engine time f) in
+      List.iter
+        (fun (p, time) -> at time (fun () -> Net.Network.crash l.nets.(0) p))
+        crashes;
+      List.iter (fun (p, time, v) -> at time (fun () -> l.input p v)) inputs
+  | _ -> ());
   let sampler =
     {
       st_engine = engine;
@@ -510,6 +643,12 @@ let start ?(spec = Spec.default) ~env ~seed () =
     }
   in
   Omega.Iface.start iface;
+  (match layer with
+  | Some (Layer l) ->
+      for p = 0 to n - 1 do
+        l.start p
+      done
+  | None -> ());
   (* The sampler chain is harness work: its own reserved rank keeps it
      sorting after process events at a shared instant, and its creation
      counter — drawn only by the control replica — off every pid's, so a
@@ -524,6 +663,7 @@ let start ?(spec = Spec.default) ~env ~seed () =
     l_scenario = scenario;
     l_net = net;
     l_iface = iface;
+    l_layer = layer;
     l_injector = injector;
     l_checker = checker;
     l_alive_bytes = alive_bytes;
@@ -555,11 +695,15 @@ let advance_sharded live until =
         Sim.Engine.set_sink sh.sh_engine (if on then sh.sh_record else real))
       shards
   in
-  (* The barrier only seals the outboxes; each shard drains its own inbox
-     on its own domain as its window starts. *)
+  (* The barrier only seals the outboxes — both networks' — and each
+     shard drains its own inboxes on its own domain as its window
+     starts. *)
   let seal_all () =
     Net.Network.seal live.l_net;
-    Array.iter (fun sh -> Net.Network.seal sh.sh_net) shards
+    Array.iter (fun sh -> Net.Network.seal sh.sh_net) shards;
+    match live.l_layer with
+    | Some (Layer l) -> Array.iter Net.Network.seal l.nets
+    | None -> ()
   in
   let wstart = ref 0 and wlim = ref 0 in
   let tasks =
@@ -567,6 +711,9 @@ let advance_sharded live until =
       (fun i sh () ->
         let e = sh.sh_engine in
         Net.Network.drain_sealed sh.sh_net;
+        (match live.l_layer with
+        | Some (Layer l) -> Net.Network.drain_sealed l.nets.(i + 1)
+        | None -> ());
         (* A window bound that missed a sealed arrival would run it out of
            order; refuse rather than reorder. *)
         let first = Sim.Engine.next_pending_key e in
@@ -591,7 +738,11 @@ let advance_sharded live until =
         min_key !acc
           (min_key
              (Sim.Engine.next_pending_key sh.sh_engine)
-             (Net.Network.sealed_min_key sh.sh_net))
+             (Net.Network.sealed_min_key sh.sh_net));
+      match live.l_layer with
+      | Some (Layer l) ->
+          acc := min_key !acc (Net.Network.sealed_min_key l.nets.(i + 1))
+      | None -> ()
     done;
     !acc
   in
@@ -702,6 +853,7 @@ let finish live =
     l_scenario = scenario;
     l_net = net;
     l_iface = iface;
+    l_layer = layer;
     l_injector = injector;
     l_checker = checker;
     l_sampler = sampler;
@@ -786,6 +938,10 @@ let finish live =
       (match injector with Some i -> Fault.Injector.moves i | None -> 0);
     recoveries =
       (match injector with Some i -> Fault.Injector.recoveries i | None -> 0);
+    outcomes =
+      (match layer with
+      | Some (Layer l) -> Some (Array.init (Net.Network.n net) l.outcome)
+      | None -> None);
   }
 
 let run ?spec ~env ~seed () = finish (start ?spec ~env ~seed ())

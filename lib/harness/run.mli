@@ -1,6 +1,7 @@
 (** Single-run experiment driver: engine + network + scenario + cluster,
     with leader sampling, stabilization detection, fault injection and
-    assumption checking.
+    assumption checking — and, when asked, a consensus or atomic-broadcast
+    layer over the Ω cluster (Theorem 5).
 
     The world under test is a {!Scenarios.Env.t} (validated once, shared
     across runs); everything about {e this} run — horizon, crashes, fault
@@ -15,6 +16,16 @@ type sample = {
   agreed : pid option;  (** all agree on one correct leader? *)
 }
 
+(** One process's outcome in the spec's consensus layer. *)
+type outcome =
+  | Decision of {
+      value : int option;  (** the decided value, once decided *)
+      at : Sim.Time.t option;  (** the local decision time *)
+      ballots : int;  (** ballots this process started *)
+    }  (** single-decree consensus *)
+  | Delivered of int list
+      (** atomic broadcast: the commands delivered, in delivery order *)
+
 type result = {
   stabilized_at : Sim.Time.t option;
       (** start of the maximal suffix of samples with one constant, correct,
@@ -23,7 +34,7 @@ type result = {
           suffix is too short to rule out a coincidental lull *)
   final_leader : pid option;  (** agreed leader at the horizon, if any *)
   samples : sample list;
-  messages_sent : int;
+  messages_sent : int;  (** Ω network only, as is [messages_delivered] *)
   messages_delivered : int;
   alive_bytes : int;
       (** total wire bytes of ALIVE messages ([0] unless [wire_stats]) *)
@@ -53,6 +64,9 @@ type result = {
       (** total time (within the horizon) some plan partition was in force *)
   adversary_moves : int;  (** adaptive-adversary re-targetings *)
   recoveries : int;  (** plan recoveries applied *)
+  outcomes : outcome array option;
+      (** each process's layer outcome, indexed by pid (crashed processes
+          included); [None] when the spec has no layer *)
 }
 
 (** Per-run knobs, separated from the environment. Build one with
@@ -63,6 +77,26 @@ type result = {
     ]}
     The setters take the record {e last} so they chain with [|>]. *)
 module Spec : sig
+  (** [(pid, time, value)]: at [time], process [pid] proposes (or submits)
+      [value]. *)
+  type input = pid * Sim.Time.t * int
+
+  (** A second protocol stack over the Ω cluster. Each process runs one
+      node on a second network built over the Ω network's scenario,
+      topology and channel, with that process's Ω leader as its oracle,
+      a 50 ms retry period and the crash bound [n - alpha]. The inputs are
+      rank-0 control events, like the crash schedule; a scheduled crash
+      halts the process in both networks. Fault plans act on the Ω
+      network only. *)
+  type layer =
+    | No_layer
+    | Consensus of input list
+        (** single-decree consensus ({!Consensus.Single}); the inputs
+            are proposals *)
+    | Broadcast of input list
+        (** atomic broadcast ({!Consensus.Broadcast}); the inputs are
+            submitted commands *)
+
   type t = {
     horizon : Sim.Time.t;  (** default 30 sim-s *)
     min_stable : Sim.Time.t option;  (** default [horizon / 5] *)
@@ -100,6 +134,7 @@ module Spec : sig
             adaptive-adversary plan — silently fall back to sequential
             execution, as {!start} decides. A sharded run cannot be
             {!snapshot}ted. *)
+    layer : layer;  (** default [No_layer] *)
   }
 
   val default : t
@@ -118,17 +153,19 @@ module Spec : sig
   (** Raises [Invalid_argument] below 1. Values above the process count
       are clamped to one process per shard. *)
   val with_intra_domains : int -> t -> t
+
+  val with_layer : layer -> t -> t
 end
 
 (** [run ~env ~seed ()] executes one simulation of [env] under [spec]
     (default {!Spec.default}).
 
     The run owns its whole stack: a fresh engine seeded with [seed], the
-    scenario and network built by {!Scenarios.Env.build}, the cluster, and
-    — when [spec.plan] is non-empty — a {!Fault.Injector} compiled onto
-    the engine. All observers ([wire_stats], [check], [digest], [sink],
-    the adaptive adversary's sink) compose under one
-    {!Obs.Sink.tee}; none perturbs the simulation, and with all off the
+    scenario and network built by {!Scenarios.Env.build}, the cluster, the
+    spec's layer and — when [spec.plan] is non-empty — a
+    {!Fault.Injector} compiled onto the engine. All observers
+    ([wire_stats], [check], [digest], [sink], the adaptive adversary's
+    sink) compose under one {!Obs.Sink.tee}; none perturbs the simulation, and with all off the
     engine keeps its null sink (the whole layer costs one branch per event
     site). An empty plan adds nothing to the event stream: digests of
     plan-free runs are byte-identical to the pre-fault-API ones. *)

@@ -143,8 +143,5 @@ val tag_drop : int
 val tag_hop : int
 val tag_link_drop : int
 
-(** The [now] field, whichever constructor. *)
-val time : t -> int
-
 (** Append the event as one JSON object (no trailing newline). *)
 val to_json : Buffer.t -> t -> unit

@@ -5,11 +5,9 @@ type t = {
   params : Scenario.params;
   regime : Scenario.regime;
   scenario_seed : int64;
-  classify : Omega.Message.t -> Obs.Event.msg_info;
 }
 
-let make ?params ?(classify = Omega.Message.info)
-    ?(scenario_seed = 42L) config regime =
+let make ?params ?(scenario_seed = 42L) config regime =
   Omega.Config.validate config;
   let params =
     match params with
@@ -30,38 +28,31 @@ let make ?params ?(classify = Omega.Message.info)
   (* Surface regime errors (center range, failover switch <= rn0) eagerly
      rather than at first [build] inside a pool task. *)
   ignore (Scenario.create params regime ~seed:scenario_seed);
-  { config; params; regime; scenario_seed; classify }
+  { config; params; regime; scenario_seed }
 
 let config t = t.config
 let params t = t.params
 let regime t = t.regime
 let scenario_seed t = t.scenario_seed
-let center t = Scenario.center_of_regime t.regime
 let center_at t rn = Scenario.center_at_round t.regime rn
 
-(* Fresh per engine: scenarios and networks hold run-local mutable state
-   (plan rows, counters, fault surfaces), so a pool task must build
-   its own from the shared immutable [t]. A [build] over the default
-   topology draws nothing from the engine, so it leaves the engine's
-   stream exactly where hand-wiring left it — which keeps plan-free
-   digests byte-identical across the API migration. *)
-let build ?(topology = Net.Topology.Complete)
-    ?(channel = Net.Topology.Reliable) t engine =
-  let scenario =
-    Scenario.create t.params t.regime ~seed:t.scenario_seed
-  in
+(* A network over an existing scenario: every network of one run shares
+   the scenario's per-executor delay streams. Over the complete topology
+   with reliable channels it draws nothing from the engine, so building
+   it leaves every later stream split where it was, and plan-free digests
+   with it. *)
+let network ~topology ~channel ~classify ~round_of t scenario engine =
   (* Eta-expanded on purpose: a partial application of [oracle_us] would
      be an arity-1 curry closure, and the network's call through it would
      then allocate an intermediate closure per remaining argument — per
      message. The explicit [fun] has exact arity 6, so [caml_apply6]
      jumps straight to the body. *)
   let oracle_us ~now ~seq ~at ~src ~dst msg =
-    Scenario.oracle_us scenario ~round_of:Scenario.round_rn_of_omega ~now
-      ~seq ~at ~src ~dst msg
+    Scenario.oracle_us scenario ~round_of ~now ~seq ~at ~src ~dst msg
   in
   let spec =
     Net.Spec.default
-    |> Net.Spec.with_classify t.classify
+    |> Net.Spec.with_classify classify
     |> Net.Spec.with_oracle_us oracle_us
     |> Net.Spec.with_topology topology
   in
@@ -74,7 +65,14 @@ let build ?(topology = Net.Topology.Complete)
     | Net.Topology.Reliable -> spec
     | c -> Net.Spec.with_channels (fun ~src:_ ~dst:_ -> c) spec
   in
-  (scenario, Net.Network.of_spec spec engine ~n:t.config.Omega.Config.n)
+  Net.Network.of_spec spec engine ~n:t.config.Omega.Config.n
 
-let describe t =
-  Scenario.describe (Scenario.create t.params t.regime ~seed:t.scenario_seed)
+(* Fresh per engine: scenarios and networks hold run-local mutable state
+   (plan rows, counters, fault surfaces), so a pool task must build
+   its own from the shared immutable [t]. *)
+let build ?(topology = Net.Topology.Complete)
+    ?(channel = Net.Topology.Reliable) t engine =
+  let scenario = Scenario.create t.params t.regime ~seed:t.scenario_seed in
+  ( scenario,
+    network ~topology ~channel ~classify:Omega.Message.info
+      ~round_of:Scenario.round_rn_of_omega t scenario engine )

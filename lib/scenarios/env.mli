@@ -1,8 +1,8 @@
 (** Validated run environment: everything about a simulated world except
     the engine seed and the fault plan.
 
-    [Env.make] assembles algorithm config, scenario regime and params and
-    message classifier in one step, and rejects inconsistent combinations
+    [Env.make] assembles algorithm config, scenario regime and params in
+    one step, and rejects inconsistent combinations
     ([params.n <> config.n], [alpha <> n - t], mismatched [beta], bad
     regime centers) up front — the checks hand-wired setups kept
     scattering over [Network.of_spec] + oracle plumbing in different
@@ -23,13 +23,11 @@ type t
 
     [params] default to
     [Scenario.default_params ~n ~t:(n - alpha) ~beta] derived from
-    [config]; [classify] (default {!Omega.Message.info}) feeds
-    the network's observability events; [scenario_seed] (default [42L])
-    fixes the scenario plan, independently of any run seed.
+    [config]; [scenario_seed] (default [42L]) fixes the scenario plan,
+    independently of any run seed.
     Raises [Invalid_argument] on any inconsistency. *)
 val make :
   ?params:Scenario.params ->
-  ?classify:(Omega.Message.t -> Obs.Event.msg_info) ->
   ?scenario_seed:int64 ->
   Omega.Config.t ->
   Scenario.regime ->
@@ -40,25 +38,14 @@ val params : t -> Scenario.params
 val regime : t -> Scenario.regime
 val scenario_seed : t -> int64
 
-(** The regime's center (initial one for [Failover]); no scenario needed. *)
-val center : t -> pid option
-
 (** The center in charge of round [rn]. *)
 val center_at : t -> int -> pid option
 
-(** [build t engine] instantiates the scenario and network for one engine
-    (through {!Net.Network.of_spec}). Both are run-local: call once per
-    simulation stack. A build over the default topology draws nothing
-    from the engine. The network consults
-    {!Scenario.oracle_us} with {!Scenario.round_rn_of_omega}.
-
-    [topology] (default [Complete]) selects the network graph, and
-    [channel] (default [Reliable]) applies one channel class uniformly to
-    every edge — [Fair_lossy p] is how a run loses messages; any
-    non-default value of either switches the network to the routed
-    multi-hop path (fresh digests). Heterogeneous per-edge
-    channel maps are a [Net.Spec.with_channels] affair — build the network
-    by hand for those. *)
+(** [build t engine] instantiates the scenario and the Ω network for one
+    engine: {!network} over a fresh scenario, with {!Omega.Message.info}
+    and {!Scenario.round_rn_of_omega}, [topology] defaulting to [Complete]
+    and [channel] to [Reliable]. Both are run-local: call once per
+    simulation stack. *)
 val build :
   ?topology:Net.Topology.kind ->
   ?channel:Net.Topology.channel ->
@@ -66,4 +53,26 @@ val build :
   Sim.Engine.t ->
   Scenario.t * Omega.Message.t Net.Network.t
 
-val describe : t -> string
+(** [network ~topology ~channel ~classify ~round_of t scenario engine] is
+    a network of [config.n] processes whose delays come from [scenario]'s
+    {!Scenario.oracle_us}, [round_of] projecting a message to its round
+    tag ([-1]: no assumption applies) and [classify] to its observability
+    record. Every network built over one scenario draws from the same
+    per-executor delay streams. A network over the complete topology with
+    reliable channels draws nothing from the engine.
+
+    [topology] selects the network graph, and [channel] applies one
+    channel class uniformly to every edge — [Fair_lossy p] is how a run
+    loses messages; anything but [Complete] and [Reliable] switches the
+    network to the routed multi-hop path (fresh digests). Heterogeneous
+    per-edge channel maps are a [Net.Spec.with_channels] affair — build
+    the network by hand for those. *)
+val network :
+  topology:Net.Topology.kind ->
+  channel:Net.Topology.channel ->
+  classify:('m -> Obs.Event.msg_info) ->
+  round_of:('m -> int) ->
+  t ->
+  Scenario.t ->
+  Sim.Engine.t ->
+  'm Net.Network.t

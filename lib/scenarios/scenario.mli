@@ -119,10 +119,8 @@ val center_at : t -> int -> pid option
     checker). Raises [Invalid_argument] if the regime has no center. *)
 val center_pid : t -> int -> pid
 
-(** {!center} / {!center_at} as pure functions of the regime, for callers
-    (e.g. {!Env}) that have not instantiated a scenario. *)
-val center_of_regime : regime -> pid option
-
+(** {!center_at} as a pure function of the regime, for callers (e.g.
+    {!Env}) that have not instantiated a scenario. *)
 val center_at_round : regime -> int -> pid option
 
 (** [set_victim_override t p] redirects the adversary at process [p]: from

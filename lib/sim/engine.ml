@@ -755,9 +755,6 @@ let run_until t limit =
    instant. *)
 let run_window_key t ~limit_key = run_through_key t (limit_key - 1)
 
-(* µs-exclusive window: every event strictly before [limit_us], any rank. *)
-let run_window t ~limit_us = run_window_key t ~limit_key:(limit_us lsl rank_bits)
-
 let run_until_idle ?limit t =
   let lim = match limit with Some l -> limit_key l | None -> max_int in
   run_through_key t lim;

@@ -230,17 +230,11 @@ val next_pending_key : t -> int
     shard's last executed event time. *)
 val fast_forward : t -> Time.t -> unit
 
-(** [run_window t ~limit_us] executes every event with time {e strictly}
-    below [limit_us] — one conservative window. Exclusive of all ranks at
-    the limit (events at the barrier instant belong to the next window),
-    and the clock stays at the last executed event; use {!fast_forward}
-    for barrier-time code. *)
-val run_window : t -> limit_us:int -> unit
-
-(** [run_window_key t ~limit_key] is the key-granular window: every event
-    with canonical key {e strictly} below [limit_key]. A window boundary
-    may fall inside an instant — shard events at the barrier µs whose rank
-    sorts below the control replica's pending event still belong to the
-    closing window. *)
+(** [run_window_key t ~limit_key] executes every event with canonical key
+    {e strictly} below [limit_key] — one conservative window. A window
+    boundary may fall inside an instant: shard events at the barrier µs
+    whose rank sorts below the control replica's pending event still
+    belong to the closing window. The clock stays at the last executed
+    event; use {!fast_forward} for barrier-time code. *)
 val run_window_key : t -> limit_key:int -> unit
 

@@ -278,7 +278,7 @@ let mock_node ?(n = 5) ?(me = 0) () =
     }
   in
   let node =
-    Consensus.Node.create transport ~me
+    Consensus.Node.create transport ~me ~rng:(Sim.Engine.rng engine)
       ~leader_oracle:(fun () -> me)
       ~retry_every:(ms 50) ~crash_bound:2
   in

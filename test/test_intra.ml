@@ -3,7 +3,8 @@
    digest (an FNV fold over the complete event stream) and the whole
    result record must be identical for intra_domains 1/2/3/4, for every
    flavour of run the driver parallelizes — plain gossip, the relay tier,
-   the heartbeat baseline, a faulted plan, a routed topology, fair-lossy channels — whether the
+   the heartbeat baseline, a faulted plan, a routed topology, fair-lossy
+   channels, E6's consensus and atomic-broadcast layers — whether the
    run goes through [Run.run] or is cut into [Run.advance] slices, and
    the plan-free gossip stream must still be the exact pinned digest the
    sequential engine produces. The qcheck property at the bottom is the
@@ -38,11 +39,11 @@ let busy_plan =
 let base =
   Harness.Run.Spec.(default |> with_horizon (sec 2) |> with_digest true)
 
-(* Everything deterministic in a [result]: drop the two aggregate options
-   (metrics is off in these specs; the checker report is itself computed
-   from the stream the digest already pins). *)
+(* Everything deterministic in a [result]: drop the checker report (it is
+   itself computed from the stream the digest already pins). *)
 let fingerprint (r : Harness.Run.result) =
   ( Option.get r.Harness.Run.digest,
+    r.Harness.Run.outcomes,
     ( r.Harness.Run.stabilized_at,
       r.Harness.Run.final_leader,
       r.Harness.Run.messages_sent,
@@ -169,6 +170,88 @@ let test_fair_lossy () =
   assert_invariant ~name:"fair-lossy"
     Harness.Run.Spec.(base |> with_link_channel (Net.Topology.Fair_lossy 0.1))
     env
+
+(* E6's two stacks in miniature: Figure 3 under an intermittent star
+   (n = 8, t = 3, D = 4) with a consensus or broadcast layer on a second
+   network. p0 crashes before the proposals (consensus) or amid the
+   submissions (broadcast). Layer nodes run on their process's shard, and
+   broadcast instances appear at run time inside handlers, so their
+   streams must not come from a shared root. *)
+let layer_env =
+  let config = Omega.Config.default ~n:8 ~t:3 Omega.Config.Fig3 in
+  Scenarios.Env.make config
+    (Scenarios.Scenario.Intermittent_star { center = 6; d = 4 })
+
+let consensus_spec =
+  Harness.Run.Spec.(
+    base |> with_check false |> with_horizon (sec 3)
+    |> with_crashes [ (0, ms 200) ]
+    |> with_layer
+         (Consensus (List.init 7 (fun i -> (i + 1, ms 500, 101 + i)))))
+
+let broadcast_spec =
+  Harness.Run.Spec.(
+    base |> with_check false |> with_horizon (sec 3)
+    |> with_crashes [ (0, sec 1) ]
+    |> with_layer
+         (Broadcast
+            (List.init 10 (fun c -> (1 + (c mod 3), ms (100 * c), 1000 + c)))))
+
+let test_consensus () =
+  assert_invariant ~seed:11L ~name:"consensus" consensus_spec layer_env
+
+let test_broadcast () =
+  assert_invariant ~seed:11L ~name:"broadcast" broadcast_spec layer_env
+
+(* Each layer's digest and readout, pinned for the sequential engine and
+   reproduced by every shard count: p1..p7 decide 105 by 621.83 ms on p5's
+   single ballot (E6's 121830 us latency), and every correct process
+   delivers the ten commands in one order — crashed p0 had delivered eight
+   of them. *)
+let readout (r : Harness.Run.result) =
+  String.concat " "
+    (Array.to_list
+       (Array.map
+          (function
+            | Harness.Run.Decision { value; at; ballots } ->
+                Printf.sprintf "%s@%s/%d"
+                  (Option.fold ~none:"-" ~some:string_of_int value)
+                  (Option.fold ~none:"-"
+                     ~some:(fun t -> string_of_int (Sim.Time.to_us t))
+                     at)
+                  ballots
+            | Harness.Run.Delivered cmds ->
+                String.concat "," (List.map string_of_int cmds))
+          (Option.get r.Harness.Run.outcomes)))
+
+let test_layer_pins () =
+  List.iter
+    (fun (name, spec, digest, outcomes) ->
+      List.iter
+        (fun intra ->
+          let r = run ~spec ~env:layer_env ~intra ~seed:11L in
+          check str_t
+            (Printf.sprintf "%s: intra=%d digest pin" name intra)
+            digest
+            (Obs.Digest.to_hex (Option.get r.Harness.Run.digest));
+          check str_t
+            (Printf.sprintf "%s: intra=%d readout pin" name intra)
+            outcomes (readout r))
+        [ 1; 2; 3; 4 ])
+    [
+      ( "consensus",
+        consensus_spec,
+        "641786f202e8d5c8",
+        "-@-/0 105@621830/0 105@613384/0 105@617285/0 105@618336/0 \
+         105@602963/1 105@618589/0 105@618510/0" );
+      ( "broadcast",
+        broadcast_spec,
+        "ff51a151117f42e3",
+        "1000,1001,1002,1004,1006,1003,1005,1007 "
+        ^ String.concat " "
+            (List.init 7 (fun _ ->
+                 "1000,1001,1002,1004,1006,1003,1005,1007,1008,1009")) );
+    ]
 
 let test_seed_spread () =
   (* Different seeds must still differ under parallel execution (the
@@ -488,6 +571,9 @@ let () =
           Alcotest.test_case "scheduled crashes" `Quick test_crashes;
           Alcotest.test_case "routed topology" `Quick test_routed;
           Alcotest.test_case "fair-lossy channels" `Quick test_fair_lossy;
+          Alcotest.test_case "consensus layer" `Quick test_consensus;
+          Alcotest.test_case "broadcast layer" `Quick test_broadcast;
+          Alcotest.test_case "layers match their pins" `Quick test_layer_pins;
           Alcotest.test_case "seeds discriminate" `Quick test_seed_spread;
         ] );
       ( "guards",

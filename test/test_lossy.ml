@@ -223,7 +223,7 @@ let test_consensus_over_lossy_links () =
             halted = (fun () -> Net.Retransmit.is_crashed layer me);
           }
         in
-        Consensus.Node.create transport ~me
+        Consensus.Node.create transport ~me ~rng:(Sim.Engine.rng engine)
           ~leader_oracle:(fun () -> 1)
           ~retry_every:(ms 50) ~crash_bound:t)
   in

@@ -1,7 +1,8 @@
 (* Tests for snapshot/restore (DESIGN.md §16): a run cut by a mid-run
    snapshot and continued from the restored copy must be bit-identical —
    same digest, same aggregate results — to the uninterrupted run, for
-   all three algorithms and faulted plans; and snapshotting must never perturb
+   all three algorithms, faulted plans and the consensus and broadcast
+   layers; and snapshotting must never perturb
    the run it copies. Also the failure modes: a staged broadcast batch, an
    unregistered packed function, and a trace sink all refuse to snapshot
    with a clean error and leave the live run usable. The farm's shard
@@ -19,7 +20,8 @@ let digest_hex result =
 
 (* Straight run vs: the same run advanced to [cut], snapshotted, restored,
    and finished — and the snapshotted original finished too (snapshot must
-   not perturb it). All three must agree exactly. *)
+   not perturb it). All three must agree exactly. Returns the straight
+   run's result. *)
 let differential ~msg ~spec ~env ~seed ~cut =
   let straight = Harness.Run.run ~spec ~env ~seed () in
   let live = Harness.Run.start ~spec ~env ~seed () in
@@ -38,10 +40,15 @@ let differential ~msg ~spec ~env ~seed ~cut =
     check int_t
       (msg ^ ": " ^ label ^ " samples")
       (List.length a.Harness.Run.samples)
-      (List.length b.Harness.Run.samples)
+      (List.length b.Harness.Run.samples);
+    check bool_t
+      (msg ^ ": " ^ label ^ " layer outcomes")
+      true
+      (a.Harness.Run.outcomes = b.Harness.Run.outcomes)
   in
   agree "restored continuation" straight restored;
-  agree "snapshotted original" straight original
+  agree "snapshotted original" straight original;
+  straight
 
 (* ------------------------------------------------------- the matrix *)
 
@@ -77,20 +84,23 @@ let test_matrix () =
       in
       List.iter
         (fun variant ->
-          differential
-            ~msg:(Printf.sprintf "n=%d fig" n)
-            ~spec ~env:(matrix_env ~n variant) ~seed:7L ~cut)
+          ignore
+            (differential
+               ~msg:(Printf.sprintf "n=%d fig" n)
+               ~spec ~env:(matrix_env ~n variant) ~seed:7L ~cut))
         [ Omega.Config.Fig1; Omega.Config.Fig3 ];
-      differential
-        ~msg:(Printf.sprintf "n=%d relay" n)
-        ~spec:Harness.Run.Spec.(spec |> with_algo `Relay)
-        ~env:(relay_env ~n) ~seed:7L ~cut;
+      ignore
+        (differential
+           ~msg:(Printf.sprintf "n=%d relay" n)
+           ~spec:Harness.Run.Spec.(spec |> with_algo `Relay)
+           ~env:(relay_env ~n) ~seed:7L ~cut);
       (* The heartbeat's self-reposting task is checkpoint id 16 and its
          deadline timers ride Sim.Timer's id 2. *)
-      differential
-        ~msg:(Printf.sprintf "n=%d heartbeat" n)
-        ~spec:Harness.Run.Spec.(spec |> with_algo `Heartbeat)
-        ~env:(matrix_env ~n Omega.Config.Fig1) ~seed:7L ~cut)
+      ignore
+        (differential
+           ~msg:(Printf.sprintf "n=%d heartbeat" n)
+           ~spec:Harness.Run.Spec.(spec |> with_algo `Heartbeat)
+           ~env:(matrix_env ~n Omega.Config.Fig1) ~seed:7L ~cut))
     [ 8; 64 ]
 
 let test_faulted () =
@@ -110,125 +120,67 @@ let test_faulted () =
   let env =
     Scenarios.Env.make config (Scenarios.Scenario.Rotating_star { center = 2 })
   in
-  differential ~msg:"faulted"
-    ~spec:
-      Harness.Run.Spec.(
-        default |> with_horizon (sec 2) |> with_digest true
-        |> with_plan busy_plan)
-    ~env ~seed:7L ~cut:(ms 700)
+  ignore
+    (differential ~msg:"faulted"
+       ~spec:
+         Harness.Run.Spec.(
+           default |> with_horizon (sec 2) |> with_digest true
+           |> with_plan busy_plan)
+       ~env ~seed:7L ~cut:(ms 700))
 
 (* ------------------------------------------------------- consensus *)
 
-(* E6's two stacks in miniature: Ω (Figure 3) on one network and a
-   consensus layer on a second network over the same scenario, each
-   process's consensus oracle reading its own Ω leader; p0 crashes on both
-   at 200 ms. The layers' self-reposting tasks are packed events
-   (checkpoint ids 17 and 18), so a cut must carry them. [layer] starts
-   the consensus layer and returns a renderer of its outcome. The stack's
-   probe returns the digest and that outcome; it is the snapshot root, so
-   after a restore it reads the restored stack. *)
-let consensus_stack layer =
-  let n = 5 and t = 2 in
-  let engine = Sim.Engine.create ~seed:11L () in
-  let digest = Obs.Digest.create () in
-  Sim.Engine.set_sink engine (Obs.Digest.sink digest);
-  let config = Omega.Config.default ~n ~t Omega.Config.Fig3 in
-  let scenario =
-    Scenarios.Scenario.create
-      (Scenarios.Scenario.default_params ~n ~t ~beta:config.Omega.Config.beta)
-      (Scenarios.Scenario.Intermittent_star { center = n - 2; d = 4 })
-      ~seed:42L
-  in
-  let net_over round_of =
-    Net.Network.of_spec
-      Net.Spec.(
-        default
-        |> with_oracle_us (Scenarios.Scenario.oracle_us scenario ~round_of))
-      engine ~n
-  in
-  let omega =
-    Omega.Cluster.create config (net_over Scenarios.Scenario.round_rn_of_omega)
-  in
-  let cons_net = net_over (fun _ -> -1) in
-  Omega.Cluster.start omega;
-  let outcome =
-    layer engine cons_net (fun p () ->
-        Omega.Node.leader (Omega.Cluster.node omega p))
-  in
-  Omega.Cluster.crash_at omega 0 (ms 200);
-  ignore
-    (Sim.Engine.schedule_at engine (ms 200) (fun () ->
-         Net.Network.crash cons_net 0));
-  (engine, fun () -> (Obs.Digest.to_hex (Obs.Digest.value digest), outcome ()))
-
-(* One decree, proposed by p1..p4 at 500 ms: the decision and its time. *)
-let single_layer engine net leader =
-  let single =
-    Consensus.Single.create net ~oracle:leader ~retry_every:(ms 50)
-      ~crash_bound:2
-  in
-  Consensus.Single.start single;
-  ignore
-    (Sim.Engine.schedule_at engine (ms 500) (fun () ->
-         for p = 1 to 4 do
-           Consensus.Single.propose single p (100 + p)
-         done));
-  fun () ->
-    Printf.sprintf "%s at %s"
-      (Option.fold ~none:"-" ~some:string_of_int
-         (Consensus.Single.uniform_decision single))
-      (Option.fold ~none:"-"
-         ~some:(fun at -> string_of_int (Sim.Time.to_us at))
-         (Consensus.Single.last_decision_time single))
-
-(* Ten commands, one every 100 ms, from p1, p2 and p3 in turn: every
-   correct process's delivery sequence. *)
-let broadcast_layer engine net leader =
-  let nodes =
-    Array.init 5 (fun me ->
-        Consensus.Broadcast.create net ~me ~oracle:(leader me)
-          ~retry_every:(ms 50) ~crash_bound:2 ~equal:Int.equal)
-  in
-  Array.iter Consensus.Broadcast.start nodes;
-  for c = 0 to 9 do
-    ignore
-      (Sim.Engine.schedule_at engine
-         (ms (100 * c))
-         (fun () -> Consensus.Broadcast.submit nodes.(1 + (c mod 3)) c))
-  done;
-  fun () ->
-    String.concat " / "
-      (List.map
-         (fun p ->
-           String.concat ","
-             (List.map string_of_int (Consensus.Broadcast.delivered nodes.(p))))
-         (Net.Network.correct net))
-
-(* The cut at 550 ms falls after the proposals and before the decision. *)
-let consensus_differential ~msg build =
-  let horizon = sec 3 and cut = ms 550 in
-  let engine, probe = build () in
-  let nothing = snd (probe ()) in
-  Sim.Engine.run_until engine horizon;
-  let straight = probe () in
-  check bool_t (msg ^ ": the straight run decides") true
-    (snd straight <> nothing);
-  let engine, probe = build () in
-  Sim.Engine.run_until engine cut;
-  let engine', probe' =
-    (Sim.Engine.restore (Sim.Engine.snapshot engine probe)
-      : Sim.Engine.t * (unit -> string * string))
-  in
-  Sim.Engine.run_until engine' horizon;
-  Sim.Engine.run_until engine horizon;
-  let outcome = Alcotest.pair str_t str_t in
-  check outcome (msg ^ ": restored continuation") straight (probe' ());
-  check outcome (msg ^ ": snapshotted original") straight (probe ())
-
+(* E6's two stacks in miniature: Ω (Figure 3, n = 5, t = 2) under an
+   intermittent star with a consensus layer — p1..p4 propose at 500 ms —
+   or a broadcast layer — ten commands, one every 100 ms from p1, p2 and
+   p3 in turn; p0 crashes at 200 ms in both. The layers' self-reposting
+   tasks are packed events (checkpoint ids 17 and 18), so a cut must
+   carry them; the cut at 550 ms falls after the proposals and before the
+   decision. On the straight run every correct process (p1..p4) must
+   decide one common value, or deliver all ten commands in one order. *)
 let test_consensus_stacks () =
-  consensus_differential ~msg:"single" (fun () -> consensus_stack single_layer);
-  consensus_differential ~msg:"broadcast" (fun () ->
-      consensus_stack broadcast_layer)
+  let config = Omega.Config.default ~n:5 ~t:2 Omega.Config.Fig3 in
+  let env =
+    Scenarios.Env.make config
+      (Scenarios.Scenario.Intermittent_star { center = 3; d = 4 })
+  in
+  let spec layer =
+    Harness.Run.Spec.(
+      default |> with_horizon (sec 3) |> with_digest true |> with_check false
+      |> with_crashes [ (0, ms 200) ]
+      |> with_layer layer)
+  in
+  List.iter
+    (fun (msg, layer, settled) ->
+      let straight =
+        differential ~msg ~spec:(spec layer) ~env ~seed:11L ~cut:(ms 550)
+      in
+      match Array.to_list (Option.get straight.Harness.Run.outcomes) with
+      | _p0 :: correct ->
+          check bool_t (msg ^ ": the straight run settles") true
+            (settled correct)
+      | [] -> Alcotest.fail "no outcomes")
+    [
+      ( "single",
+        Harness.Run.Spec.Consensus
+          (List.init 4 (fun i -> (i + 1, ms 500, 101 + i))),
+        function
+        | Harness.Run.Decision { value = Some v; _ } :: _ as correct ->
+            List.for_all
+              (function
+                | Harness.Run.Decision { value = Some w; _ } -> w = v
+                | _ -> false)
+              correct
+        | _ -> false );
+      ( "broadcast",
+        Harness.Run.Spec.Broadcast
+          (List.init 10 (fun c -> (1 + (c mod 3), ms (100 * c), c))),
+        function
+        | Harness.Run.Delivered cmds :: _ as correct ->
+            List.length cmds = 10
+            && List.for_all (( = ) (Harness.Run.Delivered cmds)) correct
+        | _ -> false );
+    ]
 
 (* ------------------------------------------------------- pinned runs *)
 
