@@ -3,8 +3,11 @@
     The algorithms of the paper index state by round number ([rec_from.(rn)],
     [suspicions.(rn).(k)]) for an unbounded range of rounds. Only a bounded
     suffix of rounds is ever read again (the window of line [*] in Figure 2),
-    so this store keeps a hash table of live rounds plus a [floor]: all rounds
-    below the floor have been discarded and behave as absent.
+    so this store keeps a power-of-two ring over the span of live rounds
+    (round [rn] at slot [rn mod capacity]; the capacity doubles when a round
+    falls outside the span) plus a [floor]: all rounds below the floor have
+    been discarded and behave as absent. Lookups hash nothing, and the ring
+    is at most twice the widest span of live rounds the store ever held.
 
     Lookups below the floor return [None] — callers must choose their prune
     bound so that semantics are preserved (see DESIGN.md §2). *)
@@ -37,8 +40,8 @@ val find_or_add : 'a t -> int -> default:(unit -> 'a) -> 'a
 val set : 'a t -> int -> 'a -> unit
 
 (** [prune_below t bound] discards every round [< bound] and raises the floor
-    to [max (floor t) bound]. [recycle] is applied to each discarded value
-    (in unspecified order) so callers can return round-sized cells to a
+    to [max (floor t) bound]. [recycle] is applied to each discarded value,
+    in ascending round order, so callers can return round-sized cells to a
     freelist instead of re-allocating them every round. *)
 val prune_below : ?recycle:('a -> unit) -> 'a t -> int -> unit
 
@@ -49,8 +52,5 @@ val prune_below : ?recycle:('a -> unit) -> 'a t -> int -> unit
     round prefixes into a scalar, DESIGN.md §16); raises below the floor. *)
 val remove : ?recycle:('a -> unit) -> 'a t -> int -> unit
 
-(** [iter t f] applies [f rn v] to every live entry, in unspecified order. *)
-val iter : 'a t -> (int -> 'a -> unit) -> unit
-
-(** Largest live round, if any entry exists. *)
+(** Largest live round, if any entry exists, in constant time. *)
 val max_round : 'a t -> int option

@@ -14,7 +14,6 @@ type t = {
   mutable target : pid;  (* current victim override; -1 = none yet *)
   mutable moves : int;
   mutable recoveries : int;
-  mutable partitions : int;
 }
 
 let now_us inj = Sim.Time.to_us (Sim.Engine.now inj.engine)
@@ -42,7 +41,6 @@ type partition_ev = {
 
 let apply_partition { p_inj = inj; p_groups; p_count; p_resync } =
   Net.Network.set_partition inj.net p_groups;
-  if p_groups <> None then inj.partitions <- inj.partitions + 1;
   Array.iter
     (fun p ->
       if not (Net.Network.is_crashed inj.net p) then
@@ -187,7 +185,6 @@ let attach plan ~iface ~scenario =
       target = -1;
       moves = 0;
       recoveries = 0;
-      partitions = 0;
     }
   in
   List.iter
@@ -254,5 +251,4 @@ let adaptive_in_plan plan =
 
 let moves inj = inj.moves
 let recoveries inj = inj.recoveries
-let partitions_applied inj = inj.partitions
 let target inj = inj.target

@@ -46,8 +46,5 @@ val moves : t -> int
 (** Number of recoveries applied so far. *)
 val recoveries : t -> int
 
-(** Number of partitions formed (heals not counted). *)
-val partitions_applied : t -> int
-
 (** Current adversary target, [-1] before the first move. *)
 val target : t -> pid

@@ -72,7 +72,6 @@ type t = {
   (* observers *)
   mutable max_susp_seen : int;
   mutable max_timeout_armed : Sim.Time.t;
-  mutable accusations_sent : int;
 }
 
 (* Staleness slack, in relay heartbeat rounds: must absorb the benign
@@ -297,7 +296,6 @@ let rec monitor_task ({ node = t; epoch } as task) =
       if t.misses > budget then begin
         let level = t.susp.(t.base + l) + 1 in
         raise_level t l level;
-        t.accusations_sent <- t.accusations_sent + 1;
         Net.Network.broadcast t.net ~src:t.me
           (Message.Accuse { rn = t.hb_rn; target = l; level });
         emit_accusation t ~target:l ~level;
@@ -349,7 +347,6 @@ let create_node cfg net ~store ~me =
       last_leader = 0;
       max_susp_seen = 0;
       max_timeout_armed = Sim.Time.zero;
-      accusations_sent = 0;
     }
   in
   Net.Network.set_handler net me (fun ~src msg -> on_message t ~src msg);
@@ -434,6 +431,3 @@ let iface c : Iface.t =
     lattice_invariant_holds = (fun _ -> true);
     round_state_cardinal = (fun _ -> 0);
   }
-
-let accusations_sent t = t.accusations_sent
-let heartbeat_round t = t.hb_rn

@@ -54,8 +54,3 @@ val recover : t -> unit
 (** Partition-heal catch-up: forgives staleness/monitor evidence spanning
     the cut without restarting tasks. *)
 val resync : t -> unit
-
-(** ACCUSE broadcasts this process has sent (experiment accounting). *)
-val accusations_sent : t -> int
-
-val heartbeat_round : t -> int

@@ -90,7 +90,6 @@ type t = {
   mutable catch_up : bool;
   mutable sending_epoch : int;
   (* observers *)
-  mutable current_timeout : Sim.Time.t;
   mutable max_timeout_armed : Sim.Time.t;
   mutable max_susp_seen : int;
   mutable local_increments : int;
@@ -151,7 +150,6 @@ let arm_timer t =
          (Sim.Time.of_us (Sim.Time.to_us t.cfg.Config.timeout_unit * max_susp t)))
       (g (t.r_rn + 1))
   in
-  t.current_timeout <- duration;
   if Sim.Time.(duration > t.max_timeout_armed) then
     t.max_timeout_armed <- duration;
   Sim.Timer.set (timer_exn t) duration
@@ -425,9 +423,10 @@ let window_satisfied t rn k =
   let f = Config.f_of t.cfg.Config.variant in
   let lo = max 1 (rn - t.susp.(t.base + k) - f rn) in
   let floor = Dstruct.Rounds.floor t.suspicions in
-  (* [window_check] is a top-level recursion using the allocation-free
-     [Rounds.find_exn]: a nested [let rec] plus [Rounds.find]'s [Some] box
-     would allocate on every SUSPICION's suspect walk. *)
+  (* [window_check] is a top-level recursion over [Rounds.find_exn], one
+     ring-slot probe per window round with no hashing and no allocation: a
+     nested [let rec] would build a closure, and [Rounds.find] a [Some]
+     box, on every SUSPICION's suspect walk. *)
   if lo < floor then false else window_check t rn k lo
 
 (* Lines 13-18. The suspect loop is a top-level recursion over the list
@@ -554,7 +553,6 @@ let create_with_transport ?store cfg (tr : transport) ~me =
       last_leader = 0;
       catch_up = false;
       sending_epoch = 0;
-      current_timeout = cfg.Config.initial_timeout;
       max_timeout_armed = cfg.Config.initial_timeout;
       max_susp_seen = 0;
       local_increments = 0;
@@ -644,7 +642,6 @@ let susp_level_get t k =
   t.susp.(t.base + k)
 let sending_round t = t.s_rn
 let receiving_round t = t.r_rn
-let current_timeout t = t.current_timeout
 let max_timeout_armed t = t.max_timeout_armed
 let max_susp_level_seen t = t.max_susp_seen
 let local_increments t = t.local_increments

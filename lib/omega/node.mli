@@ -109,10 +109,6 @@ val sending_round : t -> int
 (** Current receiving round. *)
 val receiving_round : t -> int
 
-(** Duration the timer was last armed with (initially
-    [cfg.initial_timeout]). *)
-val current_timeout : t -> Sim.Time.t
-
 (** Largest timeout armed so far. *)
 val max_timeout_armed : t -> Sim.Time.t
 

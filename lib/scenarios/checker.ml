@@ -13,14 +13,6 @@ type report = {
   violations : violation list;
 }
 
-let pp_report ppf r =
-  Format.fprintf ppf
-    "rounds=%d points=%d timely=%d winning=%d crashed=%d skipped=%d \
-     masked=%d violations=%d"
-    r.rounds_checked r.points_checked r.points_timely r.points_winning
-    r.points_crashed r.points_skipped r.rounds_masked
-    (List.length r.violations)
-
 (* What [verify] reads of a run, per destination [q] and round [rn]: how
    many ALIVE(rn) [q] received, the 1-based position of the center's first
    one among them (0 = not received), and that message's transfer delay in

@@ -39,8 +39,6 @@ type report = {
   violations : violation list;
 }
 
-val pp_report : Format.formatter -> report -> unit
-
 type t
 
 val create : Scenario.t -> t

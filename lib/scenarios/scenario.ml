@@ -238,8 +238,6 @@ let set_victim_override t p =
     invalid_arg "Scenario.set_victim_override: pid out of range";
   t.victim_override <- p
 
-let victim_override t = t.victim_override
-
 (* One table row: the star's points, then the S flag. *)
 let table_row t ~center ~mode rn =
   let off = rn * t.stride in

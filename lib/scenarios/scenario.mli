@@ -133,9 +133,6 @@ val center_at_round : regime -> int -> pid option
     [Invalid_argument] unless [-1 <= p < n]. *)
 val set_victim_override : t -> pid -> unit
 
-(** Current override, [-1] when the block rotation is in force. *)
-val victim_override : t -> pid
-
 (** Is round [rn] in the constrained sequence [S]? (True for every
     [rn >= rn0] in non-intermittent regimes.) *)
 val in_s : t -> int -> bool

@@ -133,34 +133,178 @@ let test_rounds_no_resurrection () =
       ignore (Dstruct.Rounds.find_or_add r 4 ~default:(fun () -> 0)));
   Alcotest.check_raises "set below floor"
     (Invalid_argument "Rounds.set: round 4 below floor 5") (fun () ->
-      Dstruct.Rounds.set r 4 0)
+      Dstruct.Rounds.set r 4 0);
+  Alcotest.check_raises "remove below floor"
+    (Invalid_argument "Rounds.remove: round 4 below floor 5") (fun () ->
+      Dstruct.Rounds.remove r 4)
+
+(* [Omega.Node]'s freelists reuse cells in the order [prune_below] hands
+   them back, so that order is part of the run's behaviour: ascending
+   rounds, across a ring wrap-around and around holes. *)
+let test_rounds_recycle_order () =
+  let r = Dstruct.Rounds.create () in
+  List.iter
+    (fun rn -> Dstruct.Rounds.set r rn rn)
+    [ 30; 12; 41; 17; 25; 13; 38; 20; 33; 14; 29 ];
+  Dstruct.Rounds.remove r 17;
+  Dstruct.Rounds.remove r 33;
+  let seen = ref [] in
+  Dstruct.Rounds.prune_below r 39 ~recycle:(fun v -> seen := v :: !seen);
+  check (Alcotest.list int_t) "ascending" [ 12; 13; 14; 20; 25; 29; 30; 38 ]
+    (List.rev !seen);
+  check int_t "kept" 1 (Dstruct.Rounds.cardinal r);
+  check (Alcotest.option int_t) "max_round" (Some 41)
+    (Dstruct.Rounds.max_round r)
+
+type rounds_op =
+  | Set of int * int
+  | Find_or_add of int * int
+  | Remove of int
+  | Prune of int
+
+(* Keys are offsets from the current floor: mostly a small window (where
+   slots wrap and holes open), sometimes a jump of up to 10^5 rounds that
+   makes the ring double several times at once, and a few below the floor
+   to exercise the refusals. *)
+let rounds_op_gen =
+  let open QCheck.Gen in
+  let offset =
+    frequency [ (5, int_range (-2) 40); (1, int_bound 100_000) ]
+  in
+  frequency
+    [
+      (3, map2 (fun k v -> Set (k, v)) offset (int_bound 1000));
+      (3, map2 (fun k v -> Find_or_add (k, v)) offset (int_bound 1000));
+      (2, map (fun k -> Remove k) offset);
+      (1, map (fun k -> Prune k) (oneof [ int_range (-2) 20; offset ]));
+    ]
+
+let rounds_op_print = function
+  | Set (k, v) -> Printf.sprintf "Set(+%d, %d)" k v
+  | Find_or_add (k, v) -> Printf.sprintf "Find_or_add(+%d, %d)" k v
+  | Remove k -> Printf.sprintf "Remove(+%d)" k
+  | Prune k -> Printf.sprintf "Prune(+%d)" k
 
 let prop_rounds_model =
-  (* Model check against a Map, with interleaved set/prune. *)
-  QCheck.Test.make ~name:"rounds matches map model" ~count:200
-    QCheck.(list (pair (int_bound 50) (option (int_bound 50))))
+  (* Model check against a Map: every operation, then every key of
+     [[floor - 2, max + 2]] — absent ones included, so a round aliased onto
+     another's slot shows — plus [cardinal], [max_round] and [floor]. *)
+  QCheck.Test.make ~name:"rounds matches map model" ~count:100
+    (QCheck.make
+       ~print:QCheck.Print.(list rounds_op_print)
+       QCheck.Gen.(list_size (1 -- 30) rounds_op_gen))
     (fun ops ->
       let module M = Map.Make (Int) in
       let r = Dstruct.Rounds.create () in
-      let model = ref M.empty in
-      let floor = ref 0 in
-      List.for_all
-        (fun (rn, op) ->
-          match op with
-          | Some v when rn >= !floor ->
+      let model = ref M.empty and floor = ref 0 in
+      let refused rn f =
+        match f () with
+        | () -> false
+        | exception Invalid_argument _ -> rn < !floor
+      in
+      let step op =
+        let key k = !floor + k in
+        match op with
+        | Set (k, v) ->
+            let rn = key k in
+            if rn < !floor then
+              refused rn (fun () -> Dstruct.Rounds.set r rn v)
+            else begin
               Dstruct.Rounds.set r rn v;
               model := M.add rn v !model;
               true
-          | Some _ -> true (* skip writes below floor *)
-          | None ->
-              Dstruct.Rounds.prune_below r rn;
-              if rn > !floor then begin
-                floor := rn;
-                model := M.filter (fun k _ -> k >= rn) !model
-              end;
-              M.for_all (fun k v -> Dstruct.Rounds.find r k = Some v) !model
-              && Dstruct.Rounds.cardinal r = M.cardinal !model)
-        ops)
+            end
+        | Find_or_add (k, v) ->
+            let rn = key k in
+            if rn < !floor then
+              refused rn (fun () ->
+                  ignore
+                    (Dstruct.Rounds.find_or_add r rn ~default:(fun () -> v)))
+            else begin
+              let expected =
+                match M.find_opt rn !model with Some old -> old | None -> v
+              in
+              model := M.add rn expected !model;
+              Dstruct.Rounds.find_or_add r rn ~default:(fun () -> v) = expected
+            end
+        | Remove k ->
+            let rn = key k in
+            if rn < !floor then
+              refused rn (fun () -> Dstruct.Rounds.remove r rn)
+            else begin
+              let got = ref None in
+              Dstruct.Rounds.remove r rn ~recycle:(fun v -> got := Some v);
+              let expected = M.find_opt rn !model in
+              model := M.remove rn !model;
+              !got = expected
+            end
+        | Prune k ->
+            let bound = key k in
+            let got = ref [] in
+            Dstruct.Rounds.prune_below r bound ~recycle:(fun v ->
+                got := v :: !got);
+            let dropped = M.filter (fun rn _ -> rn < bound) !model in
+            model := M.filter (fun rn _ -> rn >= bound) !model;
+            if bound > !floor then floor := bound;
+            List.rev !got = List.map snd (M.bindings dropped)
+      in
+      (* Walk [[floor - 2, max + 2]] against the model's sorted bindings. *)
+      let agrees () =
+        let top =
+          match M.max_binding_opt !model with Some (k, _) -> k | None -> !floor
+        in
+        let rest = ref (M.bindings !model) and ok = ref true in
+        for rn = !floor - 2 to top + 2 do
+          match (!rest, Dstruct.Rounds.find_exn r rn) with
+          | (k, v) :: tl, got when k = rn ->
+              rest := tl;
+              if got <> v then ok := false
+          | _, _ -> ok := false
+          | exception Not_found -> (
+              match !rest with
+              | (k, _) :: tl when k = rn ->
+                  rest := tl;
+                  ok := false
+              | _ -> ())
+        done;
+        !ok
+        && Dstruct.Rounds.cardinal r = M.cardinal !model
+        && Dstruct.Rounds.max_round r
+           = Option.map fst (M.max_binding_opt !model)
+        && Dstruct.Rounds.floor r = !floor
+      in
+      List.for_all (fun op -> step op && agrees ()) ops)
+
+(* The per-message lookups of Figures 1-3 must stay allocation-free: a warm
+   ring slid one round at a time, with [find_or_add] at the head, a window
+   of [find_exn] behind it and [prune_below] at the tail, allocates nothing
+   per round. *)
+let rounds_default () = 1
+
+let test_rounds_alloc () =
+  let r = Dstruct.Rounds.create () and window = 24 in
+  let recycled = ref 0 in
+  let recycle = Some (fun (_ : int) -> incr recycled) in
+  let acc = ref 0 in
+  let slide first last =
+    for rn = first to last do
+      acc := !acc + Dstruct.Rounds.find_or_add r rn ~default:rounds_default;
+      for x = rn - window + 1 to rn - 1 do
+        if x >= 1 then acc := !acc + Dstruct.Rounds.find_exn r x
+      done;
+      Dstruct.Rounds.prune_below ?recycle r (rn - window + 1)
+    done
+  in
+  slide 1 1_000;
+  let before = Gc.minor_words () in
+  slide 1_001 101_000;
+  let words = int_of_float (Gc.minor_words () -. before) in
+  ignore !acc;
+  check int_t "recycled one round per round" (101_000 - window) !recycled;
+  check bool_t
+    (Printf.sprintf "100k sliding rounds allocated %d minor words (budget 1000)"
+       words)
+    true (words < 1_000)
 
 (* ------------------------------------------------------------- Bitset *)
 
@@ -308,6 +452,9 @@ let () =
           Alcotest.test_case "basic" `Quick test_rounds_basic;
           Alcotest.test_case "prune" `Quick test_rounds_prune;
           Alcotest.test_case "no resurrection" `Quick test_rounds_no_resurrection;
+          Alcotest.test_case "recycle order" `Quick test_rounds_recycle_order;
+          Alcotest.test_case "sliding window allocates nothing" `Quick
+            test_rounds_alloc;
           qtest prop_rounds_model;
         ] );
       ( "bitset",
