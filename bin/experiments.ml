@@ -99,13 +99,35 @@ let checkpoint_dir_term =
            snapshot; the tables stay byte-identical to an uninterrupted \
            run. Snapshots only load in the binary that wrote them.")
 
+(* The interval is kept in whole milliseconds. A value below 1 ms, or
+   NaN, would give slices that never move the clock (the sweep would
+   rewrite one checkpoint forever), and an infinite value or one beyond
+   the clock's range has no millisecond count, so all are refused here. *)
+let checkpoint_every_conv =
+  let parse s =
+    match Option.map (fun sec -> sec *. 1000.) (float_of_string_opt s) with
+    | Some ms when ms >= 1. && ms < float_of_int (max_int / 1000) ->
+        Ok (Sim.Time.of_ms (int_of_float ms))
+    | _ ->
+        Error
+          (`Msg
+            (Printf.sprintf
+               "invalid value '%s', expected simulated seconds of at least \
+                0.001"
+               s))
+  in
+  let print ppf t = Format.fprintf ppf "%g" (Sim.Time.to_ms_float t /. 1000.) in
+  Cmdliner.Arg.conv (parse, print)
+
 let checkpoint_every_term =
   Cmdliner.Arg.(
-    value & opt float 5.
+    value
+    & opt checkpoint_every_conv (Sim.Time.of_sec 5)
     & info [ "checkpoint-every" ] ~docv:"SIM_S"
         ~doc:
-          "Simulated seconds between checkpoint snapshots (default 5). Only \
-           meaningful with --checkpoint-dir.")
+          "Simulated seconds between checkpoint snapshots (default 5, at \
+           least 0.001; kept in whole milliseconds). Only meaningful with \
+           --checkpoint-dir.")
 
 let shard_conv =
   let parse s =
@@ -165,8 +187,6 @@ let run list quick jobs intra_jobs metrics trace topology checkpoint_dir
     `Error (false, "--trace disables --checkpoint-dir (pick one)")
   else if Option.is_some shard && Option.is_none shard_out then
     `Error (false, "--shard requires --shard-out FILE")
-  else if checkpoint_every <= 0. then
-    `Error (false, "--checkpoint-every must be > 0")
   else begin
     let selected =
       match ids with
@@ -184,7 +204,7 @@ let run list quick jobs intra_jobs metrics trace topology checkpoint_dir
           Option.map
             (fun dir ->
               if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-              (dir, Sim.Time.of_ms (int_of_float (checkpoint_every *. 1000.))))
+              (dir, checkpoint_every))
             checkpoint_dir
         in
         let farm =

@@ -141,7 +141,7 @@ let make_empty t =
    in ascending order, so [recycle] sees the values in round order and the
    walk costs the pruned span, not the rounds ever lived. An empty table
    has [lo = max_int], so it walks nothing. *)
-let prune_below ?recycle t bound =
+let prune_below ~recycle t bound =
   if bound > t.floor then begin
     if t.lo < bound then begin
       let top = if t.hi < bound then t.hi else bound - 1 in
@@ -151,7 +151,7 @@ let prune_below ?recycle t bound =
           let v = value t i in
           clear t i;
           t.count <- t.count - 1;
-          match recycle with Some f -> f v | None -> ()
+          recycle v
         end
       done;
       if t.count = 0 then make_empty t else t.lo <- first_live t bound
@@ -164,7 +164,7 @@ let prune_below ?recycle t bound =
    [full_upto] prefix) and must not let later lookups below the floor
    raise. The span still shrinks to the live rounds, so a table whose
    prefix is removed round by round stays as wide as its live gap. *)
-let remove ?recycle t rn =
+let remove ~recycle t rn =
   check_live t rn ~op:"remove";
   if mem t rn then begin
     let i = rn land t.mask in
@@ -176,7 +176,7 @@ let remove ?recycle t rn =
       if rn = t.lo then t.lo <- first_live t (rn + 1);
       if rn = t.hi then t.hi <- last_live t (rn - 1)
     end;
-    match recycle with Some f -> f v | None -> ()
+    recycle v
   end
 
 let max_round t = if t.count = 0 then None else Some t.hi

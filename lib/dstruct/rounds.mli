@@ -39,18 +39,22 @@ val find_or_add : 'a t -> int -> default:(unit -> 'a) -> 'a
 (** [set t rn v] stores [v] for round [rn]. Raises below the floor. *)
 val set : 'a t -> int -> 'a -> unit
 
-(** [prune_below t bound] discards every round [< bound] and raises the floor
-    to [max (floor t) bound]. [recycle] is applied to each discarded value,
-    in ascending round order, so callers can return round-sized cells to a
-    freelist instead of re-allocating them every round. *)
-val prune_below : ?recycle:('a -> unit) -> 'a t -> int -> unit
+(** [prune_below ~recycle t bound] discards every round [< bound] and
+    raises the floor to [max (floor t) bound]. [recycle] is applied to each
+    discarded value, in ascending round order, so callers can return
+    round-sized cells to a freelist instead of re-allocating them every
+    round; callers without a freelist pass [ignore]. The argument is
+    required rather than optional: an optional one passed from a mutable
+    field is boxed in a fresh [Some] on every call. *)
+val prune_below : recycle:('a -> unit) -> 'a t -> int -> unit
 
-(** [remove t rn] discards round [rn]'s entry (if any) {e without} moving
-    the floor — unlike {!prune_below}, later reads of [rn] simply see an
-    absent round. [recycle] is applied to the discarded value. The caller
-    owns the semantics of the hole ([Omega.Node] collapses fully-received
-    round prefixes into a scalar, DESIGN.md §16); raises below the floor. *)
-val remove : ?recycle:('a -> unit) -> 'a t -> int -> unit
+(** [remove ~recycle t rn] discards round [rn]'s entry (if any) {e without}
+    moving the floor — unlike {!prune_below}, later reads of [rn] simply
+    see an absent round. [recycle] is applied to the discarded value. The
+    caller owns the semantics of the hole ([Omega.Node] collapses
+    fully-received round prefixes into a scalar, DESIGN.md §16); raises
+    below the floor. *)
+val remove : recycle:('a -> unit) -> 'a t -> int -> unit
 
 (** Largest live round, if any entry exists, in constant time. *)
 val max_round : 'a t -> int option

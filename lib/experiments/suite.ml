@@ -119,6 +119,10 @@ let ckpt_read path =
     (fun () -> (Marshal.from_channel ic : ckpt_file))
 
 let checkpointed_run ~dir ~every ~label ~spec ~env ~seed =
+  (* A slice that does not move the clock would rewrite the same
+     checkpoint forever. *)
+  if Sim.Time.(every <= zero) then
+    invalid_arg "Suite: the checkpoint interval must be positive";
   let path = Filename.concat dir (ckpt_sanitize label ^ ".ckpt") in
   let fresh () = Run.start ~spec ~env ~seed () in
   let live =
@@ -151,9 +155,14 @@ let checkpointed_run ~dir ~every ~label ~spec ~env ~seed =
     Sys.rename tmp path
   in
   let rec slices () =
-    let now = Run.now live in
-    if Sim.Time.(now < Run.horizon live) then begin
-      Run.advance live ~until:(Sim.Time.add now every);
+    let now = Run.now live and horizon = Run.horizon live in
+    if Sim.Time.(now < horizon) then begin
+      (* Saturating, so a huge interval cannot wrap below [now]. *)
+      let until =
+        if Sim.Time.(every >= sub horizon now) then horizon
+        else Sim.Time.add now every
+      in
+      Run.advance live ~until;
       if Sim.Time.(Run.now live < Run.horizon live) then write ();
       slices ()
     end
@@ -225,17 +234,14 @@ let cost_of ?(algo = `Gossip) ?(check = true) ~n horizon =
   *. traffic
   *. (if check then 2. else 1.)
 
-let lpt_disabled () = Option.is_some (Sys.getenv_opt "OMEGA_NO_LPT")
-
 (* Evaluate the cells on the pool. Execution order is longest-processing-
-   time-first (by the cost estimate; OMEGA_NO_LPT reverts to declaration
-   order for A/B): the pool's workers pull tasks in submission order, so
-   submitting the expensive rows first stops a 40-second E7 row from
-   becoming the tail of the whole sweep. Results are mapped back to
-   declaration order before anything renders, so stdout (hence the
-   byte-identity of the tables) is independent of both the pool size and
-   the schedule. Per-cell wall clock goes to stderr — machine time is
-   nondeterministic.
+   time-first (by the cost estimate): the pool's workers pull tasks in
+   submission order, so submitting the expensive rows first stops a
+   40-second E7 row from becoming the tail of the whole sweep. Results
+   are mapped back to declaration order before anything renders, so
+   stdout (hence the byte-identity of the tables) is independent of both
+   the pool size and the schedule. Per-cell wall clock goes to stderr —
+   machine time is nondeterministic.
 
    Under [Shard i/k] only cells with [id mod k = i - 1] execute (the
    interleaving balances each table's heavy tail across shards); the rows
@@ -274,13 +280,12 @@ let on ~obs pool cells =
           if mine i then ids := i :: !ids
         done;
         let order = Array.of_list !ids in
-        if not (lpt_disabled ()) then
-          Array.sort
-            (fun a b ->
-              match Float.compare cells.(b).cost cells.(a).cost with
-              | 0 -> Int.compare a b
-              | c -> c)
-            order;
+        Array.sort
+          (fun a b ->
+            match Float.compare cells.(b).cost cells.(a).cost with
+            | 0 -> Int.compare a b
+            | c -> c)
+          order;
         order
       in
       let timed =
@@ -1588,10 +1593,10 @@ let e13 ~pool ~quick ~obs =
   in
   (* Routed scaling tier (full mode only; ROADMAP's "routed runs cap at
      n = 16" item): the routed hot path — one pooled flight per hop,
-     staged fan-out, per-hop oracle draws — under E11-class load. A
-     rotation-scaled horizon is unaffordable at this size, so as in
-     E11/E12's large tiers the rows run a fixed two simulated seconds
-     and measure throughput, not stabilization. Fat-tree keeps its
+     per-hop oracle draws — under E11-class load. A rotation-scaled
+     horizon is unaffordable at this size, so as in E11/E12's large
+     tiers the rows run a fixed two simulated seconds and measure
+     throughput, not stabilization. Fat-tree keeps its
      diameter at 3 while racks multiply, so per-send hop cost stays
      flat as n grows — which is exactly what makes it the rack-scale
      graph worth scaling. *)

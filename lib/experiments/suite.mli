@@ -52,7 +52,8 @@ type obs = {
           slices, persisting a resumable snapshot into [dir] between
           slices and resuming from it on restart. Observationally
           invisible — the tables stay byte-identical. Ignored while
-          tracing (a run holding a JSONL sink cannot snapshot). *)
+          tracing (a run holding a JSONL sink cannot snapshot). A run
+          raises [Invalid_argument] if [every] is not positive. *)
   farm : farm;
   topology : Net.Topology.kind option;
       (** session-wide network-graph override (bin/experiments.exe

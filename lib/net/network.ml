@@ -9,10 +9,6 @@ type pid = int
 type 'm delay_oracle_us =
   now:Sim.Time.t -> seq:int -> at:pid -> src:pid -> dst:pid -> 'm -> int
 
-(* Minimum broadcast fan-out (n - 1) for the batched wheel path; see the
-   [batch] field below. *)
-let batch_fanout_min = 48
-
 type 'm t = {
   engine : Sim.Engine.t;
   n : int;
@@ -57,15 +53,6 @@ type 'm t = {
      recycled). [pool_n] slots of [pool] hold released flights. *)
   mutable pool : 'm flight array;
   mutable pool_n : int;
-  (* Broadcasts batch their fan-out through the wheel's stage/commit
-     splice only when [n] clears [batch_fanout_min]: the splice walks the
-     staged chain with an extra placement computation per slot, which is
-     pure overhead when buckets are sparse (runs of length 1) and only
-     pays once fan-outs are wide enough for same-bucket runs to amortize
-     it — measured crossover between n = 32 (+14% clock) and n = 64
-     (−19%). The event stream is bit-identical either way; this is a
-     clock-only choice, fixed per network at [create]. *)
-  batch : bool;
   (* Intra-run sharding (DESIGN.md §18), all inert by default. [shard_of]
      maps each pid to its owning shard ([||] = sequential mode, the only
      state the hot path ever checks); [my_shard] is this replica's index
@@ -88,15 +75,16 @@ type 'm t = {
    [Engine.call_after engine delay deliver flight] — one block, no closure,
    no handle — where the old closure chain cost several blocks per message.
    [send] is the simulator's hottest allocation site, which is why flights
-   are pooled: [deliver] releases its record back to [t.pool] (fields are
-   latched into locals first) and [dispatch] reuses it for a later send, so
-   steady-state traffic allocates no flights at all. A flight that is
-   scheduled twice (duplication burst) clears [frecycle] so only safe,
-   single-delivery flights return to the pool. [finfo] is the message's
-   classification, latched at send time (classifiers are pure, so this is
-   the delivery-time value too — and [classify] runs once per message, not
-   once per event); it is [no_info] when no net sink was live at the send,
-   which is fine because sinks are installed before a run starts. *)
+   are pooled: [acquire] takes a record from [t.pool], and the event that
+   consumes a scheduled flight — a delivery, a drop, or a hop handing the
+   message to another shard — releases it exactly once (a delivery
+   latches the fields into locals first), so steady-state traffic
+   allocates no flights at all. Every scheduled delivery has its own
+   flight, a duplicate included. [finfo] is the message's classification,
+   latched at send time (classifiers are pure, so this is the
+   delivery-time value too — and [classify] runs once per message, not
+   once per event); it is [no_info] when no net sink was live at the
+   send, which is fine because sinks are installed before a run starts. *)
 and 'm flight = {
   net : 'm t;
   mutable sent_at : Sim.Time.t;
@@ -105,11 +93,10 @@ and 'm flight = {
   mutable fdst : pid;
   (* Routed runs thread the SAME record through every hop: [fvia] is the
      node the scheduled arrival lands on (= [fdst] on the final hop). The
-     direct path writes it once at acquisition and never reads it. *)
+     direct path never reads it. *)
   mutable fvia : pid;
   mutable fmsg : 'm;
   mutable finfo : Obs.Event.msg_info;
-  mutable frecycle : bool;
 }
 
 (* Cross-shard event creations in transit from one replica to one shard,
@@ -249,9 +236,6 @@ let of_spec (spec : 'm Spec.t) engine ~n =
     dup_extra = Sim.Time.zero;
     pool = [||];
     pool_n = 0;
-    (* Batched fan-out is a property of the direct path only; routed
-       broadcasts schedule first hops individually. *)
-    batch = (not routed) && n - 1 >= batch_fanout_min;
     shard_of = [||];
     my_shard = -1;
     outboxes = [||];
@@ -283,6 +267,32 @@ let release t f =
   end;
   t.pool.(k) <- f;
   t.pool_n <- k + 1
+
+let acquire t ~now ~seq ~src ~dst ~info msg =
+  if t.pool_n = 0 then
+    {
+      net = t;
+      sent_at = now;
+      fseq = seq;
+      fsrc = src;
+      fdst = dst;
+      fvia = dst;
+      fmsg = msg;
+      finfo = info;
+    }
+  else begin
+    let k = t.pool_n - 1 in
+    t.pool_n <- k;
+    let f = t.pool.(k) in
+    f.sent_at <- now;
+    f.fseq <- seq;
+    f.fsrc <- src;
+    f.fdst <- dst;
+    f.fvia <- dst;
+    f.fmsg <- msg;
+    f.finfo <- info;
+    f
+  end
 
 let ob_create () =
   {
@@ -361,10 +371,7 @@ let deliver f =
   let msg = f.fmsg and finfo = f.finfo in
   (* Recycle before running the handler: every field is latched above, and
      the handler's own sends may then draw this very record from the pool. *)
-  if f.frecycle then begin
-    f.frecycle <- false;
-    release t f
-  end;
+  release t f;
   (* A message to a crashed process is silently consumed: the paper treats
      the link to a crashed receiver as trivially timely. *)
   if not t.crashed.(dst) then begin
@@ -384,14 +391,21 @@ let deliver f =
 
 let () = Sim.Checkpoint.register ~id:3 deliver
 
+(* One scheduled delivery on its own flight, or — when [dst] runs on
+   another shard — its canonical identity and payload in that shard's
+   outbox. *)
+let schedule_delivery t ~delay ~now ~seq ~src ~dst ~info msg =
+  if
+    Array.length t.shard_of > 0
+    && Array.unsafe_get t.shard_of dst <> t.my_shard
+  then defer t ~delay ~sent_at:now ~seq ~src ~dst ~via:dst ~info msg
+  else
+    Sim.Engine.call_after t.engine delay deliver
+      (acquire t ~now ~seq ~src ~dst ~info msg)
+
 (* One message onto one link: [now], [traced] and [info] are latched by the
-   caller so [broadcast] classifies once for all n-1 destinations.
-   [batched] routes the delivery through {!Sim.Engine.batch_call_after}
-   (staged wheel insertion); the broadcast loops set it and commit once
-   after the loop, [send] keeps the immediate path. Everything observable
-   (seq numbers, Send/Drop/Sched emission, FIFO order) is identical either
-   way. *)
-let dispatch t ~batched ~now ~traced ~info ~src ~dst msg =
+   caller so a broadcast classifies once for all its destinations. *)
+let dispatch t ~now ~traced ~info ~src ~dst msg =
   let seq = t.seqs.(src) in
   t.seqs.(src) <- seq + 1;
   t.sent <- t.sent + 1;
@@ -425,58 +439,11 @@ let dispatch t ~batched ~now ~traced ~info ~src ~dst msg =
         else delay_us + Array.unsafe_get t.degrade_us ((src * t.n) + dst)
       in
       let delay = Sim.Time.of_us delay_us in
-      let cross =
-        Array.length t.shard_of > 0
-        && Array.unsafe_get t.shard_of dst <> t.my_shard
-      in
-      if cross then begin
-        defer t ~delay ~sent_at:now ~seq ~src ~dst ~via:dst ~info msg;
-        if Sim.Time.(now < t.dup_until) then
-          defer t
-            ~delay:(Sim.Time.add delay t.dup_extra)
-            ~sent_at:now ~seq ~src ~dst ~via:dst ~info msg
-      end
-      else begin
-      let flight =
-          if t.pool_n = 0 then
-            {
-              net = t;
-              sent_at = now;
-              fseq = seq;
-              fsrc = src;
-              fdst = dst;
-              fvia = dst;
-              fmsg = msg;
-              finfo = info;
-              frecycle = true;
-            }
-          else begin
-            let k = t.pool_n - 1 in
-            t.pool_n <- k;
-            let f = t.pool.(k) in
-            f.sent_at <- now;
-            f.fseq <- seq;
-            f.fsrc <- src;
-            f.fdst <- dst;
-            f.fmsg <- msg;
-            f.finfo <- info;
-            f.frecycle <- true;
-            f
-          end
-        in
-      if batched then
-        Sim.Engine.batch_call_after t.engine delay deliver flight
-      else Sim.Engine.call_after t.engine delay deliver flight;
-      if Sim.Time.(now < t.dup_until) then begin
-        (* Two scheduled deliveries share this record; recycling on the
-           first would corrupt the second, so this flight retires. *)
-        flight.frecycle <- false;
-        let extra = Sim.Time.add delay t.dup_extra in
-        if batched then
-          Sim.Engine.batch_call_after t.engine extra deliver flight
-        else Sim.Engine.call_after t.engine extra deliver flight
-      end
-      end
+      schedule_delivery t ~delay ~now ~seq ~src ~dst ~info msg;
+      if Sim.Time.(now < t.dup_until) then
+        schedule_delivery t
+          ~delay:(Sim.Time.add delay t.dup_extra)
+          ~now ~seq ~src ~dst ~info msg
     end
   end
 
@@ -496,34 +463,6 @@ let dispatch t ~batched ~now ~traced ~info ~src ~dst msg =
    the hop and draw no delay randomness; an oracle drop stays the legacy
    end-to-end Drop event. *)
 
-let acquire t ~now ~seq ~src ~dst ~info msg =
-  if t.pool_n = 0 then
-    {
-      net = t;
-      sent_at = now;
-      fseq = seq;
-      fsrc = src;
-      fdst = dst;
-      fvia = dst;
-      fmsg = msg;
-      finfo = info;
-      frecycle = true;
-    }
-  else begin
-    let k = t.pool_n - 1 in
-    t.pool_n <- k;
-    let f = t.pool.(k) in
-    f.sent_at <- now;
-    f.fseq <- seq;
-    f.fsrc <- src;
-    f.fdst <- dst;
-    f.fvia <- dst;
-    f.fmsg <- msg;
-    f.finfo <- info;
-    f.frecycle <- true;
-    f
-  end
-
 let drop_on_link t f ~now ~hop_src ~hop_dst =
   t.dropped <- t.dropped + 1;
   let sink = Sim.Engine.sink t.engine in
@@ -531,10 +470,7 @@ let drop_on_link t f ~now ~hop_src ~hop_dst =
     Obs.Sink.emit_link_drop sink
       ~now:(Sim.Time.to_us now)
       ~seq:f.fseq ~src:f.fsrc ~dst:f.fdst ~hop_src ~hop_dst f.finfo;
-  if f.frecycle then begin
-    f.frecycle <- false;
-    release t f
-  end
+  release t f
 
 let rec forward t f ~now ~extra_us u =
   let dst = f.fdst in
@@ -565,10 +501,7 @@ let rec forward t f ~now ~extra_us u =
           Obs.Sink.emit_drop sink
             ~now:(Sim.Time.to_us now)
             ~seq:f.fseq ~src:f.fsrc ~dst f.finfo;
-        if f.frecycle then begin
-          f.frecycle <- false;
-          release t f
-        end
+        release t f
       end
       else begin
         let delay_us =
@@ -595,10 +528,7 @@ let rec forward t f ~now ~extra_us u =
              pool provides the flight that finishes the trip. *)
           defer t ~delay ~sent_at:f.sent_at ~seq:f.fseq ~src:f.fsrc ~dst
             ~via:v ~info:f.finfo f.fmsg;
-          if f.frecycle then begin
-            f.frecycle <- false;
-            release t f
-          end
+          release t f
         end
         else begin
           f.fvia <- v;
@@ -641,10 +571,8 @@ let dispatch_routed t ~now ~traced ~info ~src ~dst msg =
   let f = acquire t ~now ~seq ~src ~dst ~info msg in
   forward t f ~now ~extra_us:0 src;
   if Sim.Time.(now < t.dup_until) then begin
-    (* Unlike the direct path, a routed duplicate cannot share the
-       original's record (every hop mutates it), so it travels as its own
-       flight — and both can recycle. The [dup_extra] lag lands on the
-       duplicate's first hop. *)
+    (* The duplicate travels as its own flight; the [dup_extra] lag lands
+       on its first hop. *)
     let g = acquire t ~now ~seq ~src ~dst ~info msg in
     forward t g ~now ~extra_us:(Sim.Time.to_us t.dup_extra) src
   end
@@ -658,37 +586,28 @@ let send t ~src ~dst msg =
     let traced = Obs.Sink.wants sink Obs.Event.c_net in
     let info = if traced then t.classify msg else Obs.Event.no_info in
     if t.routed then dispatch_routed t ~now ~traced ~info ~src ~dst msg
-    else dispatch t ~batched:false ~now ~traced ~info ~src ~dst msg
+    else dispatch t ~now ~traced ~info ~src ~dst msg
   end
 
-let broadcast t ~src msg =
-  check_pid t src ~op:"broadcast";
+(* The broadcasts' one loop: every destination but [skip] ([-1] skips
+   none), in destination order, under one latch of the clock, the sink
+   and the message's classification. *)
+let fan_out t ~op ~skip ~src msg =
+  check_pid t src ~op;
   if not t.crashed.(src) then begin
     let now = Sim.Engine.now t.engine in
     let sink = Sim.Engine.sink t.engine in
     let traced = Obs.Sink.wants sink Obs.Event.c_net in
     let info = if traced then t.classify msg else Obs.Event.no_info in
     for dst = 0 to t.n - 1 do
-      if dst <> src then
+      if dst <> skip then
         if t.routed then dispatch_routed t ~now ~traced ~info ~src ~dst msg
-        else dispatch t ~batched:t.batch ~now ~traced ~info ~src ~dst msg
-    done;
-    if t.batch then Sim.Engine.batch_commit t.engine
+        else dispatch t ~now ~traced ~info ~src ~dst msg
+    done
   end
 
-let broadcast_all t ~src msg =
-  check_pid t src ~op:"broadcast_all";
-  if not t.crashed.(src) then begin
-    let now = Sim.Engine.now t.engine in
-    let sink = Sim.Engine.sink t.engine in
-    let traced = Obs.Sink.wants sink Obs.Event.c_net in
-    let info = if traced then t.classify msg else Obs.Event.no_info in
-    for dst = 0 to t.n - 1 do
-      if t.routed then dispatch_routed t ~now ~traced ~info ~src ~dst msg
-      else dispatch t ~batched:t.batch ~now ~traced ~info ~src ~dst msg
-    done;
-    if t.batch then Sim.Engine.batch_commit t.engine
-  end
+let broadcast t ~src msg = fan_out t ~op:"broadcast" ~skip:src ~src msg
+let broadcast_all t ~src msg = fan_out t ~op:"broadcast_all" ~skip:(-1) ~src msg
 
 (* Fault mutators come in two layers: the [*1] body applies the mutation
    to ONE replica, and the public entry fans it out over [siblings] when

@@ -106,13 +106,10 @@ val set_handler : 'm t -> pid -> (src:pid -> 'm -> unit) -> unit
 val send : 'm t -> src:pid -> dst:pid -> 'm -> unit
 
 (** [broadcast t ~src m] sends [m] to every process except [src] (the
-    algorithms in the paper send "to each j <> i"). Wide fan-outs
-    (n - 1 >= 48) are batched: per-destination deliveries are staged and
-    spliced into the scheduler in one commit
-    ({!Sim.Engine.batch_call_after}), which is observably identical to a
-    loop of {!send}s but amortizes the queue insertions; below the
-    measured crossover the straight per-send path is faster and is used
-    instead (the event stream is bit-identical either way). *)
+    algorithms in the paper send "to each j <> i"), in destination order.
+    It is observably identical to a loop of {!send}s; the clock, the sink
+    and the message's classification are read once for the whole
+    fan-out. *)
 val broadcast : 'm t -> src:pid -> 'm -> unit
 
 (** [broadcast_all t ~src m] is {!broadcast} including the self-send —

@@ -69,7 +69,7 @@ type t = {
      without touching the event stream. *)
   last_merged : int array array;
   (* Broadcast fan-out, overridable so the network-backed constructor can
-     route through {!Net.Network}'s batched paths while transport-backed
+     call {!Net.Network.broadcast}/[broadcast_all] while transport-backed
      nodes keep the per-destination loop. [bcast_others] is line 3 (every
      [j <> i]); [bcast_all] is line 10 (itself included). Both must emit
      exactly the per-destination event sequence of a [send] loop in
@@ -593,10 +593,10 @@ let network_transport net ~me =
 
 let create ?store cfg net ~me =
   let t = create_with_transport ?store cfg (network_transport net ~me) ~me in
-  (* The batched fan-out: one latch of (now, sink, classification) and one
-     wheel splice per broadcast, against per-destination [send]'s n
-     repetitions — with the per-destination event sequence (Send, then the
-     oracle's verdict, then Sched/Drop) preserved exactly. *)
+  (* One latch of (now, sink, classification) per broadcast, against
+     per-destination [send]'s n repetitions — with the per-destination
+     event sequence (Send, then the oracle's verdict, then Sched/Drop)
+     preserved exactly. *)
   t.bcast_others <- (fun msg -> Net.Network.broadcast net ~src:me msg);
   t.bcast_all <- (fun msg -> Net.Network.broadcast_all net ~src:me msg);
   Net.Network.set_handler net me (fun ~src msg -> on_message t ~src msg);

@@ -46,7 +46,7 @@ type t
     [?store] is the cluster-shared struct-of-arrays backing for the hot
     per-node state ({!Store}); omitted, the node allocates a private one.
     Network-backed nodes broadcast through {!Net.Network.broadcast} /
-    {!Net.Network.broadcast_all} (batched wheel fan-out). *)
+    {!Net.Network.broadcast_all}. *)
 val create : ?store:Store.t -> Config.t -> Message.t Net.Network.t -> me:pid -> t
 
 (** [create_with_transport cfg tr ~me] is {!create} over an arbitrary

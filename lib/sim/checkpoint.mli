@@ -6,8 +6,8 @@
     (and back afterwards), so the packed lane of a checkpoint is
     independent of code addresses; {!Engine.restore} maps ids back to
     functions. Every function passed to [Engine.call_at]/[call_after]/
-    [schedule_call_after]/[batch_call_after] must be registered, or
-    [Engine.snapshot] refuses the run.
+    [schedule_call_after] must be registered, or [Engine.snapshot]
+    refuses the run.
 
     Ids are append-only, exactly like {!Obs.Event} tags: they are part of
     the on-disk checkpoint format. Current assignments:

@@ -46,9 +46,9 @@ let max_pid = rank_mask - 2
 (* ---- The slot store (DESIGN.md §11, §13) ----
    A pending event is one int, its slot. The slot's key, link, function,
    argument and cx word live at the same index of five parallel columns,
-   so the wheel's bucket lists, the freelist and the staged chain are
-   int links: pushes, cascades and pops write no pointers, hence pay no
-   [caml_modify]. Only the fn, arg and cx stores keep the write barrier.
+   so the wheel's bucket lists and the freelist are int links: pushes,
+   cascades and pops write no pointers, hence pay no [caml_modify]. Only
+   the fn, arg and cx stores keep the write barrier.
 
    Columns grow in fixed [chunk_size] chunks that are allocated once and
    never copied (slot [s] lives at chunk [s lsr chunk_bits], index
@@ -138,11 +138,6 @@ type t = {
   mutable cached_key : int;
   mutable cached_level : int;
   mutable cached_bucket : int;
-  (* Staged-insertion chain ([batch_call_after] / [batch_commit]): slots
-     linked in stage order, invisible to every query until committed. *)
-  mutable staged_head : int;
-  mutable staged_tail : int;
-  mutable staged_n : int;
 }
 
 let ignore_obj (_ : Obj.t) = ()
@@ -310,11 +305,8 @@ let rec find_min t l =
         t.cached_bucket <- b
   end
 
-(* Callers check [size > 0]; a staged batch must be committed first (the
-   engine commits before returning to its event loop). *)
-let locate t =
-  if t.staged_n <> 0 then invalid_arg "Engine: staged batch pending commit";
-  if not t.cached then find_min t 0
+(* Callers check [size > 0]. *)
+let locate t = if not t.cached then find_min t 0
 
 let min_key t =
   locate t;
@@ -364,46 +356,6 @@ let wheel_pop t =
   t.cached <- false;
   s
 
-(* Batched insertion. [batch_call_after] buffers slots on the staged chain
-   in call order; [batch_commit] splices the chain into the canonical
-   buckets. The chain walk attaches each maximal run of consecutive slots
-   sharing a canonical (level, bucket) as one pre-linked segment, so a
-   broadcast whose deliveries land in the same bucket costs one bucket
-   append instead of n-1. Insertion order within the chain is preserved
-   verbatim, which is exactly the order individual pushes would have
-   produced — the FIFO tie-break and canonical placement are untouched. *)
-
-(* Last slot of the maximal run starting at [last] whose canonical bucket
-   is [(l, b)]. *)
-let rec run_end t l b last =
-  let nx = link_of t last in
-  if nx = nil then last
-  else begin
-    let k = key_of t nx in
-    let x = k lxor t.cursor in
-    let l' = if x = 0 then 0 else level_of_xor x in
-    if l' = l && digit k l' = b then run_end t l b nx else last
-  end
-
-let rec commit_chain t s =
-  if s <> nil then begin
-    let k = key_of t s in
-    let x = k lxor t.cursor in
-    let l = if x = 0 then 0 else level_of_xor x in
-    let b = digit k l in
-    let tail = run_end t l b s in
-    let after = link_of t tail in
-    set_link t tail nil;
-    let i = (l lsl 8) lor b in
-    if t.heads.(i) = nil then begin
-      t.heads.(i) <- s;
-      set_bit t l b
-    end
-    else set_link t t.tails.(i) s;
-    t.tails.(i) <- tail;
-    commit_chain t after
-  end
-
 (* ------------------------------------------------------------ the engine *)
 
 let create ~seed () =
@@ -435,9 +387,6 @@ let create ~seed () =
     cached_key = 0;
     cached_level = 0;
     cached_bucket = 0;
-    staged_head = nil;
-    staged_tail = nil;
-    staged_n = 0;
   }
 
 let now t = t.now
@@ -575,40 +524,6 @@ let schedule_call_after t delay fn arg =
   enqueue t (t.now + delay) fn arg h;
   h
 
-(* Batched fire-and-forget scheduling: a broadcast fan-out stages its n-1
-   slots and splices them into the wheel in one [batch_commit].
-   Everything observable — live count, Sched emission, canonical order
-   among equal keys — happens exactly as the equivalent [call_after]
-   sequence would produce it; only the bucket bookkeeping is amortized.
-   Batches must be committed before control returns to the event loop;
-   staging happens inside a single handler, so no pop can intervene and
-   the wheel's cursor cannot move mid-batch. *)
-let batch_call_after : type a. t -> Time.t -> (a -> unit) -> a -> unit =
- fun t delay fn arg ->
-  let time = t.now + delay in
-  if time < t.now then before_now ~what:"schedule" t time;
-  let key = next_key t time in
-  check_cursor ~what:"schedule" t key;
-  let cidx = next_cidx t key in
-  let s = new_slot t key (Obj.magic fn) (Obj.magic arg) (Obj.magic cidx) in
-  if t.staged_head = nil then t.staged_head <- s
-  else set_link t t.staged_tail s;
-  t.staged_tail <- s;
-  t.staged_n <- t.staged_n + 1;
-  t.live <- t.live + 1;
-  emit_sched t time
-
-let batch_commit t =
-  if t.staged_n > 0 then begin
-    let head = t.staged_head in
-    t.staged_head <- nil;
-    t.staged_tail <- nil;
-    t.size <- t.size + t.staged_n;
-    t.staged_n <- 0;
-    t.cached <- false;
-    commit_chain t head
-  end
-
 (* ---- Intra-run sharded execution support (DESIGN.md §18) ----
    A cross-shard event creation splits [call_after] in two: the creating
    shard stamps the event — drawing the exact canonical (key, cidx) and
@@ -681,7 +596,7 @@ let executed t = t.executed
    The order check: an event must sort strictly after the one it succeeds
    as [(exec_key, exec_cidx)]. The wheel pops in that order by
    construction, so this costs a few int compares per event and turns a
-   silent ordering bug — a placement shortcut, a broken FIFO splice, a
+   silent ordering bug — a placement shortcut, a broken FIFO cascade, a
    creation index drawn from the wrong counter — into an exception
    naming both events. *)
 let fire t key cidx fn arg =
@@ -808,8 +723,6 @@ let unswizzle_fns t =
 
 let snapshot : type a. t -> a -> Bytes.t =
  fun t root ->
-  if t.staged_n <> 0 then
-    invalid_arg "Engine.snapshot: staged batch pending commit";
   swizzle_fns t;
   (* Unswizzle under protect: the live engine must come back runnable even
      if an unregistered function aborts the walk or marshalling fails

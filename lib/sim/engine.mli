@@ -107,21 +107,6 @@ val call_after : t -> Time.t -> ('a -> unit) -> 'a -> unit
     one handle record is the only allocation. *)
 val schedule_call_after : t -> Time.t -> ('a -> unit) -> 'a -> handle
 
-(** [batch_call_after] is {!call_after} with deferred queue insertion: the
-    event is staged and becomes poppable only at the next {!batch_commit}.
-    A broadcast fan-out stages its n-1 slots and commits once, so the
-    wheel splices same-bucket runs instead of doing n-1 independent bucket
-    appends. Observable behaviour (live count, Sched emission, FIFO order
-    among equal times) is identical to the equivalent {!call_after}
-    sequence, provided nothing else is scheduled at an equal key between
-    the stage and its commit (that event would pop first despite its
-    larger creation index, and the order check would raise). The caller
-    must {!batch_commit} before returning to the event loop. *)
-val batch_call_after : t -> Time.t -> ('a -> unit) -> 'a -> unit
-
-(** Make every staged event poppable. No-op when nothing is staged. *)
-val batch_commit : t -> unit
-
 (** [cancel t h] prevents the event from firing. Idempotent; no effect if
     the event already fired. [t] must be the engine that issued [h]
     (handles don't carry an engine pointer, precisely so that scheduling
@@ -157,10 +142,9 @@ val run_until_idle : ?limit:Time.t -> t -> [ `Idle | `Limit ]
     back, even on failure — the live engine is untouched on return), so
     the packed lane is code-address-independent; closures reachable
     through payloads ride on [Marshal.Closures] and pin the bytes to the
-    producing binary. Raises [Invalid_argument] if a staged batch is
-    pending commit, if a pending event's function is unregistered, or if
-    the graph holds an unmarshallable value (e.g. a JSONL trace sink's
-    out-channel).
+    producing binary. Raises [Invalid_argument] if a pending event's
+    function is unregistered, or if the graph holds an unmarshallable
+    value (e.g. a JSONL trace sink's out-channel).
 
     [restore bytes] rebuilds the pair. The restored stack is disjoint from
     every live one (pool-safe) and continues bit-identically to the run

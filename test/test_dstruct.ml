@@ -113,7 +113,7 @@ let test_rounds_prune () =
   for rn = 1 to 10 do
     Dstruct.Rounds.set r rn rn
   done;
-  Dstruct.Rounds.prune_below r 6;
+  Dstruct.Rounds.prune_below ~recycle:ignore r 6;
   check int_t "floor raised" 6 (Dstruct.Rounds.floor r);
   check int_t "pruned" 5 (Dstruct.Rounds.cardinal r);
   check (Alcotest.option int_t) "below floor reads None" None
@@ -121,13 +121,13 @@ let test_rounds_prune () =
   check (Alcotest.option int_t) "above floor kept" (Some 8)
     (Dstruct.Rounds.find r 8);
   (* Prune never lowers the floor. *)
-  Dstruct.Rounds.prune_below r 2;
+  Dstruct.Rounds.prune_below ~recycle:ignore r 2;
   check int_t "floor monotone" 6 (Dstruct.Rounds.floor r)
 
 let test_rounds_no_resurrection () =
   let r = Dstruct.Rounds.create () in
   Dstruct.Rounds.set r 4 1;
-  Dstruct.Rounds.prune_below r 5;
+  Dstruct.Rounds.prune_below ~recycle:ignore r 5;
   Alcotest.check_raises "find_or_add below floor"
     (Invalid_argument "Rounds.find_or_add: round 4 below floor 5") (fun () ->
       ignore (Dstruct.Rounds.find_or_add r 4 ~default:(fun () -> 0)));
@@ -136,7 +136,7 @@ let test_rounds_no_resurrection () =
       Dstruct.Rounds.set r 4 0);
   Alcotest.check_raises "remove below floor"
     (Invalid_argument "Rounds.remove: round 4 below floor 5") (fun () ->
-      Dstruct.Rounds.remove r 4)
+      Dstruct.Rounds.remove ~recycle:ignore r 4)
 
 (* [Omega.Node]'s freelists reuse cells in the order [prune_below] hands
    them back, so that order is part of the run's behaviour: ascending
@@ -146,8 +146,8 @@ let test_rounds_recycle_order () =
   List.iter
     (fun rn -> Dstruct.Rounds.set r rn rn)
     [ 30; 12; 41; 17; 25; 13; 38; 20; 33; 14; 29 ];
-  Dstruct.Rounds.remove r 17;
-  Dstruct.Rounds.remove r 33;
+  Dstruct.Rounds.remove ~recycle:ignore r 17;
+  Dstruct.Rounds.remove ~recycle:ignore r 33;
   let seen = ref [] in
   Dstruct.Rounds.prune_below r 39 ~recycle:(fun v -> seen := v :: !seen);
   check (Alcotest.list int_t) "ascending" [ 12; 13; 14; 20; 25; 29; 30; 38 ]
@@ -230,7 +230,8 @@ let prop_rounds_model =
         | Remove k ->
             let rn = key k in
             if rn < !floor then
-              refused rn (fun () -> Dstruct.Rounds.remove r rn)
+              refused rn (fun () ->
+                  Dstruct.Rounds.remove ~recycle:ignore r rn)
             else begin
               let got = ref None in
               Dstruct.Rounds.remove r rn ~recycle:(fun v -> got := Some v);
@@ -284,7 +285,7 @@ let rounds_default () = 1
 let test_rounds_alloc () =
   let r = Dstruct.Rounds.create () and window = 24 in
   let recycled = ref 0 in
-  let recycle = Some (fun (_ : int) -> incr recycled) in
+  let recycle (_ : int) = incr recycled in
   let acc = ref 0 in
   let slide first last =
     for rn = first to last do
@@ -292,7 +293,7 @@ let test_rounds_alloc () =
       for x = rn - window + 1 to rn - 1 do
         if x >= 1 then acc := !acc + Dstruct.Rounds.find_exn r x
       done;
-      Dstruct.Rounds.prune_below ?recycle r (rn - window + 1)
+      Dstruct.Rounds.prune_below ~recycle r (rn - window + 1)
     done
   in
   slide 1 1_000;
@@ -303,6 +304,38 @@ let test_rounds_alloc () =
   check int_t "recycled one round per round" (101_000 - window) !recycled;
   check bool_t
     (Printf.sprintf "100k sliding rounds allocated %d minor words (budget 1000)"
+       words)
+    true (words < 1_000)
+
+(* [Omega.Node] keeps its freelist pushers in mutable record fields and
+   passes them on every prune and every collapsed round. That call shape —
+   [~recycle] read from a mutable closure field — must allocate nothing
+   per call: an optional argument would box the field in a fresh [Some]
+   each time. 100k rounds, each with one [remove] and one [prune_below]
+   that both hand a value back. *)
+type freelist = { mutable give_back : int -> unit }
+
+let test_rounds_recycle_field_alloc () =
+  let returned = ref 0 in
+  let h = { give_back = ignore } in
+  h.give_back <- (fun _ -> incr returned);
+  let r = Dstruct.Rounds.create () in
+  let slide first last =
+    for rn = first to last do
+      Dstruct.Rounds.set r (2 * rn) rn;
+      Dstruct.Rounds.set r ((2 * rn) + 1) rn;
+      Dstruct.Rounds.remove ~recycle:h.give_back r (2 * rn);
+      Dstruct.Rounds.prune_below ~recycle:h.give_back r ((2 * rn) + 2)
+    done
+  in
+  slide 0 999;
+  let before = Gc.minor_words () in
+  slide 1_000 100_999;
+  let words = int_of_float (Gc.minor_words () -. before) in
+  check int_t "every round handed back" (2 * 101_000) !returned;
+  check bool_t
+    (Printf.sprintf
+       "100k remove + prune_below calls allocated %d minor words (budget 1000)"
        words)
     true (words < 1_000)
 
@@ -455,6 +488,8 @@ let () =
           Alcotest.test_case "recycle order" `Quick test_rounds_recycle_order;
           Alcotest.test_case "sliding window allocates nothing" `Quick
             test_rounds_alloc;
+          Alcotest.test_case "field recycle allocates nothing" `Quick
+            test_rounds_recycle_field_alloc;
           qtest prop_rounds_model;
         ] );
       ( "bitset",

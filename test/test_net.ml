@@ -147,6 +147,45 @@ let test_bad_args () =
            (Sim.Engine.create ~seed:1L ())
            ~n:2))
 
+(* A duplication burst on the direct path delivers a send twice — the
+   copy [extra] later, on its own flight — and every flight goes back to
+   the pool exactly once. The 1,000 sends after the burst start while the
+   copy is still in flight and overlap each other (40 in flight at a
+   time): a flight released twice, or handed out again while still
+   scheduled, would deliver one payload twice and lose another. *)
+let test_dup_burst_direct () =
+  let engine, net = make ~n:4 () in
+  let log = ref [] in
+  for p = 0 to 3 do
+    Net.Network.set_handler net p (fun ~src (Ping v) ->
+        let now = Sim.Time.to_us (Sim.Engine.now engine) in
+        log := (v, Printf.sprintf "t=%d %d->%d Ping %d" now src p v) :: !log)
+  done;
+  Net.Network.set_dup_burst net ~until:(us 1) ~extra:(us 5);
+  Net.Network.send net ~src:2 ~dst:1 (Ping (-1));
+  for k = 0 to 249 do
+    ignore
+      (Sim.Engine.schedule_at engine (us (11 + k)) (fun () ->
+           for s = 0 to 3 do
+             Net.Network.send net ~src:s ~dst:((s + 1) mod 4)
+               (Ping ((4 * k) + s))
+           done))
+  done;
+  ignore (Sim.Engine.run_until_idle engine);
+  let got =
+    List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.rev !log)
+  in
+  let burst, later = List.partition (fun (v, _) -> v < 0) got in
+  let str_list = Alcotest.(list string) in
+  check str_list "the burst send arrives at its delay and at delay + extra"
+    [ "t=10 2->1 Ping -1"; "t=15 2->1 Ping -1" ]
+    (List.map snd burst);
+  check str_list "every later send arrives once, with its own payload"
+    (List.init 1_000 (fun i ->
+         let k = i / 4 and s = i mod 4 in
+         Printf.sprintf "t=%d %d->%d Ping %d" (21 + k) s ((s + 1) mod 4) i))
+    (List.map snd later)
+
 let prop_reliable_no_loss =
   (* Every message sent between non-crashed processes is delivered exactly
      once (reliability), for any delays. *)
@@ -192,6 +231,7 @@ let () =
           Alcotest.test_case "tracer" `Quick test_tracer_events;
           Alcotest.test_case "self send" `Quick test_self_send;
           Alcotest.test_case "bad args" `Quick test_bad_args;
+          Alcotest.test_case "duplication burst" `Quick test_dup_burst_direct;
           qtest prop_reliable_no_loss;
         ] );
     ]

@@ -3,10 +3,11 @@
    same digest, same aggregate results — to the uninterrupted run, for
    all three algorithms, faulted plans and the consensus and broadcast
    layers; and snapshotting must never perturb
-   the run it copies. Also the failure modes: a staged broadcast batch, an
-   unregistered packed function, and a trace sink all refuse to snapshot
-   with a clean error and leave the live run usable. The farm's shard
-   files ride along: they are marshalled the same untyped way. *)
+   the run it copies. Also the failure modes: an unregistered packed
+   function and a trace sink both refuse to snapshot with a clean error
+   and leave the live run usable, and a checkpointed sweep refuses an
+   interval that cannot advance the clock. The farm's shard files ride
+   along: they are marshalled the same untyped way. *)
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
@@ -362,17 +363,6 @@ let test_store_spans_chunks () =
 
 (* ----------------------------------------------------------- refusals *)
 
-let test_pending_batch_raises () =
-  let engine = Sim.Engine.create ~seed:1L () in
-  Sim.Engine.batch_call_after engine (ms 1) ignore 0;
-  (match Sim.Engine.snapshot engine 0 with
-  | (_ : Bytes.t) -> Alcotest.fail "snapshot accepted a pending batch"
-  | exception Invalid_argument _ -> ());
-  (* The engine is untouched: committing and running still works. *)
-  Sim.Engine.batch_commit engine;
-  Sim.Engine.run_until engine (ms 2);
-  check int_t "batched event still fires" 1 (Sim.Engine.executed engine)
-
 let test_unregistered_fn_raises () =
   let engine = Sim.Engine.create ~seed:1L () in
   let hits = ref 0 in
@@ -384,6 +374,21 @@ let test_unregistered_fn_raises () =
   | exception Invalid_argument _ -> ());
   Sim.Engine.run_until engine (ms 2);
   check int_t "event still fires after refused snapshot" 2 !hits
+
+(* A checkpoint interval that does not move the clock is refused before
+   the first slice: such slices would rewrite one checkpoint forever. *)
+let test_zero_checkpoint_interval_raises () =
+  let obs =
+    {
+      Experiments.Suite.no_obs with
+      checkpoint = Some (Filename.get_temp_dir_name (), Sim.Time.zero);
+      farm = Experiments.Suite.local_farm ();
+    }
+  in
+  Parallel.Pool.with_pool ~jobs:1 (fun pool ->
+      match Experiments.Suite.e3 ~pool ~quick:true ~obs with
+      | () -> Alcotest.fail "e3 accepted a zero checkpoint interval"
+      | exception Invalid_argument _ -> ())
 
 let test_trace_sink_raises () =
   let config = Omega.Config.default ~n:4 ~t:1 Omega.Config.Fig3 in
@@ -434,9 +439,10 @@ let () =
         ] );
       ( "refusals",
         [
-          Alcotest.test_case "pending batch" `Quick test_pending_batch_raises;
           Alcotest.test_case "unregistered fn" `Quick
             test_unregistered_fn_raises;
           Alcotest.test_case "trace sink" `Quick test_trace_sink_raises;
+          Alcotest.test_case "zero checkpoint interval" `Quick
+            test_zero_checkpoint_interval_raises;
         ] );
     ]

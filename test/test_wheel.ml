@@ -6,8 +6,8 @@
    the order check among them), random differential programs against a
    sorted-list reference that computes every event's (key, cidx) itself
    (external schedules between partial runs, handlers that schedule more,
-   batched fan-outs, rank changes in both directions, cancels), and the
-   allocation gates of the steady state. *)
+   rank changes in both directions, cancels), and the allocation gates of
+   the steady state. *)
 
 let check = Alcotest.check
 let int_t = Alcotest.int
@@ -127,52 +127,6 @@ let test_peek_does_not_advance () =
     "near keys fire first" [ (100, 2); (200, 1); (1_000_000, 0) ]
     (List.rev !log)
 
-(* ------------------------------------------------------- batch insertion *)
-
-(* Staged slots are invisible to queries until the commit; a commit makes
-   the queue identical to individual schedules, FIFO included. *)
-let test_stage_commit_basics () =
-  let program batched =
-    let e = Sim.Engine.create ~seed:1L () in
-    let log, note = fired_pairs () in
-    let sched =
-      if batched then Sim.Engine.batch_call_after e else Sim.Engine.call_after e
-    in
-    Sim.Engine.call_after e (us 5) note (5, 0);
-    sched (us 3) note (3, 1);
-    sched (us 5) note (5, 2);
-    sched (us 3) note (3, 3);
-    check int_t "staged events are live" 4 (Sim.Engine.pending e);
-    if batched then
-      Alcotest.check_raises "peek with a staged batch raises"
-        (Invalid_argument "Engine: staged batch pending commit") (fun () ->
-          ignore (Sim.Engine.next_pending_key e));
-    Sim.Engine.batch_commit e;
-    check int_t "earliest after commit" 3 (Sim.Engine.next_pending_us e);
-    ignore (Sim.Engine.run_until_idle e);
-    (* An empty commit is a no-op. *)
-    Sim.Engine.batch_commit e;
-    check int_t "drained" 0 (Sim.Engine.pending e);
-    List.rev !log
-  in
-  let expected = [ (3, 1); (3, 3); (5, 0); (5, 2) ] in
-  List.iter
-    (fun (label, batched) ->
-      check
-        (Alcotest.list (Alcotest.pair int_t int_t))
-        label expected (program batched))
-    [ ("staged", true); ("one by one", false) ]
-
-let test_stage_below_cursor_raises () =
-  let e = Sim.Engine.create ~seed:1L () in
-  Sim.Engine.call_at e (us 10) ignore ();
-  ignore (Sim.Engine.run_until_idle e);
-  Alcotest.check_raises "stage before now"
-    (Invalid_argument "Engine.schedule: 3us is before now (10us)") (fun () ->
-      Sim.Engine.batch_call_after e (us (-7)) ignore ());
-  Sim.Engine.batch_commit e;
-  check int_t "refusal stages nothing" 0 (Sim.Engine.pending e)
-
 (* ------------------------------------------- differential vs reference *)
 
 (* The reference: the canonical order, computed by the test with no wheel.
@@ -196,7 +150,6 @@ type reference = {
    called with each fired event's canonical identity. *)
 type sched = {
   schedule : delay:int -> int -> unit;
-  commit : unit -> unit;
   cancel : int -> unit;
   set_rank : int -> unit;
   run_until : int -> unit;
@@ -244,7 +197,6 @@ let reference_sched ~on_fire =
         let cidx = r.r_counters.(rank) in
         r.r_counters.(rank) <- cidx + 1;
         r.r_pending <- insert_sorted (key, cidx, id) r.r_pending);
-    commit = ignore;
     cancel =
       (fun id ->
         r.r_pending <- List.filter (fun (_, _, i) -> i <> id) r.r_pending);
@@ -260,9 +212,7 @@ let reference_sched ~on_fire =
   }
 
 (* [api]: [`Packed] schedules fire-and-forget with [call_after],
-   [`Batched] stages every schedule with [batch_call_after] (the program
-   commits), [`Handles] schedules closures with handles, so [cancel]
-   works. *)
+   [`Handles] schedules closures with handles, so [cancel] works. *)
 let engine_sched ~api ~on_fire =
   let e = Sim.Engine.create ~seed:1L () in
   let handles = Hashtbl.create 64 in
@@ -274,11 +224,9 @@ let engine_sched ~api ~on_fire =
       (fun ~delay id ->
         match api with
         | `Packed -> Sim.Engine.call_after e (us delay) fire id
-        | `Batched -> Sim.Engine.batch_call_after e (us delay) fire id
         | `Handles ->
             Hashtbl.replace handles id
               (Sim.Engine.schedule_after e (us delay) (fun () -> fire id)));
-    commit = (fun () -> Sim.Engine.batch_commit e);
     cancel = (fun id -> Sim.Engine.cancel e (Hashtbl.find handles id));
     set_rank = Sim.Engine.set_rank e;
     run_until = (fun limit -> Sim.Engine.run_until e (us limit));
@@ -290,8 +238,7 @@ let engine_sched ~api ~on_fire =
 
 let fired_t = Alcotest.(list (triple int_t int_t int_t))
 
-(* One random program, run on the engine (optionally with every schedule
-   staged and committed in batches) and on the reference; the fire logs —
+(* One random program, run on the engine and on the reference; the fire logs —
    ids with their (key, cidx) — and the [pending] trace must be equal. The
    outer loop alternates external schedules at random offsets above the
    clock with partial runs to a random limit (so pops are interleaved with
@@ -302,7 +249,7 @@ let fired_t = Alcotest.(list (triple int_t int_t int_t))
    the FIFO tie-break is hit hard, and a zero-delay child under a lower
    rank takes the [exec_key] clamp. Both runs draw from one RNG stream in
    fire order: a divergence shows up as differing logs. *)
-let run_differential ~seed ~ops ~spread ~burst ?(batched = false) () =
+let run_differential ~seed ~ops ~spread ~burst () =
   let run make =
     let rng = Dstruct.Rng.create seed in
     let log = ref [] and pendings = ref [] and uid = ref 0 in
@@ -320,12 +267,10 @@ let run_differential ~seed ~ops ~spread ~burst ?(batched = false) () =
       log := (id, key, cidx) :: !log;
       let s = Option.get !self in
       s.set_rank (id mod 7);
-      if !uid < ops && Dstruct.Rng.chance rng 0.45 then begin
+      if !uid < ops && Dstruct.Rng.chance rng 0.45 then
         for _ = 1 to 1 + Dstruct.Rng.int rng 3 do
           schedule ()
-        done;
-        s.commit ()
-      end
+        done
     in
     let s = make ~on_fire in
     self := Some s;
@@ -333,7 +278,6 @@ let run_differential ~seed ~ops ~spread ~burst ?(batched = false) () =
       for _ = 1 to 1 + Dstruct.Rng.int rng 8 do
         schedule ()
       done;
-      s.commit ();
       s.run_until (s.now () + Dstruct.Rng.int rng spread);
       pendings := s.pending () :: !pendings
     done;
@@ -342,18 +286,10 @@ let run_differential ~seed ~ops ~spread ~burst ?(batched = false) () =
     (List.rev !log, List.rev !pendings, s.executed ())
   in
   let ref_log, ref_pend, ref_x = run reference_sched in
-  let log, pend, x =
-    run (engine_sched ~api:(if batched then `Batched else `Packed))
-  in
+  let log, pend, x = run (engine_sched ~api:`Packed) in
   check fired_t "fire order and (key, cidx) agree" ref_log log;
   check (Alcotest.list int_t) "pending agrees after every run" ref_pend pend;
   check int_t "executed agrees" ref_x x
-
-let test_batch_differential () =
-  List.iter
-    (fun (seed, spread) ->
-      run_differential ~seed ~ops:20_000 ~spread ~burst:true ~batched:true ())
-    [ (31L, 64); (32L, 5_000); (33L, 10_000_000) ]
 
 let test_differential_spread () =
   List.iter
@@ -464,10 +400,8 @@ let test_steady_state_alloc_free () =
 
 (* The large-cluster stream (DESIGN.md §14): an n=256 slice of simulation,
    digested event by event, pinned at the value on which the timing wheel
-   and the binary-heap reference it replaced agreed — the batched
-   broadcast fan-out (staged wheel splices) must keep the order of one
-   push per destination. The horizon is short: at n=256 even 100
-   simulated milliseconds is ~1M messages. *)
+   and the binary-heap reference it replaced agreed. The horizon is
+   short: at n=256 even 100 simulated milliseconds is ~1M messages. *)
 let test_n256_digest_pinned () =
   let n = 256 in
   let config = Omega.Config.default ~n ~t:((n - 1) / 2) Omega.Config.Fig1 in
@@ -582,10 +516,6 @@ let () =
             test_empty_idle;
           Alcotest.test_case "peek does not advance cursor" `Quick
             test_peek_does_not_advance;
-          Alcotest.test_case "stage/commit equals pushes" `Quick
-            test_stage_commit_basics;
-          Alcotest.test_case "stage below cursor raises" `Quick
-            test_stage_below_cursor_raises;
           Alcotest.test_case "clamped schedule sorts after its key's queue"
             `Quick test_clamp_sorts_after_queued;
           Alcotest.test_case "order check raises on a descending commit"
@@ -602,8 +532,6 @@ let () =
             test_differential_wide;
           Alcotest.test_case "same-time bursts keep FIFO" `Quick
             test_differential_bursts;
-          Alcotest.test_case "batched inserts match heap" `Quick
-            test_batch_differential;
           Alcotest.test_case "engine backends agree" `Quick
             test_engine_differential;
           Alcotest.test_case "n=256 backend digests agree" `Slow
