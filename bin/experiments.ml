@@ -166,8 +166,24 @@ let ids_term =
     & info [] ~docv:"EXPERIMENT"
         ~doc:"Experiment ids to run (e1..e13). Default: all.")
 
+(* Make sure the checkpoint directory exists, creating it if missing. A
+   regular file, or a path whose parent is missing, is refused here,
+   before any run starts, rather than at the first checkpoint write. *)
+let ensure_dir dir =
+  match Sys.is_directory dir with
+  | true -> Ok ()
+  | false -> Error (dir ^ " is not a directory")
+  | exception Sys_error _ -> (
+      try Ok (Sys.mkdir dir 0o755) with Sys_error msg -> Error msg)
+
 let run list quick jobs intra_jobs metrics trace topology checkpoint_dir
     checkpoint_every shard shard_out ids =
+  let unknown =
+    List.filter
+      (fun id ->
+        not (List.exists (fun (k, _, _) -> k = id) Experiments.Suite.all))
+      ids
+  in
   if list then begin
     List.iter
       (fun (id, doc, _) -> Printf.printf "%-4s %s\n" id doc)
@@ -187,25 +203,27 @@ let run list quick jobs intra_jobs metrics trace topology checkpoint_dir
     `Error (false, "--trace disables --checkpoint-dir (pick one)")
   else if Option.is_some shard && Option.is_none shard_out then
     `Error (false, "--shard requires --shard-out FILE")
-  else begin
-    let selected =
-      match ids with
-      | [] -> Experiments.Suite.all
-      | ids ->
-          List.filter (fun (id, _, _) -> List.mem id ids) Experiments.Suite.all
-    in
-    match (selected, ids) with
-    | [], _ :: _ ->
-        `Error (false, "unknown experiment id; try --list")
-    | selected, _ ->
+  else if unknown <> [] then
+    `Error
+      ( false,
+        Printf.sprintf "unknown experiment id(s) %s; try --list"
+          (String.concat ", " unknown) )
+  else
+    match Option.map ensure_dir checkpoint_dir with
+    | Some (Error msg) -> `Error (false, "--checkpoint-dir: " ^ msg)
+    | None | Some (Ok ()) ->
+        let selected =
+          match ids with
+          | [] -> Experiments.Suite.all
+          | ids ->
+              List.filter
+                (fun (id, _, _) -> List.mem id ids)
+                Experiments.Suite.all
+        in
         let oc = Option.map open_out trace in
         let jsonl = Option.map Obs.Jsonl.create oc in
         let checkpoint =
-          Option.map
-            (fun dir ->
-              if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-              (dir, checkpoint_every))
-            checkpoint_dir
+          Option.map (fun dir -> (dir, checkpoint_every)) checkpoint_dir
         in
         let farm =
           match shard with
@@ -249,7 +267,6 @@ let run list quick jobs intra_jobs metrics trace topology checkpoint_dir
               ~cells:!recorded
         | _ -> ());
         `Ok ()
-  end
 
 let cmd =
   let doc =

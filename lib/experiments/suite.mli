@@ -2,8 +2,8 @@
 
     Each function runs one experiment and prints its table(s) to stdout.
     [quick] shrinks parameters (fewer points, shorter horizons) for smoke
-    runs and the Bechamel benches; the full versions are what EXPERIMENTS.md
-    records.
+    runs, CI's determinism gate and the repository benchmark; the full
+    versions are what EXPERIMENTS.md records.
 
     [pool] fans the independent simulation runs behind each table out
     across domains ({!Parallel.Pool}); rows are assembled in submission

@@ -203,9 +203,8 @@ val advance : live -> until:Sim.Time.t -> unit
 
 (** Marshal the whole run (engine, pending events, nodes, observers) to
     bytes via {!Sim.Engine.snapshot}. Raises [Invalid_argument] if the run
-    is sharded, if the spec carries an external [sink] (a trace writer
-    holds an out-channel) or if a broadcast batch is mid-commit
-    (impossible between events). The live run is unperturbed. *)
+    is sharded or if the spec carries an external [sink] (a trace writer
+    holds an out-channel). The live run is unperturbed. *)
 val snapshot : live -> Bytes.t
 
 (** Rebuild a run from {!snapshot} bytes: a disjoint stack that continues
