@@ -8,8 +8,6 @@
      experiments --trace f.jsonl  stream every run's typed events to f.jsonl
      experiments --checkpoint-dir D --checkpoint-every 5
                                persist resumable per-row snapshots into D
-     experiments --shard 1/2 --shard-out a.shard
-                               execute half the rows; merge_tables reassembles
      experiments e2 e4         run selected experiments
      experiments --list        list experiments *)
 
@@ -129,37 +127,6 @@ let checkpoint_every_term =
            least 0.001; kept in whole milliseconds). Only meaningful with \
            --checkpoint-dir.")
 
-let shard_conv =
-  let parse s =
-    match String.split_on_char '/' s with
-    | [ i; k ] -> (
-        match (int_of_string_opt i, int_of_string_opt k) with
-        | Some i, Some k when k >= 1 && i >= 1 && i <= k -> Ok (i, k)
-        | _ -> Error (`Msg "expected I/K with 1 <= I <= K"))
-    | _ -> Error (`Msg "expected I/K, e.g. --shard 1/2")
-  in
-  let print ppf (i, k) = Format.fprintf ppf "%d/%d" i k in
-  Cmdliner.Arg.conv (parse, print)
-
-let shard_term =
-  Cmdliner.Arg.(
-    value
-    & opt (some shard_conv) None
-    & info [ "shard" ] ~docv:"I/K"
-        ~doc:
-          "Execute only shard $(docv) of the sweep (cells interleaved by \
-           declaration id, so each table's heavy tail spreads across \
-           shards). Prints nothing; the rows go to --shard-out, and \
-           $(b,merge_tables) reassembles the K files into the exact \
-           unsharded output.")
-
-let shard_out_term =
-  Cmdliner.Arg.(
-    value
-    & opt (some string) None
-    & info [ "shard-out" ] ~docv:"FILE"
-        ~doc:"Where --shard writes its rows (required with --shard).")
-
 let ids_term =
   Cmdliner.Arg.(
     value & pos_all string []
@@ -177,7 +144,7 @@ let ensure_dir dir =
       try Ok (Sys.mkdir dir 0o755) with Sys_error msg -> Error msg)
 
 let run list quick jobs intra_jobs metrics trace topology checkpoint_dir
-    checkpoint_every shard shard_out ids =
+    checkpoint_every ids =
   let unknown =
     List.filter
       (fun id ->
@@ -197,12 +164,8 @@ let run list quick jobs intra_jobs metrics trace topology checkpoint_dir
   else if intra_jobs > 1 && Option.is_some checkpoint_dir then
     `Error
       (false, "--intra-jobs needs the run on one engine; drop --checkpoint-dir")
-  else if Option.is_some trace && Option.is_some shard then
-    `Error (false, "--trace and --shard are mutually exclusive")
   else if Option.is_some trace && Option.is_some checkpoint_dir then
     `Error (false, "--trace disables --checkpoint-dir (pick one)")
-  else if Option.is_some shard && Option.is_none shard_out then
-    `Error (false, "--shard requires --shard-out FILE")
   else if unknown <> [] then
     `Error
       ( false,
@@ -211,62 +174,39 @@ let run list quick jobs intra_jobs metrics trace topology checkpoint_dir
   else
     match Option.map ensure_dir checkpoint_dir with
     | Some (Error msg) -> `Error (false, "--checkpoint-dir: " ^ msg)
-    | None | Some (Ok ()) ->
-        let selected =
-          match ids with
-          | [] -> Experiments.Suite.all
-          | ids ->
-              List.filter
-                (fun (id, _, _) -> List.mem id ids)
-                Experiments.Suite.all
-        in
-        let oc = Option.map open_out trace in
-        let jsonl = Option.map Obs.Jsonl.create oc in
-        let checkpoint =
-          Option.map (fun dir -> (dir, checkpoint_every)) checkpoint_dir
-        in
-        let farm =
-          match shard with
-          | None -> Experiments.Suite.local_farm ()
-          | Some (index, count) ->
-              (* A shard's stdout contract is "nothing": the rows travel in
-                 the shard file and merge_tables re-renders the tables. *)
-              Harness.Table.set_out (open_out Filename.null);
+    | None | Some (Ok ()) -> (
+        match Option.map open_out trace with
+        | exception Sys_error msg -> `Error (false, "--trace: " ^ msg)
+        | oc ->
+            let selected =
+              match ids with
+              | [] -> Experiments.Suite.all
+              | ids ->
+                  List.filter
+                    (fun (id, _, _) -> List.mem id ids)
+                    Experiments.Suite.all
+            in
+            let jsonl = Option.map Obs.Jsonl.create oc in
+            let checkpoint =
+              Option.map (fun dir -> (dir, checkpoint_every)) checkpoint_dir
+            in
+            let obs =
               {
-                Experiments.Suite.mode =
-                  Shard { index; count; recorded = ref [] };
-                next_cell = 0;
+                Experiments.Suite.trace = jsonl;
+                metrics;
+                checkpoint;
+                topology;
+                intra = intra_jobs;
               }
-        in
-        let obs =
-          {
-            Experiments.Suite.trace = jsonl;
-            metrics;
-            checkpoint;
-            farm;
-            topology;
-            intra = intra_jobs;
-          }
-        in
-        (* The JSONL writer is one shared out-channel: events from
-           concurrent runs would interleave, so tracing pins the run farm
-           to a single domain. *)
-        let jobs = if Option.is_some jsonl then 1 else jobs in
-        Parallel.Pool.with_pool ~jobs (fun pool ->
-            List.iter (fun (_, _, f) -> f ~pool ~quick ~obs) selected);
-        Option.iter Obs.Jsonl.close jsonl;
-        (match (farm.Experiments.Suite.mode, shard_out) with
-        | Shard { index; count; recorded }, Some path ->
-            Experiments.Suite.Shard.save ~path ~index ~count
-              ~ids:(List.map (fun (id, _, _) -> id) selected)
-              ~quick ~metrics
-              ~topology:
-                (match topology with
-                | Some k -> Net.Topology.kind_to_string k
-                | None -> "-")
-              ~cells:!recorded
-        | _ -> ());
-        `Ok ()
+            in
+            (* The JSONL writer is one shared out-channel: events from
+               concurrent runs would interleave, so tracing pins the run
+               farm to a single domain. *)
+            let jobs = if Option.is_some jsonl then 1 else jobs in
+            Parallel.Pool.with_pool ~jobs (fun pool ->
+                List.iter (fun (_, _, f) -> f ~pool ~quick ~obs) selected);
+            Option.iter Obs.Jsonl.close jsonl;
+            `Ok ())
 
 let cmd =
   let doc =
@@ -279,7 +219,6 @@ let cmd =
       ret
         (const run $ list_term $ quick_term $ jobs_term $ intra_jobs_term
        $ metrics_term $ trace_term $ topology_term
-       $ checkpoint_dir_term $ checkpoint_every_term $ shard_term
-       $ shard_out_term $ ids_term))
+       $ checkpoint_dir_term $ checkpoint_every_term $ ids_term))
 
 let () = exit (Cmdliner.Cmd.eval cmd)

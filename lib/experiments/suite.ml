@@ -43,25 +43,8 @@ let leader_cell result =
 let stab_cell result = Table.ms (Run.stabilization_ms result)
 
 (* The farm (DESIGN.md §16): every table row (or cell) is a [cell] — a
-   label, a cost estimate, and a thunk owning its whole simulation stack.
-   Cells are numbered globally in declaration order across the session's
-   selected experiments; the number is the cell's identity for sharding
-   and merging, so a merge replaying the same selection re-derives the
-   same numbering. *)
+   label, a cost estimate, and a thunk owning its whole simulation stack. *)
 type cell = { label : string; cost : float; exec : unit -> string list }
-
-type farm_mode =
-  | Local
-  | Shard of {
-      index : int;  (* 1-based *)
-      count : int;
-      recorded : (int * string list) list ref;
-    }
-  | Merge of (int, string list) Hashtbl.t
-
-type farm = { mode : farm_mode; mutable next_cell : int }
-
-let local_farm () = { mode = Local; next_cell = 0 }
 
 (* Session-wide observability, set by bin/experiments.exe flags. With
    [no_obs] every run takes the zero-cost null-sink path and the tables are
@@ -70,7 +53,6 @@ type obs = {
   trace : Obs.Jsonl.t option;
   metrics : bool;
   checkpoint : (string * Sim.Time.t) option;
-  farm : farm;
   topology : Net.Topology.kind option;
       (* session-wide graph override (--topology): applied to every run
          that did not pick a topology itself (E13's rows keep theirs) *)
@@ -84,7 +66,6 @@ let no_obs =
     trace = None;
     metrics = false;
     checkpoint = None;
-    farm = local_farm ();
     topology = None;
     intra = 1;
   }
@@ -240,123 +221,32 @@ let cost_of ?(algo = `Gossip) ?(check = true) ~n horizon =
    40-second E7 row from becoming the tail of the whole sweep. Results
    are mapped back to declaration order before anything renders, so
    stdout (hence the byte-identity of the tables) is independent of both
-   the pool size and the schedule. Per-cell wall clock goes to stderr —
-   machine time is nondeterministic.
-
-   Under [Shard i/k] only cells with [id mod k = i - 1] execute (the
-   interleaving balances each table's heavy tail across shards); the rows
-   are recorded for the shard file and the returned placeholders render
-   into the void (bin/experiments.exe nulls the table channel). Under
-   [Merge] nothing executes: rows come from the loaded shard files by
-   cell id, and the replayed rendering is byte-identical to the unsharded
-   run. *)
-let on ~obs pool cells =
+   the pool size and the schedule. Per-cell wall clock goes to stderr, in
+   declaration order — machine time is nondeterministic. *)
+let on pool cells =
   let cells = Array.of_list cells in
-  let farm = obs.farm in
-  let base = farm.next_cell in
-  farm.next_cell <- base + Array.length cells;
-  match farm.mode with
-  | Merge table ->
-      Array.to_list
-        (Array.mapi
-           (fun i c ->
-             match Hashtbl.find_opt table (base + i) with
-             | Some rows -> rows
-             | None ->
-                 failwith
-                   (Printf.sprintf
-                      "merge: cell %d (%s) missing — incomplete shard set?"
-                      (base + i) c.label))
-           cells)
-  | Local | Shard _ ->
-      let mine =
-        match farm.mode with
-        | Shard { index; count; _ } -> fun i -> (base + i) mod count = index - 1
-        | Local | Merge _ -> fun _ -> true
-      in
-      let order =
-        let ids = ref [] in
-        for i = Array.length cells - 1 downto 0 do
-          if mine i then ids := i :: !ids
-        done;
-        let order = Array.of_list !ids in
-        Array.sort
-          (fun a b ->
-            match Float.compare cells.(b).cost cells.(a).cost with
-            | 0 -> Int.compare a b
-            | c -> c)
-          order;
-        order
-      in
-      let timed =
-        Parallel.Pool.run pool
-          (Array.map
-             (fun i () ->
-               let t0 = Unix.gettimeofday () in
-               let rows = cells.(i).exec () in
-               (i, rows, Unix.gettimeofday () -. t0))
-             order)
-      in
-      let results = Array.make (Array.length cells) None in
-      Array.iter (fun (i, rows, w) -> results.(i) <- Some (rows, w)) timed;
-      Array.iteri
-        (fun i slot ->
-          match slot with
-          | Some (rows, w) -> (
-              prerr_endline (Table.wall cells.(i).label w);
-              match farm.mode with
-              | Shard { recorded; _ } ->
-                  recorded := (base + i, rows) :: !recorded
-              | Local | Merge _ -> ())
-          | None -> ())
-        results;
-      Array.to_list
-        (Array.map (function Some (rows, _) -> rows | None -> []) results)
-
-(* The shard file: which slice of which sweep, plus the recorded rows.
-   bin/merge_tables.exe validates that the headers agree pairwise and
-   cover 1..count before replaying. *)
-module Shard = struct
-  let magic = "omega-experiment-shard-v3"
-
-  type file = {
-    shard_magic : string;
-    index : int;
-    count : int;
-    ids : string list;  (* selected experiment ids, Suite.all order *)
-    quick : bool;
-    metrics : bool;
-    topology : string;  (* --topology override kind name; "-" = none *)
-    cells : (int * string list) list;
-  }
-
-  let save ~path ~index ~count ~ids ~quick ~metrics ~topology ~cells =
-    let oc = open_out_bin path in
-    Marshal.to_channel oc
-      {
-        shard_magic = magic;
-        index;
-        count;
-        ids;
-        quick;
-        metrics;
-        topology;
-        cells;
-      }
-      [];
-    close_out oc
-
-  let load path =
-    let ic = open_in_bin path in
-    let f =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> (Marshal.from_channel ic : file))
-    in
-    if f.shard_magic <> magic then
-      failwith (path ^ ": not an experiment shard file");
-    f
-end
+  let order = Array.init (Array.length cells) Fun.id in
+  Array.sort
+    (fun a b ->
+      match Float.compare cells.(b).cost cells.(a).cost with
+      | 0 -> Int.compare a b
+      | c -> c)
+    order;
+  let timed =
+    Parallel.Pool.run pool
+      (Array.map
+         (fun i () ->
+           let t0 = Unix.gettimeofday () in
+           let rows = cells.(i).exec () in
+           (i, rows, Unix.gettimeofday () -. t0))
+         order)
+  in
+  let results = Array.make (Array.length cells) ([], 0.) in
+  Array.iter (fun (i, rows, w) -> results.(i) <- (rows, w)) timed;
+  Array.iteri
+    (fun i (_, w) -> prerr_endline (Table.wall cells.(i).label w))
+    results;
+  Array.to_list (Array.map fst results)
 
 (* ------------------------------------------------------------------ E1 *)
 
@@ -366,7 +256,7 @@ let e1 ~pool ~quick ~obs =
     [ Omega.Config.Fig1; Omega.Config.Fig2; Omega.Config.Fig3 ]
   in
   let rows =
-    on ~obs pool
+    on pool
     @@ List.concat_map
          (fun n ->
            let t = (n - 1) / 2 in
@@ -430,7 +320,7 @@ let e2 ~pool ~quick ~obs =
   let ds = if quick then [ 2; 4 ] else [ 2; 4; 8; 16 ] in
   let crashes = [ (0, sec 5) ] in
   let rows =
-    on ~obs pool
+    on pool
     @@ List.concat_map
          (fun d ->
            List.map
@@ -504,7 +394,7 @@ let e3 ~pool ~quick ~obs =
     ]
   in
   let rows =
-    on ~obs pool
+    on pool
     @@ List.map
          (fun (variant, regime) ->
            let label =
@@ -588,7 +478,7 @@ let e4 ~pool ~quick ~obs =
      pool can overlap all |regimes| x |algos| simulations. A cell returns
      its table entry, then its digest under [metrics]. *)
   let cells =
-    on ~obs pool
+    on pool
     @@ List.concat_map
          (fun regime ->
            List.map
@@ -645,15 +535,11 @@ let e4 ~pool ~quick ~obs =
         let rest = List.filteri (fun i _ -> i >= width) cells in
         row :: chunk rest
   in
-  (* A shard's placeholder for a cell it does not own is [[]]. *)
   let grid column =
     List.map2
       (fun regime row -> Scenario.regime_name regime :: row)
       regimes
-      (chunk
-         (List.map
-            (fun rows -> Option.value ~default:"-" (List.nth_opt rows column))
-            cells))
+      (chunk (List.map (fun rows -> List.nth rows column) cells))
   in
   let header = "regime" :: List.map (fun (name, _, _, _) -> name) algos in
   Table.print
@@ -672,7 +558,7 @@ let e5 ~pool ~quick ~obs =
   let ns = if quick then [ 4; 8 ] else [ 4; 8; 16; 32 ] in
   let horizon = if quick then sec 10 else sec 20 in
   let rows =
-    on ~obs pool
+    on pool
     @@ List.concat_map
          (fun n ->
            let t = (n - 1) / 2 in
@@ -812,7 +698,7 @@ let e6 ~pool ~quick ~obs =
     ]
   in
   let cells =
-    on ~obs pool
+    on pool
     @@ List.concat_map
          (fun d ->
            let env =
@@ -842,8 +728,7 @@ let e6 ~pool ~quick ~obs =
              stacks)
          ds
   in
-  (* A row is D, both stacks' columns, then both digests under --metrics.
-     A shard's placeholder for a cell it does not own is [[]]. *)
+  (* A row is D, both stacks' columns, then both digests under --metrics. *)
   let split cells =
     let k = List.length cells - if obs.metrics then 1 else 0 in
     ( List.filteri (fun i _ -> i < k) cells,
@@ -964,7 +849,7 @@ let e7 ~pool ~quick ~obs =
   (* Both tables' runs go out in one batch; printing happens after the
      join, in table order. *)
   let split = List.length thunks_a in
-  let all_rows = on ~obs pool (thunks_a @ thunks_b) in
+  let all_rows = on pool (thunks_a @ thunks_b) in
   let rows = List.filteri (fun i _ -> i < split) all_rows in
   let rows_b = List.filteri (fun i _ -> i >= split) all_rows in
   Table.print
@@ -996,7 +881,7 @@ let e8 ~pool ~quick ~obs =
   let horizon = if quick then sec 30 else sec 90 in
   let seeds = if quick then [ 7L ] else [ 7L; 8L; 9L ] in
   let rows =
-    on ~obs pool
+    on pool
     @@ List.concat_map
          (fun variant ->
            List.map
@@ -1104,7 +989,7 @@ let e9 ~pool ~quick ~obs =
     ]
   in
   let rows =
-    on ~obs pool
+    on pool
     @@ List.concat_map
          (fun (fault_label, plan_of) ->
            List.map
@@ -1175,7 +1060,7 @@ let e10 ~pool ~quick ~obs =
     ]
   in
   let rows =
-    on ~obs pool
+    on pool
     @@ List.map
          (fun (regime, adversary, plan) ->
            let label =
@@ -1261,7 +1146,7 @@ let e11 ~pool ~quick ~obs =
     ]
   in
   let results =
-    on ~obs pool
+    on pool
     @@ List.concat_map
          (fun n ->
            let t = (n - 1) / 2 in
@@ -1382,7 +1267,7 @@ let e12 ~pool ~quick ~obs =
   in
   let algos = [ ("fig3", `Gossip); ("relay", `Relay) ] in
   let results =
-    on ~obs pool
+    on pool
     @@ List.concat_map
          (fun n ->
            let t = (n - 1) / 2 in
@@ -1615,7 +1500,7 @@ let e13 ~pool ~quick ~obs =
             algos)
         [ 64; 256 ]
   in
-  let results = on ~obs pool (sweep_rows @ scale_rows) in
+  let results = on pool (sweep_rows @ scale_rows) in
   Table.print
     ~title:
       "E13: topology x channel class x algorithm (routed graphs, tight \

@@ -1,11 +1,3 @@
-(* Tables normally go to stdout; a sharded producer (bin/experiments.exe
-   --shard, DESIGN.md §16) renders into the void instead — its stdout
-   contract is "nothing", the rows travel in the shard file and the merge
-   step re-renders them byte-identically. *)
-let out = ref Stdlib.stdout
-
-let set_out oc = out := oc
-
 let widths header rows =
   let all = header :: rows in
   let columns = List.length header in
@@ -24,26 +16,26 @@ let pad width s = s ^ String.make (max 0 (width - String.length s)) ' '
 
 let print_row w row =
   let cells = List.mapi (fun i cell -> pad w.(i) cell) row in
-  output_string !out "| ";
-  output_string !out (String.concat " | " cells);
-  output_string !out " |\n"
+  print_string "| ";
+  print_string (String.concat " | " cells);
+  print_string " |\n"
 
 let rule w =
   let dashes = Array.to_list (Array.map (fun n -> String.make n '-') w) in
-  output_string !out "+-";
-  output_string !out (String.concat "-+-" dashes);
-  output_string !out "-+\n"
+  print_string "+-";
+  print_string (String.concat "-+-" dashes);
+  print_string "-+\n"
 
 let print ~title ~header rows =
-  output_char !out '\n';
-  output_string !out ("== " ^ title ^ " ==\n");
+  print_char '\n';
+  print_string ("== " ^ title ^ " ==\n");
   let w = widths header rows in
   rule w;
   print_row w header;
   rule w;
   List.iter (print_row w) rows;
   rule w;
-  flush !out
+  flush stdout
 
 let ms v = if Float.is_nan v then "-" else Printf.sprintf "%.1fms" v
 let yesno b = if b then "yes" else "no"

@@ -1,12 +1,7 @@
 (** Plain-text table rendering for experiment output. *)
 
-(** [print ~title ~header rows] renders an aligned ASCII table to the
-    current output channel (stdout unless {!set_out}). *)
+(** [print ~title ~header rows] renders an aligned ASCII table to stdout. *)
 val print : title:string -> header:string list -> string list list -> unit
-
-(** Redirect all subsequent {!print} output (a sharded experiment producer
-    sends its tables nowhere — the merge step re-renders them). *)
-val set_out : out_channel -> unit
 
 (** Cell helpers. *)
 val ms : float -> string

@@ -12,8 +12,9 @@
     queue under a mutex), which is safe precisely because tasks must be
     independent: a task must not touch mutable state reachable from another
     task, and in this codebase it must own its whole simulation stack
-    (engine, RNG streams, event queue). In-run parallelism remains
-    forbidden; see DESIGN.md "Parallel execution".
+    (engine, RNG streams, event queue). No two domains share one engine:
+    a run sharded over several domains (DESIGN.md §18) gives each domain
+    its own replica engine; see DESIGN.md "Parallel execution".
 
     The submitting domain participates in draining the queue, so a pool
     created with [jobs:1] spawns no domains at all and [run] degenerates to

@@ -119,7 +119,7 @@ let test_a_contains_prior_assumptions () =
     ]
 
 (* Section 7: growing (quadratic) delays defeat plain Figure 3 but not the
-   g-aware variant. Parameters as in experiment E7 (see Suite.e7). *)
+   g-aware variant. Parameters as in experiment E7 (suite.ml's [e7]). *)
 let test_growing_delays_need_g () =
   let regime = Scenario.Growing_star { center = 3; d = 2; g_step = ms 5 } in
   let tweak c =

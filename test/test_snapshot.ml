@@ -6,8 +6,7 @@
    the run it copies. Also the failure modes: an unregistered packed
    function and a trace sink both refuse to snapshot with a clean error
    and leave the live run usable, and a checkpointed sweep refuses an
-   interval that cannot advance the clock. The farm's shard files ride
-   along: they are marshalled the same untyped way. *)
+   interval that cannot advance the clock. *)
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
@@ -275,38 +274,6 @@ let test_file_round_trip () =
       check str_t "digest through the file" "d04e0b6bb1a89956"
         (digest_hex (Harness.Run.finish restored)))
 
-(* The shard file written by [experiments --shard] is marshalled untyped,
-   so only its magic tells a current file from one of another layout: a
-   saved file must load back field for field, and a file with any other
-   magic must be refused rather than misread. *)
-let test_shard_file () =
-  let module Shard = Experiments.Suite.Shard in
-  let path = Filename.temp_file "experiments" ".shard" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let cells = [ (0, [ "row a" ]); (3, [ "row b"; "row c" ]) ] in
-      Shard.save ~path ~index:2 ~count:3 ~ids:[ "e1"; "e9" ] ~quick:true
-        ~metrics:false ~topology:"ring" ~cells;
-      let f = Shard.load path in
-      check int_t "index" 2 f.Shard.index;
-      check int_t "count" 3 f.Shard.count;
-      check (Alcotest.list str_t) "ids" [ "e1"; "e9" ] f.Shard.ids;
-      check bool_t "quick" true f.Shard.quick;
-      check bool_t "metrics" false f.Shard.metrics;
-      check str_t "topology" "ring" f.Shard.topology;
-      check
-        (Alcotest.list (Alcotest.pair int_t (Alcotest.list str_t)))
-        "cells" cells f.Shard.cells;
-      let oc = open_out_bin path in
-      Marshal.to_channel oc
-        { f with Shard.shard_magic = "omega-experiment-shard-v2" }
-        [];
-      close_out oc;
-      Alcotest.check_raises "another magic is refused"
-        (Failure (path ^ ": not an experiment shard file")) (fun () ->
-          ignore (Shard.load path)))
-
 (* ------------------------------------------------- engine slot store *)
 
 (* The engine keeps pending events in fixed-size chunks of slots; a cut
@@ -382,11 +349,13 @@ let test_zero_checkpoint_interval_raises () =
     {
       Experiments.Suite.no_obs with
       checkpoint = Some (Filename.get_temp_dir_name (), Sim.Time.zero);
-      farm = Experiments.Suite.local_farm ();
     }
   in
+  let _, _, e3 =
+    List.find (fun (id, _, _) -> id = "e3") Experiments.Suite.all
+  in
   Parallel.Pool.with_pool ~jobs:1 (fun pool ->
-      match Experiments.Suite.e3 ~pool ~quick:true ~obs with
+      match e3 ~pool ~quick:true ~obs with
       | () -> Alcotest.fail "e3 accepted a zero checkpoint interval"
       | exception Invalid_argument _ -> ())
 
@@ -429,8 +398,6 @@ let () =
       ( "file",
         [
           Alcotest.test_case "marshal round trip" `Quick test_file_round_trip;
-          Alcotest.test_case "shard file round trip and magic" `Quick
-            test_shard_file;
         ] );
       ( "store",
         [
