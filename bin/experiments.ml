@@ -39,8 +39,10 @@ let intra_jobs_term =
            conservative-window execution (DESIGN.md §18) — parallelism \
            $(i,inside) a run, orthogonal to --jobs' parallelism between \
            runs. Tables are byte-identical for every $(docv); $(docv)=1 \
-           is the plain sequential path. Incompatible with --trace and \
-           --checkpoint-dir (both need the run on one engine).")
+           is the plain sequential path. Incompatible with --trace (a \
+           trace needs the run on one engine). With --checkpoint-dir, a \
+           row resumes in the mode its checkpoint was saved in; the tables \
+           are identical either way.")
 
 let metrics_term =
   Cmdliner.Arg.(
@@ -161,9 +163,6 @@ let run list quick jobs intra_jobs metrics trace topology checkpoint_dir
   else if intra_jobs < 1 then `Error (false, "--intra-jobs must be >= 1")
   else if intra_jobs > 1 && Option.is_some trace then
     `Error (false, "--intra-jobs needs the run on one engine; drop --trace")
-  else if intra_jobs > 1 && Option.is_some checkpoint_dir then
-    `Error
-      (false, "--intra-jobs needs the run on one engine; drop --checkpoint-dir")
   else if Option.is_some trace && Option.is_some checkpoint_dir then
     `Error (false, "--trace disables --checkpoint-dir (pick one)")
   else if unknown <> [] then

@@ -124,8 +124,6 @@ let rec driver t =
     Sim.Engine.call_after t.engine (Sim.Time.of_us period) driver t
   end
 
-let () = Sim.Checkpoint.register ~id:18 driver
-
 let create net ~me ~oracle ~retry_every ~crash_bound ~equal =
   let t =
     {

@@ -183,8 +183,6 @@ let rec retry_task t =
     Sim.Engine.call_after t.tr.engine (Sim.Time.of_us period) retry_task t
   end
 
-let () = Sim.Checkpoint.register ~id:17 retry_task
-
 let create (tr : 'v transport) ~me ~rng ~leader_oracle ~retry_every
     ~crash_bound =
   let n = tr.n in

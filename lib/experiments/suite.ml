@@ -73,12 +73,14 @@ let no_obs =
 (* ------------------------------------------------- on-disk checkpoints *)
 
 (* One row's resumable state: a versioned header naming the row plus the
-   engine snapshot (DESIGN.md §16). The header is validated on resume — a
+   run snapshot (DESIGN.md §16). The header is validated on resume — a
    mismatching label or seed means the file belongs to some other sweep
    and the row restarts from scratch; so does any unreadable or
    stale-binary file ([Marshal.Closures] snapshots only load in the
    binary that wrote them). A checkpoint is never worth failing a run
-   over. *)
+   over. The snapshot carries its run's shards, so a row resumes in the
+   mode it was saved in, whatever the rerun's [intra]; the tables are
+   identical either way. *)
 type ckpt_file = {
   ck_version : int;
   ck_label : string;

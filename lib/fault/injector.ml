@@ -118,15 +118,6 @@ let activate inj =
   inj.adaptive_on <- true;
   try_retarget inj
 
-let () =
-  Sim.Checkpoint.register ~id:7 apply_partition;
-  Sim.Checkpoint.register ~id:8 apply_crash;
-  Sim.Checkpoint.register ~id:9 apply_recover;
-  Sim.Checkpoint.register ~id:10 apply_dup;
-  Sim.Checkpoint.register ~id:11 activate;
-  Sim.Checkpoint.register ~id:14 apply_edge;
-  Sim.Checkpoint.register ~id:15 apply_rack
-
 let on_event inj = function
   | Obs.Event.Leader_change { pid; leader; _ } ->
       inj.leaders.(pid) <- leader;

@@ -169,10 +169,8 @@ let leadership_stats samples =
 (* ------------------------------------------------------------ live runs *)
 
 (* The sampler is a static task over a state record, not a recursive
-   closure: it is a pending event at every instant of the run, so it must
-   be registered with {!Sim.Checkpoint} for snapshots — and a packed
-   [(sample_task, state)] cell checkpoints as (id 12, marshalled state)
-   where a closure would pin the bytes to a code address. *)
+   closure: it re-arms every 100 ms of the run, and a packed
+   [(sample_task, state)] event allocates nothing per re-arm. *)
 type sampler_state = {
   st_engine : Sim.Engine.t;
   st_iface : Omega.Iface.t;
@@ -211,8 +209,6 @@ let rec sample_task st =
     :: st.st_samples;
   if Sim.Time.(Sim.Engine.now st.st_engine < st.st_horizon) then
     Sim.Engine.call_after st.st_engine sample_every sample_task st
-
-let () = Sim.Checkpoint.register ~id:12 sample_task
 
 (* A per-shard emission buffer: every event a shard's replica emits during
    a window, tagged with the canonical identity of the event that emitted
@@ -825,21 +821,20 @@ let advance live ~until =
     Sim.Engine.run_until live.l_engine until
   else advance_sharded live until
 
+(* Between [advance] calls every replica's clock stands at the cut, a
+   sharded run's cross-shard arrivals sit in sealed outboxes and no
+   domain is held, so one marshal of the record — control and shard
+   engines, recording sinks, layer networks — is a complete cut. *)
 let snapshot live =
-  if Array.length live.l_shards > 0 then
-    invalid_arg
-      "Run.snapshot: a sharded run (intra_domains > 1) cannot be snapshotted";
   (match live.l_spec.Spec.sink with
   | Some _ ->
       invalid_arg
         "Run.snapshot: runs with an external sink (tracing) cannot be \
          snapshotted"
   | None -> ());
-  Sim.Engine.snapshot live.l_engine live
+  Marshal.to_bytes live [ Marshal.Closures ]
 
-let restore bytes =
-  let (_ : Sim.Engine.t), (live : live) = Sim.Engine.restore bytes in
-  live
+let restore bytes : live = Marshal.from_bytes bytes 0
 
 (* [net] provides liveness/topology state (the control replica on a
    sharded run — its crash state is kept in lockstep); a sharded run sums

@@ -132,8 +132,8 @@ module Spec : sig
             however the run is sliced into {!advance} calls. Runs that
             need mid-window observability — an external [sink], an
             adaptive-adversary plan — silently fall back to sequential
-            execution, as {!start} decides. A sharded run cannot be
-            {!snapshot}ted. *)
+            execution, as {!start} decides. A sharded run snapshots like a
+            sequential one, and its {!restore}d copy stays sharded. *)
     layer : layer;  (** default [No_layer] *)
   }
 
@@ -201,10 +201,11 @@ val horizon : live -> Sim.Time.t
     shard, created and shut down within this call. *)
 val advance : live -> until:Sim.Time.t -> unit
 
-(** Marshal the whole run (engine, pending events, nodes, observers) to
-    bytes via {!Sim.Engine.snapshot}. Raises [Invalid_argument] if the run
-    is sharded or if the spec carries an external [sink] (a trace writer
-    holds an out-channel). The live run is unperturbed. *)
+(** [Marshal.to_bytes] of the whole run with [Marshal.Closures]: every
+    engine and pending event, the nodes, the observers and, when sharded,
+    every shard replica and sealed cross-shard arrival. Raises
+    [Invalid_argument] if the spec carries an external [sink] (a trace
+    writer holds an out-channel). The live run is unperturbed. *)
 val snapshot : live -> Bytes.t
 
 (** Rebuild a run from {!snapshot} bytes: a disjoint stack that continues

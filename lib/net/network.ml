@@ -389,8 +389,6 @@ let deliver f =
     | None -> ()
   end
 
-let () = Sim.Checkpoint.register ~id:3 deliver
-
 (* One scheduled delivery on its own flight, or — when [dst] runs on
    another shard — its canonical identity and payload in that shard's
    outbox. *)
@@ -558,8 +556,6 @@ and hop_arrive f =
       forward t f ~now ~extra_us:0 v
     end
   end
-
-let () = Sim.Checkpoint.register ~id:13 hop_arrive
 
 let dispatch_routed t ~now ~traced ~info ~src ~dst msg =
   let seq = t.seqs.(src) in

@@ -46,8 +46,6 @@ let rec heartbeat_task t =
     Sim.Engine.call_after t.engine (Sim.Time.of_us period) heartbeat_task t
   end
 
-let () = Sim.Checkpoint.register ~id:16 heartbeat_task
-
 let create_node cfg net ~me =
   let engine = Net.Network.engine net in
   let n = cfg.Config.n in

@@ -309,10 +309,6 @@ let rec monitor_task ({ node = t; epoch } as task) =
       monitor_task task
   end
 
-let () =
-  Sim.Checkpoint.register ~id:5 heartbeat_task;
-  Sim.Checkpoint.register ~id:6 monitor_task
-
 (* ---- cluster lifecycle ---- *)
 
 type cluster = { nodes : t array; net : Message.t Net.Network.t }

@@ -509,8 +509,6 @@ let rec sending_task ({ node = t; epoch } as task) =
     Sim.Engine.call_after t.engine (Sim.Time.of_us period) sending_task task
   end
 
-let () = Sim.Checkpoint.register ~id:4 sending_task
-
 let create_with_transport ?store cfg (tr : transport) ~me =
   Config.validate cfg;
   if tr.n <> cfg.Config.n then

@@ -60,9 +60,8 @@ let max_pid = rank_mask - 2
    immediate int — the per-creator creation index — for the
    fire-and-forget majority (which can never be cancelled), or the
    [handle], which then carries the index in [hcidx]. A free slot holds
-   fn = [ignore_obj] (checkpoint id 0), arg = [()] and cx = 0: the store
-   never retains a popped payload, and [snapshot] can swizzle the whole fn
-   column without knowing which slots are live. *)
+   fn = [ignore_obj], arg = [()] and cx = 0: the store never retains a
+   popped payload, so a snapshot carries no dead one. *)
 let chunk_bits = 10
 let chunk_size = 1 lsl chunk_bits
 let chunk_mask = chunk_size - 1
@@ -678,63 +677,3 @@ let run_until_idle ?limit t =
     (match limit with Some l -> fast_forward t l | None -> ());
     `Limit
   end
-
-(* ---------------------------------------------------- snapshot / restore *)
-
-let () =
-  Checkpoint.register ~id:0 ignore_obj;
-  Checkpoint.register ~id:1 call_thunk
-
-(* Swizzle the fn column to registry ids (immediate ints), and back. Free
-   slots hold [ignore_obj], so every entry of every chunk is a registered
-   function or a swizzled id. Both directions skip entries already in the
-   target form, so an aborted swizzle unwinds cleanly. Pending events
-   mostly share a handful of functions, hence the one-entry memo in front
-   of the registry scan. *)
-let swizzle_fns t =
-  let last_fn = ref ignore_obj and last_id = ref 0 in
-  for c = 0 to t.chunks - 1 do
-    let col = t.fns.(c) in
-    for i = 0 to chunk_size - 1 do
-      let f = col.(i) in
-      if not (Obj.is_int (Obj.repr f)) then begin
-        if f != !last_fn then begin
-          let id = Checkpoint.id_of f in
-          if id < 0 then
-            invalid_arg
-              "Engine.snapshot: a pending event's function is not registered \
-               (Sim.Checkpoint.register)";
-          last_fn := f;
-          last_id := id
-        end;
-        col.(i) <- Obj.magic !last_id
-      end
-    done
-  done
-
-let unswizzle_fns t =
-  for c = 0 to t.chunks - 1 do
-    let col = t.fns.(c) in
-    for i = 0 to chunk_size - 1 do
-      let r = Obj.repr col.(i) in
-      if Obj.is_int r then col.(i) <- Checkpoint.fn_of (Obj.obj r : int)
-    done
-  done
-
-let snapshot : type a. t -> a -> Bytes.t =
- fun t root ->
-  swizzle_fns t;
-  (* Unswizzle under protect: the live engine must come back runnable even
-     if an unregistered function aborts the walk or marshalling fails
-     (e.g. an out-channel-holding sink). One [to_bytes] call, so every
-     physical sharing — the [anon] handle, interned ALIVE payloads, the
-     SoA suspicion store — survives the round trip. *)
-  Fun.protect
-    ~finally:(fun () -> unswizzle_fns t)
-    (fun () -> Marshal.to_bytes (t, root) [ Marshal.Closures ])
-
-let restore : type a. Bytes.t -> t * a =
- fun bytes ->
-  let ((t, _) as pair) = (Marshal.from_bytes bytes 0 : t * a) in
-  unswizzle_fns t;
-  pair

@@ -19,7 +19,16 @@
       path (one event per simulated message) never allocates a closure.
 
     The engine deliberately has no notion of processes or messages; those
-    live in {!Net} and above. *)
+    live in {!Net} and above.
+
+    An engine holds no channel, lock or domain of its own, so one
+    [Marshal.to_bytes (t, world) [Marshal.Closures]] is a deep copy of it
+    and of the world marshalled with it: pending functions, payloads and
+    handles ride as values and code pointers, every physical sharing
+    survives, and the copy continues bit-identically in the binary that
+    wrote it. A sink may hold a channel (a JSONL trace does), and then
+    [Marshal] raises. [Harness.Run.snapshot] is that marshal over a whole
+    run (DESIGN.md §16). *)
 
 type t
 
@@ -130,29 +139,6 @@ val run_until : t -> Time.t -> unit
 (** [run_until_idle ?limit t] executes events until none remain, or the next
     event lies beyond [limit]. Returns the reason it stopped. *)
 val run_until_idle : ?limit:Time.t -> t -> [ `Idle | `Limit ]
-
-(** {2 Snapshot / restore (DESIGN.md §16)}
-
-    [snapshot t root] is a deep copy of the whole simulation stack — the
-    engine (clock, slot store, queue, RNG, sink) plus [root], the
-    caller's world reachable from it — as marshalled bytes. One marshal
-    call covers both, so every physical sharing between them (handles,
-    interned payloads, the SoA suspicion store) survives the round trip.
-    The store's function column is swizzled to {!Checkpoint} ids (and
-    back, even on failure — the live engine is untouched on return), so
-    the packed lane is code-address-independent; closures reachable
-    through payloads ride on [Marshal.Closures] and pin the bytes to the
-    producing binary. Raises [Invalid_argument] if a pending event's
-    function is unregistered, or if the graph holds an unmarshallable
-    value (e.g. a JSONL trace sink's out-channel).
-
-    [restore bytes] rebuilds the pair. The restored stack is disjoint from
-    every live one (pool-safe) and continues bit-identically to the run
-    that was snapshotted: same event stream, same digest. The caller is
-    responsible for the root type — this is [Marshal]'s usual contract. *)
-
-val snapshot : t -> 'a -> Bytes.t
-val restore : Bytes.t -> t * 'a
 
 (** {2 Intra-run sharded execution (DESIGN.md §18)}
 

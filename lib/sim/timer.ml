@@ -25,8 +25,6 @@ let fire t =
       (Obs.Event.Timer_fire { now = Time.to_us (Engine.now t.engine) });
   t.on_expire ()
 
-let () = Checkpoint.register ~id:2 fire
-
 let set t duration =
   disarm t;
   t.expired <- false;

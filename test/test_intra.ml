@@ -5,10 +5,11 @@
    flavour of run the driver parallelizes — plain gossip, the relay tier,
    the heartbeat baseline, a faulted plan, a routed topology, fair-lossy
    channels, E6's consensus and atomic-broadcast layers — whether the
-   run goes through [Run.run] or is cut into [Run.advance] slices, and
-   the plan-free gossip stream must still be the exact pinned digest the
-   sequential engine produces. The qcheck property at the bottom is the
-   window-safety certificate: no scenario oracle can return a delay below
+   run goes through [Run.run] or is cut into [Run.advance] slices, each
+   continued on a snapshot's restored copy, and the plan-free gossip
+   stream must still be the exact pinned digest the sequential engine
+   produces. The qcheck property at the bottom is the window-safety
+   certificate: no scenario oracle can return a delay below
    [Scenario.lookahead_us], so nothing sent inside a window [t, t+λ) can
    arrive inside it. *)
 
@@ -64,7 +65,8 @@ let run ~spec ~env ~intra ~seed =
 (* Cut points of the sliced leg, uneven on purpose: two before the first
    window (nothing is scheduled at time zero), one on [busy_plan]'s
    partition instant, and the horizon itself — after which [finish] only
-   folds the observers. *)
+   folds the observers. Every cut snapshots the run, and the slices after
+   it run on the restored copy. *)
 let cuts =
   [
     Sim.Time.zero;
@@ -81,14 +83,18 @@ let sliced ~name ~spec ~env ~intra ~seed =
       ~spec:(Harness.Run.Spec.with_intra_domains intra spec)
       ~env ~seed ()
   in
-  List.iter
-    (fun until ->
-      Harness.Run.advance live ~until;
-      check int_t
-        (Printf.sprintf "%s: intra=%d clock at the cut" name intra)
-        (Sim.Time.to_us until)
-        (Sim.Time.to_us (Harness.Run.now live)))
-    cuts;
+  let live =
+    List.fold_left
+      (fun live until ->
+        Harness.Run.advance live ~until;
+        let live = Harness.Run.restore (Harness.Run.snapshot live) in
+        check int_t
+          (Printf.sprintf "%s: intra=%d clock at the cut" name intra)
+          (Sim.Time.to_us until)
+          (Sim.Time.to_us (Harness.Run.now live));
+        live)
+      live cuts
+  in
   Harness.Run.finish live
 
 (* The workhorse: the full fingerprint — digest first — must coincide for
@@ -96,7 +102,8 @@ let sliced ~name ~spec ~env ~intra ~seed =
    path, bit for bit). K = 3 makes uneven shards: at n = 4 the blocks
    are {0, 1}, {2} and {3}, so one destination drains two shard sources
    plus the control replica. The sliced leg drives the same runs through
-   [start], [advance] at every cut and [finish]. *)
+   [start], [advance], [snapshot] and [restore] at every cut, and
+   [finish]. *)
 let assert_invariant ?(seed = 7L) ~name spec env =
   let seq = fingerprint (Harness.Run.run ~spec ~env ~seed ()) in
   List.iter
@@ -110,7 +117,8 @@ let assert_invariant ?(seed = 7L) ~name spec env =
     (fun intra ->
       let par = fingerprint (sliced ~name ~spec ~env ~intra ~seed) in
       check bool_t
-        (Printf.sprintf "%s: intra=%d sliced matches sequential" name intra)
+        (Printf.sprintf "%s: intra=%d sliced and restored matches sequential"
+           name intra)
         true (par = seq))
     [ 1; 2; 3 ]
 
@@ -270,17 +278,19 @@ let contains msg s =
   in
   at 0
 
-(* Sharded snapshots are out of reach: a started and advanced K = 2 run
-   refuses loudly, and the refusal leaves it unperturbed. *)
-let test_sharded_snapshot_refused () =
+(* A K = 2 snapshot at 300 ms neither perturbs the run it copies nor
+   loses anything: the original and the restored copy both finish on the
+   sequential fingerprint. *)
+let test_sharded_snapshot () =
   let spec = Harness.Run.Spec.with_intra_domains 2 base in
   let live = Harness.Run.start ~spec ~env ~seed:7L () in
   Harness.Run.advance live ~until:(ms 300);
-  check bool_t "snapshot of a sharded run raises" true
-    (raises_invalid (fun () -> Harness.Run.snapshot live));
-  check bool_t "the refused run still matches sequential" true
-    (fingerprint (Harness.Run.finish live)
-    = fingerprint (Harness.Run.run ~spec:base ~env ~seed:7L ()))
+  let restored = Harness.Run.restore (Harness.Run.snapshot live) in
+  let seq = fingerprint (Harness.Run.run ~spec:base ~env ~seed:7L ()) in
+  check bool_t "the snapshotted run still matches sequential" true
+    (fingerprint (Harness.Run.finish live) = seq);
+  check bool_t "the restored copy matches sequential" true
+    (fingerprint (Harness.Run.finish restored) = seq)
 
 let test_intra_domains_zero () =
   check bool_t "with_intra_domains rejects 0" true
@@ -578,8 +588,8 @@ let () =
         ] );
       ( "guards",
         [
-          Alcotest.test_case "sharded snapshot raises" `Quick
-            test_sharded_snapshot_refused;
+          Alcotest.test_case "sharded snapshot unperturbed" `Quick
+            test_sharded_snapshot;
           Alcotest.test_case "with_intra_domains rejects 0" `Quick
             test_intra_domains_zero;
           Alcotest.test_case "zero delay floor" `Quick test_zero_delay_floor;

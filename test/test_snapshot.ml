@@ -2,11 +2,13 @@
    snapshot and continued from the restored copy must be bit-identical —
    same digest, same aggregate results — to the uninterrupted run, for
    all three algorithms, faulted plans and the consensus and broadcast
-   layers; and snapshotting must never perturb
-   the run it copies. Also the failure modes: an unregistered packed
-   function and a trace sink both refuse to snapshot with a clean error
-   and leave the live run usable, and a checkpointed sweep refuses an
-   interval that cannot advance the clock. *)
+   layers, sequential or sharded through a file; and snapshotting must
+   never perturb the run it copies. A snapshot is one
+   [Marshal.Closures] of the run, so any pending function rides along,
+   a dynamic closure as much as a static task. Also the failure modes: a
+   trace sink refuses to snapshot with a clean error and leaves the live
+   run usable, and a checkpointed sweep refuses an interval that cannot
+   advance the clock. *)
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
@@ -94,8 +96,8 @@ let test_matrix () =
            ~msg:(Printf.sprintf "n=%d relay" n)
            ~spec:Harness.Run.Spec.(spec |> with_algo `Relay)
            ~env:(relay_env ~n) ~seed:7L ~cut);
-      (* The heartbeat's self-reposting task is checkpoint id 16 and its
-         deadline timers ride Sim.Timer's id 2. *)
+      (* The heartbeat's self-reposting task and its deadline timers are
+         pending at every cut. *)
       ignore
         (differential
            ~msg:(Printf.sprintf "n=%d heartbeat" n)
@@ -134,10 +136,10 @@ let test_faulted () =
    intermittent star with a consensus layer — p1..p4 propose at 500 ms —
    or a broadcast layer — ten commands, one every 100 ms from p1, p2 and
    p3 in turn; p0 crashes at 200 ms in both. The layers' self-reposting
-   tasks are packed events (checkpoint ids 17 and 18), so a cut must
-   carry them; the cut at 550 ms falls after the proposals and before the
-   decision. On the straight run every correct process (p1..p4) must
-   decide one common value, or deliver all ten commands in one order. *)
+   tasks are packed events, so a cut must carry them; the cut at 550 ms
+   falls after the proposals and before the decision. On the straight
+   run every correct process (p1..p4) must decide one common value, or
+   deliver all ten commands in one order. *)
 let test_consensus_stacks () =
   let config = Omega.Config.default ~n:5 ~t:2 Omega.Config.Fig3 in
   let env =
@@ -246,33 +248,41 @@ let test_pinned_relay () =
 
 (* ------------------------------------------------------- file round trip *)
 
+(* The plain pin through a file, sequential and sharded over two domains:
+   a sharded cut carries both shard replicas and their sealed outboxes. *)
 let test_file_round_trip () =
   let config = Omega.Config.default ~n:4 ~t:1 Omega.Config.Fig3 in
   let env =
     Scenarios.Env.make config (Scenarios.Scenario.Rotating_star { center = 2 })
   in
-  let spec =
-    Harness.Run.Spec.(default |> with_horizon (sec 2) |> with_digest true)
-  in
-  let live = Harness.Run.start ~spec ~env ~seed:7L () in
-  Harness.Run.advance live ~until:(ms 800);
-  let bytes = Harness.Run.snapshot live in
-  let path = Filename.temp_file "snapshot" ".ckpt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out_bin path in
-      output_bytes oc bytes;
-      close_out oc;
-      let ic = open_in_bin path in
-      let len = in_channel_length ic in
-      let read = Bytes.create len in
-      really_input ic read 0 len;
-      close_in ic;
-      check int_t "length round-trips" (Bytes.length bytes) len;
-      let restored = Harness.Run.restore read in
-      check str_t "digest through the file" "d04e0b6bb1a89956"
-        (digest_hex (Harness.Run.finish restored)))
+  List.iter
+    (fun intra ->
+      let spec =
+        Harness.Run.Spec.(
+          default |> with_horizon (sec 2) |> with_digest true
+          |> with_intra_domains intra)
+      in
+      let live = Harness.Run.start ~spec ~env ~seed:7L () in
+      Harness.Run.advance live ~until:(ms 800);
+      let bytes = Harness.Run.snapshot live in
+      let path = Filename.temp_file "snapshot" ".ckpt" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          let oc = open_out_bin path in
+          output_bytes oc bytes;
+          close_out oc;
+          let ic = open_in_bin path in
+          let len = in_channel_length ic in
+          let read = Bytes.create len in
+          really_input ic read 0 len;
+          close_in ic;
+          let msg label = Printf.sprintf "intra=%d: %s" intra label in
+          check int_t (msg "length round-trips") (Bytes.length bytes) len;
+          let restored = Harness.Run.restore read in
+          check str_t (msg "digest through the file") "d04e0b6bb1a89956"
+            (digest_hex (Harness.Run.finish restored))))
+    [ 1; 2 ]
 
 (* ------------------------------------------------- engine slot store *)
 
@@ -320,7 +330,8 @@ let test_store_spans_chunks () =
   check bool_t "more live events than one chunk at the cut" true
     (Sim.Engine.pending e > 1024);
   let e', st' =
-    (Sim.Engine.restore (Sim.Engine.snapshot e st) : Sim.Engine.t * chains)
+    (Marshal.from_bytes (Marshal.to_bytes (e, st) [ Marshal.Closures ]) 0
+      : Sim.Engine.t * chains)
   in
   Sim.Engine.run_until e' horizon;
   Sim.Engine.run_until e horizon;
@@ -328,19 +339,27 @@ let test_store_spans_chunks () =
   check pair "restored continuation" straight (st'.acc, st'.fired);
   check pair "snapshotted original" straight (st.acc, st.fired)
 
-(* ----------------------------------------------------------- refusals *)
-
-let test_unregistered_fn_raises () =
+(* A dynamic closure as the packed fn marshals like any other value: the
+   event fires after the snapshot, on the restored copy — into the
+   copy's own counter — and on the original. *)
+let test_closure_fn () =
   let engine = Sim.Engine.create ~seed:1L () in
   let hits = ref 0 in
-  (* A dynamic closure as the packed fn: no Checkpoint id, so the snapshot
-     must refuse — and the protect must leave the live engine runnable. *)
   Sim.Engine.call_after engine (ms 1) (fun k -> hits := !hits + k) 2;
-  (match Sim.Engine.snapshot engine 0 with
-  | (_ : Bytes.t) -> Alcotest.fail "snapshot accepted an unregistered fn"
-  | exception Invalid_argument _ -> ());
+  let engine', hits' =
+    (Marshal.from_bytes
+       (Marshal.to_bytes (engine, hits) [ Marshal.Closures ])
+       0
+      : Sim.Engine.t * int ref)
+  in
+  Sim.Engine.run_until engine' (ms 2);
+  check int_t "fires on the restored copy" 2 !hits';
+  check int_t "the original is untouched" 0 !hits;
   Sim.Engine.run_until engine (ms 2);
-  check int_t "event still fires after refused snapshot" 2 !hits
+  check int_t "fires on the original" 2 !hits;
+  check int_t "the copy is untouched" 2 !hits'
+
+(* ----------------------------------------------------------- refusals *)
 
 (* A checkpoint interval that does not move the clock is refused before
    the first slice: such slices would rewrite one checkpoint forever. *)
@@ -403,11 +422,10 @@ let () =
         [
           Alcotest.test_case "live events span chunks" `Quick
             test_store_spans_chunks;
+          Alcotest.test_case "closure as packed fn" `Quick test_closure_fn;
         ] );
       ( "refusals",
         [
-          Alcotest.test_case "unregistered fn" `Quick
-            test_unregistered_fn_raises;
           Alcotest.test_case "trace sink" `Quick test_trace_sink_raises;
           Alcotest.test_case "zero checkpoint interval" `Quick
             test_zero_checkpoint_interval_raises;
